@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (full build + test suite), then a quick
+# CI entry point: tier-1 verify (full build + test suite), then the §6
+# experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
+# recomputation), then a quick
 # perf smoke of the label-index speedup experiment (catches silent index
 # regressions that correctness tests cannot see), then an
 # Address+UB-Sanitizer build of the robustness and fault-injection tests
@@ -20,6 +22,11 @@ echo "=== tier-1: configure + build + ctest ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
+
+echo
+echo "=== §6 experiments on the GDN: E8 path expressions + E9 DAG bases (exit 1 on a wrong view) ==="
+./build/bench/exp8_path_expressions
+./build/bench/exp9_dag
 
 echo
 echo "=== perf-smoke: index speedup floor (E15 --smoke, 1.5x bar) ==="

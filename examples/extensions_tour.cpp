@@ -9,12 +9,12 @@
 #include <cstdlib>
 
 #include "core/aggregate_view.h"
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/partial_materialization.h"
 #include "core/union_view.h"
 #include "core/view_cluster.h"
 #include "core/view_definition.h"
+#include "ivm/gdn_network.h"
 #include "oem/store.h"
 #include "query/evaluator.h"
 #include "workload/person_db.h"
@@ -50,20 +50,21 @@ int main() {
   ObjectStore base;
   Check(BuildPersonDb(&base));
 
-  Section("Path-expression view (SELECT ROOT.* ...) via GeneralMaintainer");
+  Section("Path-expression view (SELECT ROOT.* ...) via the GDN engine");
   auto wild_def = ViewDefinition::Parse(
       "define mview WILD as: SELECT ROOT.* X WHERE X.name = 'John'");
   ObjectStore wild_store;
   MaterializedView wild(&wild_store, *wild_def);
   Check(wild.Initialize(base));
-  GeneralMaintainer wild_maintainer(&wild, &base, *wild_def, Root());
+  GdnListener wild_maintainer(&wild, &base, *wild_def, Root());
+  Check(wild_maintainer.Initialize());
   base.AddListener(&wild_maintainer);
   std::printf("WILD = %s\n", Members(wild.BaseMembers()).c_str());
   Check(base.Modify(N3(), Value::Str("Jane")));
-  std::printf("after renaming N3: WILD = %s  (%lld candidates rechecked)\n",
+  std::printf("after renaming N3: WILD = %s  (%lld propagations)\n",
               Members(wild.BaseMembers()).c_str(),
               static_cast<long long>(
-                  wild_maintainer.stats().candidates_checked));
+                  wild_maintainer.engine().stats().propagations));
   base.RemoveListener(&wild_maintainer);
   Check(base.Modify(N3(), Value::Str("John")));  // restore
 

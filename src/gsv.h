@@ -10,7 +10,6 @@
 #include "core/aggregate_view.h"       // IWYU pragma: export
 #include "core/algorithm1.h"           // IWYU pragma: export
 #include "core/consistency.h"          // IWYU pragma: export
-#include "core/general_maintainer.h"   // IWYU pragma: export
 #include "core/materialized_view.h"    // IWYU pragma: export
 #include "core/partial_materialization.h"  // IWYU pragma: export
 #include "core/recompute.h"            // IWYU pragma: export
@@ -19,6 +18,7 @@
 #include "core/view_cluster.h"         // IWYU pragma: export
 #include "core/view_definition.h"      // IWYU pragma: export
 #include "core/virtual_view.h"         // IWYU pragma: export
+#include "ivm/gdn_network.h"            // IWYU pragma: export
 #include "oem/serialize.h"             // IWYU pragma: export
 #include "oem/set_ops.h"               // IWYU pragma: export
 #include "oem/store.h"                 // IWYU pragma: export

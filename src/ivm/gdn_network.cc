@@ -315,6 +315,33 @@ void GdnEngine::RefreshFilterAt(const Oid& event_parent, const Oid& child) {
   }
 }
 
+void GdnEngine::MarkKnown(const Oid& oid) {
+  const uint32_t id = oid.id();
+  if (id / 64 >= known_.size()) known_.resize(id / 64 + 1, 0);
+  known_[id / 64] |= uint64_t{1} << (id % 64);
+}
+
+void GdnEngine::AbsorbUnknown(const Oid& top) {
+  // Marking on discovery keeps shared (DAG) descendants to one visit.
+  std::vector<Oid> stack = {top};
+  MarkKnown(top);
+  while (!stack.empty() && !poisoned_) {
+    const Oid oid = stack.back();
+    stack.pop_back();
+    RefreshSatAxioms(oid);
+    const Object* object = base_->Get(oid);
+    if (object == nullptr || !object->IsSet()) continue;
+    for (const Oid& child : object->children()) {
+      ReconcileEdge(oid, child);
+      if (poisoned_) return;
+      if (!IsKnown(child)) {
+        MarkKnown(child);
+        stack.push_back(child);
+      }
+    }
+  }
+}
+
 // ---- Membership ----
 
 bool GdnEngine::ReachAccepting(const Oid& oid) const {
@@ -388,13 +415,14 @@ Status GdnEngine::Apply(const Update& update, ViewStorage* out) {
   switch (update.kind) {
     case UpdateKind::kInsert:
     case UpdateKind::kDelete:
+      // The store Put() is silent: the child may head a region the network
+      // has never seen.
+      if (!IsKnown(update.child)) AbsorbUnknown(update.child);
+      if (poisoned_) break;
       if (within_oid_.valid() && update.parent == within_oid_) {
         RefreshFilterAt(update.parent, update.child);
       } else {
         ReconcileEdge(update.parent, update.child);
-        // A freshly evented object may be new to the network (the store
-        // Put() is silent); make sure its witness axioms reflect its value.
-        if (!poisoned_) RefreshSatAxioms(update.child);
       }
       break;
     case UpdateKind::kModify:
@@ -434,6 +462,9 @@ Status GdnEngine::Initialize() {
   reach_.table.clear();
   for (MemoNode& sat : sats_) sat.table.clear();
   members_.clear();
+  // Everything in the base is absorbed below.
+  known_.clear();
+  base_->ForEach([this](const Object& object) { MarkKnown(object.oid()); });
   touched_.clear();
   pending_.clear();
   budget_ = 0;  // rebuilds are never budget-limited
@@ -664,11 +695,25 @@ Status GdnEngine::LoadFrom(std::istream& in) {
   }
   if (!(in >> tok) || tok != "end") return malformed;
   members_ = std::move(members);
+  known_.clear();  // see SaveTo: absorbed again on first link
   poisoned_ = false;
   touched_.clear();
   pending_.clear();
   if (!within_name_.empty()) within_oid_ = base_->DatabaseOid(within_name_);
   return Status::Ok();
+}
+
+// ---- Listener adapter ----
+
+Status GdnListener::Initialize() {
+  GSV_RETURN_IF_ERROR(engine_.Initialize());
+  return engine_.Reconcile(out_);
+}
+
+void GdnListener::OnUpdate(const ObjectStore& store, const Update& update) {
+  (void)store;
+  Status status = engine_.Apply(update, out_);
+  if (!status.ok()) last_status_ = status;
 }
 
 }  // namespace gsv

@@ -50,11 +50,13 @@ namespace gsv {
 // contract the warehouse channel already demands. Membership changes emit
 // through a ViewStorage, so deltas ride the existing WAL kViewDelta path.
 //
-// Limits: objects silently Put() into the store are picked up when an
-// *event-visible* edge first touches them (the workload generators create
-// fresh objects as single atomic leaves, and re-attached subtrees keep
-// their memo state); a whole fresh subtree announced by one edge event
-// needs Rebuild(). ANS INT views are rejected by ValidateDefinition.
+// Objects Put() into the store are silent, so the engine keeps a *known
+// set*: the objects whose value and child edges it has absorbed. Initialize
+// marks every base object; an edge event whose child is unknown absorbs the
+// whole unknown region below it (witness axioms plus every child edge, also
+// edges into known objects), so a fresh subtree linked by one insert is
+// exact. A known child costs one bit probe. ANS INT views are rejected by
+// ValidateDefinition.
 class GdnEngine {
  public:
   struct Options {
@@ -114,7 +116,10 @@ class GdnEngine {
 
   // Deterministic text image of the memo tables + member set, restored by
   // LoadFrom (which rejects malformed input — the caller then Rebuild()s).
-  // Only valid against the exact base state the image was captured at.
+  // Only valid against the exact base state the image was captured at. The
+  // image does not say which store objects it absorbed, so LoadFrom starts
+  // with an empty known set: objects Put after the capture are absorbed
+  // when first linked, and re-absorbing an old one is an idempotent no-op.
   void SaveTo(std::ostream& out) const;
   Status LoadFrom(std::istream& in);
 
@@ -173,6 +178,14 @@ class GdnEngine {
   // WITHIN flip: re-derives every edge whose filtered endpoint is `child`
   // (its membership in the scoping database just changed).
   void RefreshFilterAt(const Oid& event_parent, const Oid& child);
+  // Absorbs `top` and every unknown object below it: witness axioms, all
+  // child edges, then marks each known. Descends into unknown children only.
+  void AbsorbUnknown(const Oid& top);
+  bool IsKnown(const Oid& oid) const {
+    const uint32_t id = oid.id();
+    return id / 64 < known_.size() && (known_[id / 64] >> (id % 64) & 1) != 0;
+  }
+  void MarkKnown(const Oid& oid);
 
   void SeedSatAxioms(MemoNode& sat, const Oid& oid);
   bool ReachAccepting(const Oid& oid) const;
@@ -194,6 +207,7 @@ class GdnEngine {
   std::unordered_map<const Predicate*, size_t> sat_index_;
 
   OidSet members_;
+  std::vector<uint64_t> known_;  // bit per interned OID id (see class note)
   Stats stats_;
   bool poisoned_ = false;
 
@@ -203,6 +217,33 @@ class GdnEngine {
   bool cascading_ = false;
   size_t budget_used_ = 0;
   size_t budget_ = 0;  // 0 = unlimited (Initialize)
+};
+
+// Maintains one view from a store's listener chain: each basic update the
+// store reports is applied to a GdnEngine whose deltas land in `out`. The
+// standalone counterpart of a warehouse drain for the §6 view classes, as
+// Algorithm1Maintainer::OnUpdate is for simple views; the most recent
+// failure is kept in last_status().
+class GdnListener : public UpdateListener {
+ public:
+  // Pointers must outlive the listener. `out` may already hold members
+  // (e.g. an initialized MaterializedView); Initialize() reconciles it.
+  GdnListener(ViewStorage* out, const ObjectStore* base,
+              const ViewDefinition& def, Oid root)
+      : engine_(base, def, std::move(root)), out_(out) {}
+
+  // Builds the network from the current base and fixes `out` to match.
+  Status Initialize();
+
+  void OnUpdate(const ObjectStore& store, const Update& update) override;
+
+  const GdnEngine& engine() const { return engine_; }
+  const Status& last_status() const { return last_status_; }
+
+ private:
+  GdnEngine engine_;
+  ViewStorage* out_;
+  Status last_status_;
 };
 
 }  // namespace gsv

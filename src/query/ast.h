@@ -31,7 +31,7 @@ struct Query {
   // maintains (§4.2): constant select path, a WHERE that is a single
   // predicate over a constant path (or absent), and no scoping clause —
   // WITHIN/ANS INT are §6 relaxations Algorithm 1 never consults, so a
-  // scoped view must take a general maintainer or stay virtual.
+  // scoped view must run on the GDN engine or stay virtual.
   bool IsSimple() const {
     return select_path.IsConstant() &&
            (where.IsTrivial() || where.IsSimple()) &&

@@ -178,8 +178,6 @@ std::string ShardedViewExplanation::ToString() const {
           << (gdn_matches == 1 ? "" : "es") << ", " << gdn_propagations
           << " propagations, " << gdn_rebuilds << " rebuild"
           << (gdn_rebuilds == 1 ? "" : "s") << ")";
-    } else if (engine == "general") {
-      out << " (" << general_caps_hit << " caps hit)";
     }
     out << "\n";
   }

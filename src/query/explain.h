@@ -69,16 +69,13 @@ struct ShardedViewExplanation {
   int64_t cross_shard_applies = 0;
   int64_t cross_shard_probes = 0;
 
-  // Maintenance engine ("algorithm1", "general", or "gdn"; empty when the
-  // warehouse predates engine selection or the view is unknown). The GDN
-  // counters describe the view's discrimination network; general_caps_hit
-  // counts truncated general-engine candidate searches.
+  // Maintenance engine ("algorithm1" or "gdn"; empty when the view is
+  // unknown). The GDN counters describe the view's discrimination network.
   std::string engine;
   size_t gdn_nodes = 0;        // memo nodes (reach + one per predicate)
   size_t gdn_matches = 0;      // live partial matches across the network
   int64_t gdn_propagations = 0;
   int64_t gdn_rebuilds = 0;
-  int64_t general_caps_hit = 0;
 
   std::string ToString() const;
 };

@@ -234,27 +234,29 @@ Result<std::string> Shell::CmdDefine(std::string_view text,
            FormatMembers(store_.Get(def.view_oid())->children());
   }
 
+  // Validate before the view object lands in the store.
+  const bool simple = Algorithm1Maintainer::ValidateDefinition(def).ok();
+  if (!simple) GSV_RETURN_IF_ERROR(GdnEngine::ValidateDefinition(def));
   auto live = std::make_unique<LiveView>(def);
   live->view = std::make_unique<MaterializedView>(&store_, def);
   GSV_RETURN_IF_ERROR(live->view->Initialize(store_));
 
   Oid root = store_.DatabaseOid(def.query().entry);
   if (!root.valid()) root = Oid(def.query().entry);
-  if (Algorithm1Maintainer::ValidateDefinition(def).ok()) {
+  if (simple) {
     live->accessor = std::make_unique<LocalAccessor>(&store_);
     live->algorithm1 = std::make_unique<Algorithm1Maintainer>(
         live->view.get(), live->accessor.get(), def, root);
     store_.AddListener(live->algorithm1.get());
   } else {
-    live->general = std::make_unique<GeneralMaintainer>(live->view.get(),
-                                                        &store_, def, root);
-    store_.AddListener(live->general.get());
+    live->gdn = std::make_unique<GdnListener>(live->view.get(), &store_, def,
+                                              root);
+    GSV_RETURN_IF_ERROR(live->gdn->Initialize());
+    store_.AddListener(live->gdn.get());
   }
   std::string result = "materialized view " + def.name() + " = " +
                        FormatMembers(live->view->BaseMembers()) +
-                       (live->algorithm1 != nullptr
-                            ? "  [Algorithm 1]"
-                            : "  [general maintainer]");
+                       (simple ? "  [Algorithm 1]" : "  [gdn]");
   views_.push_back(std::move(live));
   return result;
 }
@@ -265,7 +267,7 @@ Result<std::string> Shell::CmdViews() {
     if (!out.empty()) out += "\n";
     const Status& status = live->algorithm1 != nullptr
                                ? live->algorithm1->last_status()
-                               : live->general->last_status();
+                               : live->gdn->last_status();
     out += live->def.name() + " = " +
            FormatMembers(live->view->BaseMembers()) +
            (status.ok() ? "" : "  [maintenance error: " + status.ToString() +

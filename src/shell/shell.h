@@ -8,10 +8,10 @@
 
 #include "core/aggregate_view.h"
 #include "core/algorithm1.h"
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/union_view.h"
 #include "core/view_definition.h"
+#include "ivm/gdn_network.h"
 #include "oem/store.h"
 #include "oem/transaction.h"
 #include "util/status.h"
@@ -20,9 +20,9 @@ namespace gsv {
 
 // An interactive session over one GSDB: load/save stores, apply the basic
 // updates, run queries, and define views — materialized views are
-// maintained live (Algorithm 1 for simple definitions, the general
-// candidate-recheck maintainer otherwise). Drives everything through the
-// public library API; the gsvsh binary is a thin REPL around ProcessLine.
+// maintained live (Algorithm 1 for simple definitions, the discrimination
+// network otherwise). Drives everything through the public library API;
+// the gsvsh binary is a thin REPL around ProcessLine.
 //
 // Commands (one per line; '#' starts a comment):
 //   help
@@ -67,7 +67,7 @@ class Shell {
     std::unique_ptr<MaterializedView> view;
     std::unique_ptr<LocalAccessor> accessor;
     std::unique_ptr<Algorithm1Maintainer> algorithm1;
-    std::unique_ptr<GeneralMaintainer> general;
+    std::unique_ptr<GdnListener> gdn;
   };
 
   Result<std::string> CmdPut(const std::vector<std::string>& args);

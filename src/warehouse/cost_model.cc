@@ -41,7 +41,6 @@ WarehouseCosts& WarehouseCosts::Merge(const WarehouseCosts& other) {
   Accumulate(&gdn_matches_created, other.gdn_matches_created);
   Accumulate(&gdn_matches_freed, other.gdn_matches_freed);
   Accumulate(&gdn_rebuilds, other.gdn_rebuilds);
-  Accumulate(&general_caps_hit, other.general_caps_hit);
   Accumulate(&store_page_faults, other.store_page_faults);
   Accumulate(&store_page_evictions, other.store_page_evictions);
   Accumulate(&store_writeback_bytes, other.store_writeback_bytes);
@@ -90,12 +89,11 @@ std::string WarehouseCosts::ToString() const {
   // Engine counters only appear when a generalized engine ran, so simple
   // Algorithm 1 deployments (and every golden output) are unchanged.
   if (gdn_propagations > 0 || gdn_matches_created > 0 ||
-      gdn_matches_freed > 0 || gdn_rebuilds > 0 || general_caps_hit > 0) {
+      gdn_matches_freed > 0 || gdn_rebuilds > 0) {
     out << " gdn_propagations=" << gdn_propagations
         << " gdn_matches_created=" << gdn_matches_created
         << " gdn_matches_freed=" << gdn_matches_freed
-        << " gdn_rebuilds=" << gdn_rebuilds
-        << " general_caps_hit=" << general_caps_hit;
+        << " gdn_rebuilds=" << gdn_rebuilds;
   }
   // Paging counters only appear when a paged engine actually paged, so the
   // memory-engine string (and every golden output) is unchanged.

@@ -52,14 +52,12 @@ struct WarehouseCosts {
   std::atomic<int64_t> cross_shard_applies{0};  // peer ops applied here
   std::atomic<int64_t> cross_shard_probes{0};   // foreign membership lookups
 
-  // Generalized maintenance engines (§6 view classes; zero when every view
-  // is simple). GDN counters flush from the network's stats at storage
-  // quiescent points; caps_hit counts truncated general-engine searches.
+  // Discrimination networks (§6 view classes; zero when every view is
+  // simple). Flushed from the networks' stats at storage quiescent points.
   std::atomic<int64_t> gdn_propagations{0};     // support edges added/removed
   std::atomic<int64_t> gdn_matches_created{0};  // partial matches born
   std::atomic<int64_t> gdn_matches_freed{0};    // partial matches killed
   std::atomic<int64_t> gdn_rebuilds{0};         // full network (re)builds
-  std::atomic<int64_t> general_caps_hit{0};     // truncated candidate scans
 
   // Delegate/cache store buffer pool (paged storage engine; zero on the
   // memory engine). Flushed from StoreMetrics at storage quiescent points
@@ -118,8 +116,6 @@ struct WarehouseCosts {
     gdn_matches_freed =
         other.gdn_matches_freed.load(std::memory_order_relaxed);
     gdn_rebuilds = other.gdn_rebuilds.load(std::memory_order_relaxed);
-    general_caps_hit =
-        other.general_caps_hit.load(std::memory_order_relaxed);
     store_page_faults =
         other.store_page_faults.load(std::memory_order_relaxed);
     store_page_evictions =

@@ -4,9 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "core/virtual_view.h"
-#include "query/evaluator.h"
-
 namespace gsv {
 
 namespace {
@@ -95,7 +92,7 @@ void ShardedWarehouse::Directory::Freeze() {
   frozen_ = true;
 }
 
-// ---- Coordinator-owned general engines ----
+// ---- Coordinator-owned networks for the general views ----
 
 bool ShardedWarehouse::CoordStorage::ContainsBase(const Oid& base_oid) const {
   Warehouse& owner = *owner_->shards_[ShardOfOid(base_oid, owner_->mask_)];
@@ -162,44 +159,25 @@ Status ShardedWarehouse::EnsureCoordView(const std::string& name) {
   view->name = name;
   view->source_index = source_index;
   view->def = std::make_unique<ViewDefinition>(std::move(def));
-  view->engine = shard0.view_engine(name);
   view->storage = std::make_unique<CoordStorage>(this, name, slice->view_oid());
-  if (view->engine == Warehouse::EngineKind::kGdn) {
-    view->gdn = std::make_unique<GdnEngine>(route.store, *view->def, route.root);
-    GSV_RETURN_IF_ERROR(view->gdn->Initialize());
-  } else {
-    view->general = std::make_unique<GeneralMaintainer>(
-        view->storage.get(), route.store, *view->def, route.root);
-  }
+  view->gdn = std::make_unique<GdnEngine>(route.store, *view->def, route.root);
+  GSV_RETURN_IF_ERROR(view->gdn->Initialize());
   coord_views_.push_back(std::move(view));
   return Status::Ok();
 }
 
 void ShardedWarehouse::ApplyCoordEvent(size_t source_index,
                                        const UpdateEvent& event) {
-  Update update = event.ToUpdate();
-  if (update.kind == UpdateKind::kModify) {
-    // The engines re-read store truth, so re-stamp the new value from the
-    // source — level-1 events carry none.
-    const Object* object = sources_[source_index]->store->Get(update.parent);
-    if (object != nullptr && object->IsAtomic()) {
-      update = Update::Modify(update.parent, update.old_value, object->value());
-    }
-  }
+  const Update update = event.ToUpdateAt(*sources_[source_index]->store);
   for (auto& view : coord_views_) {
     if (view->source_index != source_index) continue;
-    Status status;
-    if (view->gdn != nullptr) {
-      status = view->gdn->Apply(update, view->storage.get());
-      if (!status.ok() && view->gdn->poisoned()) {
-        // Self-heal in place: rebuild from the current base state, then
-        // emit whatever deltas the shard slices are missing. Duplicate ops
-        // are §4.3 no-ops at the owners, so healing mid-batch is safe.
-        status = view->gdn->Rebuild();
-        if (status.ok()) status = view->gdn->Reconcile(view->storage.get());
-      }
-    } else if (view->general != nullptr) {
-      status = view->general->Maintain(update);
+    Status status = view->gdn->Apply(update, view->storage.get());
+    if (!status.ok() && view->gdn->poisoned()) {
+      // Self-heal in place: rebuild from the current base state, then emit
+      // whatever deltas the shard slices are missing. Duplicate ops are
+      // §4.3 no-ops at the owners, so healing mid-batch is safe.
+      status = view->gdn->Rebuild();
+      if (status.ok()) status = view->gdn->Reconcile(view->storage.get());
     }
     if (!status.ok() && coord_error_.ok()) coord_error_ = status;
   }
@@ -212,27 +190,6 @@ Status ShardedWarehouse::ApplyCoordPending() {
     ApplyCoordEvent(source_index, event);
   }
   return std::exchange(coord_error_, Status::Ok());
-}
-
-Status ShardedWarehouse::ReconcileCoordView(CoordView& view) {
-  if (view.gdn != nullptr) return view.gdn->Reconcile(view.storage.get());
-  // GeneralMaintainer keeps no network state; diff a fresh §4.4 evaluation
-  // against the recovered slices instead.
-  SourceRoute& route = *sources_[view.source_index];
-  GSV_ASSIGN_OR_RETURN(OidSet truth, EvaluateView(*route.store, *view.def));
-  const OidSet current = view.storage->BaseMembers();
-  for (const Oid& member : truth) {
-    if (current.Contains(member)) continue;
-    const Object* object = route.store->Get(member);
-    if (object == nullptr) continue;
-    GSV_RETURN_IF_ERROR(view.storage->VInsert(*object));
-  }
-  for (const Oid& member : current) {
-    if (!truth.Contains(member)) {
-      GSV_RETURN_IF_ERROR(view.storage->VDelete(member));
-    }
-  }
-  return Status::Ok();
 }
 
 // ---- Topology ----
@@ -574,7 +531,7 @@ Status ShardedWarehouse::EnableDurability(const DurabilityOptions& options) {
       GSV_RETURN_IF_ERROR(EnsureCoordView(name));
     }
     for (auto& view : coord_views_) {
-      GSV_RETURN_IF_ERROR(ReconcileCoordView(*view));
+      GSV_RETURN_IF_ERROR(view->gdn->Reconcile(view->storage.get()));
     }
     // Per-shard recovery replays ran against live peers that may not have
     // been recovered yet; redistribute what they exported (plus the
@@ -650,17 +607,11 @@ ShardedViewExplanation ShardedWarehouse::ExplainView(const std::string& name) {
   }
   for (const auto& view : coord_views_) {
     if (view->name != name) continue;
-    explanation.engine =
-        view->engine == Warehouse::EngineKind::kGdn ? "gdn" : "general";
-    if (view->gdn != nullptr) {
-      explanation.gdn_nodes = view->gdn->node_count();
-      explanation.gdn_matches = view->gdn->match_count();
-      explanation.gdn_propagations = view->gdn->stats().propagations;
-      explanation.gdn_rebuilds = view->gdn->stats().rebuilds;
-    }
-    if (view->general != nullptr) {
-      explanation.general_caps_hit = view->general->stats().caps_hit;
-    }
+    explanation.engine = "gdn";
+    explanation.gdn_nodes = view->gdn->node_count();
+    explanation.gdn_matches = view->gdn->match_count();
+    explanation.gdn_propagations = view->gdn->stats().propagations;
+    explanation.gdn_rebuilds = view->gdn->stats().rebuilds;
     break;
   }
   if (explanation.engine.empty() && shards_[0]->view(name) != nullptr) {
@@ -683,20 +634,14 @@ WarehouseCosts ShardedWarehouse::MergedCosts() const {
   // counters in here (shard entries for these views carry no engines, so
   // nothing double-counts).
   for (const auto& view : coord_views_) {
-    if (view->gdn != nullptr) {
-      const GdnEngine::Stats& stats = view->gdn->stats();
-      merged.gdn_propagations.fetch_add(stats.propagations,
-                                        std::memory_order_relaxed);
-      merged.gdn_matches_created.fetch_add(stats.matches_created,
-                                           std::memory_order_relaxed);
-      merged.gdn_matches_freed.fetch_add(stats.matches_freed,
+    const GdnEngine::Stats& stats = view->gdn->stats();
+    merged.gdn_propagations.fetch_add(stats.propagations,
+                                      std::memory_order_relaxed);
+    merged.gdn_matches_created.fetch_add(stats.matches_created,
                                          std::memory_order_relaxed);
-      merged.gdn_rebuilds.fetch_add(stats.rebuilds, std::memory_order_relaxed);
-    }
-    if (view->general != nullptr) {
-      merged.general_caps_hit.fetch_add(view->general->stats().caps_hit,
-                                        std::memory_order_relaxed);
-    }
+    merged.gdn_matches_freed.fetch_add(stats.matches_freed,
+                                       std::memory_order_relaxed);
+    merged.gdn_rebuilds.fetch_add(stats.rebuilds, std::memory_order_relaxed);
   }
   return merged;
 }

@@ -191,7 +191,7 @@ class ShardedWarehouse {
     Oid view_oid_;
   };
 
-  // One coordinator-owned general engine per non-simple view (DESIGN.md
+  // One coordinator-owned network per non-simple view (DESIGN.md
   // §4j). The shards keep "external" entries for these views (delegate
   // slices + value sync only); the coordinator runs the single network over
   // the shared source store — it sees every routed event before the
@@ -202,10 +202,8 @@ class ShardedWarehouse {
     size_t source_index = 0;
     // Engines hold references into this copy; unique_ptr keeps it stable.
     std::unique_ptr<ViewDefinition> def;
-    Warehouse::EngineKind engine = Warehouse::EngineKind::kGdn;
     std::unique_ptr<CoordStorage> storage;
     std::unique_ptr<GdnEngine> gdn;
-    std::unique_ptr<GeneralMaintainer> general;
   };
 
   void RouteEvent(size_t source_index, const UpdateEvent& event);
@@ -226,9 +224,6 @@ class ShardedWarehouse {
   void ApplyCoordEvent(size_t source_index, const UpdateEvent& event);
   // Drains the deferred coordinator event queue (deferred-mode Phase B2).
   Status ApplyCoordPending();
-  // Recovery: re-derives the engine's member set from the current source
-  // and emits whatever deltas the recovered shard slices are missing.
-  Status ReconcileCoordView(CoordView& view);
   ThreadPool* Pool(size_t threads);
 
   uint32_t mask_ = 0;

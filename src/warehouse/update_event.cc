@@ -29,6 +29,14 @@ Update UpdateEvent::ToUpdate() const {
   return Update();
 }
 
+Update UpdateEvent::ToUpdateAt(const ObjectStore& store) const {
+  Update update = ToUpdate();
+  if (kind != UpdateKind::kModify) return update;
+  const Object* object = store.Get(parent);
+  if (object != nullptr && object->IsAtomic()) update.new_value = object->value();
+  return update;
+}
+
 std::string UpdateEvent::ToString() const {
   std::ostringstream out;
   out << UpdateKindName(kind) << "(" << parent.str();

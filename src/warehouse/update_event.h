@@ -7,6 +7,7 @@
 
 #include "oem/object.h"
 #include "oem/oid.h"
+#include "oem/store.h"
 #include "oem/update.h"
 #include "path/path.h"
 
@@ -61,6 +62,9 @@ struct UpdateEvent {
 
   // The update as an Update struct (modify values only when level >= 2).
   Update ToUpdate() const;
+  // The same, with a modify's new value re-read from `store` (the source's
+  // current truth), so a level-1 event can still sync a delegate value.
+  Update ToUpdateAt(const ObjectStore& store) const;
 
   std::string ToString() const;
 };

@@ -1,7 +1,5 @@
 #include "warehouse/warehouse.h"
 
-#include <cstdlib>
-
 #include "core/recompute.h"
 #include "util/retry.h"
 
@@ -224,8 +222,7 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
 
   GSV_ASSIGN_OR_RETURN(ViewDefinition def, ViewDefinition::Parse(definition));
   // Simple views (§4.2) run Algorithm 1; every other accepted shape runs
-  // the discrimination network (or the query-back general maintainer under
-  // the GSV_GENERAL_ENGINE=general override, mostly for twin testing).
+  // the discrimination network.
   const bool simple = def.IsSimple();
   if (simple) {
     GSV_RETURN_IF_ERROR(Algorithm1Maintainer::ValidateDefinition(def));
@@ -245,19 +242,14 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
   entry->source_index = source_index;
   entry->definition_text = std::string(definition);
   entry->cache_mode = cache_mode;
+  entry->engine = simple ? EngineKind::kAlgorithm1 : EngineKind::kGdn;
   if (simple) {
-    entry->engine = EngineKind::kAlgorithm1;
     // The constant-path projections (and the screening labels derived from
     // them) exist only for the simple shape.
     entry->sel_path = def.sel_path();
     entry->cond_path = def.cond_path();
     entry->full_path = def.full_path();
     RecomputeRelevantLabels(*entry);
-  } else {
-    const char* env = std::getenv("GSV_GENERAL_ENGINE");
-    entry->engine = env != nullptr && std::string_view(env) == "general"
-                        ? EngineKind::kGeneral
-                        : EngineKind::kGdn;
   }
 
   entry->view = std::make_unique<MaterializedView>(store_, def);
@@ -291,17 +283,11 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
     entry->maintainer = std::make_unique<Algorithm1Maintainer>(
         entry->storage(), entry->accessor.get(), def, source.root);
   } else if (!binding_.has_value()) {
-    // General engines read the base store directly (centralized setting;
-    // query-backs are not metered for them — see DESIGN.md §4j). A
-    // shard-bound warehouse constructs neither: the coordinator owns one
+    // The network reads the base store directly (centralized setting;
+    // query-backs are not metered for it — see DESIGN.md §4j). A
+    // shard-bound warehouse constructs none: the coordinator owns one
     // engine per general view and redistributes its deltas.
-    if (entry->engine == EngineKind::kGeneral) {
-      entry->general = std::make_unique<GeneralMaintainer>(
-          entry->storage(), source.store, def, source.root);
-    } else {
-      entry->gdn =
-          std::make_unique<GdnEngine>(source.store, def, source.root);
-    }
+    entry->gdn = std::make_unique<GdnEngine>(source.store, def, source.root);
   }
   return entry;
 }
@@ -388,14 +374,6 @@ const GdnEngine* Warehouse::gdn_engine(const std::string& name) const {
   return nullptr;
 }
 
-const GeneralMaintainer* Warehouse::general_maintainer(
-    const std::string& name) const {
-  for (const auto& entry : views_) {
-    if (entry->def.name() == name) return entry->general.get();
-  }
-  return nullptr;
-}
-
 std::string Warehouse::view_definition_text(const std::string& name) const {
   for (const auto& entry : views_) {
     if (entry->def.name() == name) return entry->definition_text;
@@ -419,19 +397,12 @@ ShardedViewExplanation Warehouse::ExplainView(const std::string& name) const {
     const OidSet members = entry->view->BaseMembers();
     out.total_members = members.size();
     out.members_per_shard = {members.size()};
-    switch (entry->engine) {
-      case EngineKind::kAlgorithm1: out.engine = "algorithm1"; break;
-      case EngineKind::kGeneral: out.engine = "general"; break;
-      case EngineKind::kGdn: out.engine = "gdn"; break;
-    }
+    out.engine = entry->engine == EngineKind::kGdn ? "gdn" : "algorithm1";
     if (entry->gdn != nullptr) {
       out.gdn_nodes = entry->gdn->node_count();
       out.gdn_matches = entry->gdn->match_count();
       out.gdn_propagations = entry->gdn->stats().propagations;
       out.gdn_rebuilds = entry->gdn->stats().rebuilds;
-    }
-    if (entry->general != nullptr) {
-      out.general_caps_hit = entry->general->stats().caps_hit;
     }
     break;
   }
@@ -734,9 +705,8 @@ Status Warehouse::CollectUnderivable(ViewEntry& entry,
                                      RemoteAccessor* accessor,
                                      std::vector<Oid>* doomed) {
   // The sweep re-derives members along the simple corridor; general views
-  // have none, and their engines already keep membership exact (the GDN by
-  // reconciliation against final state, the general maintainer by
-  // candidate recheck against final state).
+  // have none, and the GDN already keeps membership exact by reconciliation
+  // against final state.
   if (entry.engine != EngineKind::kAlgorithm1) return Status::Ok();
   const SourceEntry& source = *sources_[entry.source_index];
   const OidSet members = entry.view->BaseMembers();
@@ -804,31 +774,21 @@ Status Warehouse::ProcessPending() {
   return first_error;
 }
 
+Status Warehouse::ApplyGdnEvent(ViewEntry& entry, const UpdateEvent& event,
+                                ViewStorage* out) {
+  const Update update = event.ToUpdateAt(*SourceOf(entry).store);
+  if (entry.gdn != nullptr) return entry.gdn->Apply(update, out);
+  // Shard-bound "external" entry: the coordinator's engine computes the
+  // membership deltas; only the delegate values track the base here.
+  return out->SyncUpdate(update);
+}
+
 Status Warehouse::HandleEventForView(ViewEntry& entry,
                                      const UpdateEvent& event) {
-  SourceEntry& source = SourceOf(entry);
-
   if (entry.engine != EngineKind::kAlgorithm1) {
-    // General engines skip §5.1 screening: a discrimination network must
-    // see every event to keep its memos aligned with the base, and the
-    // candidate-recheck maintainer's affected set is not label-bounded.
-    // Both re-read values from the source store, so a modify event is
-    // re-stamped with the store's current value — level 1 suffices and
-    // deferred drains stay convergent.
-    Update update = event.ToUpdate();
-    if (update.kind == UpdateKind::kModify) {
-      const Object* object = source.store->Get(update.parent);
-      if (object != nullptr && object->IsAtomic()) {
-        update =
-            Update::Modify(update.parent, update.old_value, object->value());
-      }
-    }
-    if (entry.gdn != nullptr) return entry.gdn->Apply(update, entry.storage());
-    if (entry.general != nullptr) return entry.general->Maintain(update);
-    // Shard-bound "external" entry: the coordinator's engine computes the
-    // membership deltas; only the delegate values track the base here.
-    return entry.storage()->SyncUpdate(update);
+    return ApplyGdnEvent(entry, event, entry.storage());
   }
+  SourceEntry& source = SourceOf(entry);
 
   // 1. Keep the auxiliary structure current (§5.2: "the auxiliary structure
   //    itself needs to be maintained"). For deletes this updates corridor
@@ -939,12 +899,6 @@ void Warehouse::StorageQuiescent() {
           s.rebuilds - entry->gdn_flushed.rebuilds,
           std::memory_order_relaxed);
       entry->gdn_flushed = s;
-    }
-    if (entry->general != nullptr) {
-      int64_t caps = entry->general->stats().caps_hit;
-      costs_.general_caps_hit.fetch_add(caps - entry->general_caps_flushed,
-                                        std::memory_order_relaxed);
-      entry->general_caps_flushed = caps;
     }
   }
   // Flush the delegate store's buffer-pool deltas onto the cost sheet so

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/algorithm1.h"
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/view_definition.h"
 #include "ivm/gdn_network.h"
@@ -62,11 +61,9 @@ class Warehouse {
   // Which maintenance engine a view runs on. DefineView picks it from the
   // definition: simple views (§4.2) run Algorithm 1; the §6 relaxations
   // (path expressions, AND/OR, WITHIN, DAG bases) run the discrimination
-  // network (GDN), or the query-back GeneralMaintainer when the
-  // GSV_GENERAL_ENGINE=general environment override asks for it.
+  // network (GDN).
   enum class EngineKind {
     kAlgorithm1,
-    kGeneral,
     kGdn,
   };
 
@@ -346,13 +343,12 @@ class Warehouse {
   // Engine introspection (kAlgorithm1 for unknown names).
   EngineKind view_engine(const std::string& name) const;
   const GdnEngine* gdn_engine(const std::string& name) const;
-  const GeneralMaintainer* general_maintainer(const std::string& name) const;
   // Checkpoint-manifest plumbing a coordinator uses to rebuild its own
   // engines after recovery: the original definition text and source name.
   std::string view_definition_text(const std::string& name) const;
   std::string view_source(const std::string& name) const;
   // Per-view maintenance explanation (engine kind, GDN network size and
-  // propagation counters, general-engine cap hits); shards = 1.
+  // propagation counters); shards = 1.
   ShardedViewExplanation ExplainView(const std::string& name) const;
 
   ObjectStore& store() { return *store_; }
@@ -395,16 +391,14 @@ class Warehouse {
     std::unique_ptr<AuxiliaryCache> cache;
     std::unique_ptr<RemoteAccessor> accessor;
     // Exactly one engine drives membership. A shard-bound warehouse keeps
-    // general/gdn null even when `engine` says otherwise: the coordinator
+    // gdn null even when `engine` says otherwise: the coordinator
     // owns one engine over the whole source and redistributes the deltas,
     // so the shard entry only syncs delegate values ("external" entry).
     EngineKind engine = EngineKind::kAlgorithm1;
     std::unique_ptr<Algorithm1Maintainer> maintainer;
-    std::unique_ptr<GeneralMaintainer> general;
     std::unique_ptr<GdnEngine> gdn;
     // Last-flushed engine counters (StorageQuiescent cost-sheet deltas).
     GdnEngine::Stats gdn_flushed;
-    int64_t general_caps_flushed = 0;
     // Where maintenance writes: the scoped storage when sharded, the view
     // itself otherwise.
     ViewStorage* storage() {
@@ -432,6 +426,12 @@ class Warehouse {
   // Opportunistic resync of every stale view (drain prologue).
   void TryResyncStaleViews();
   Status HandleEventForView(ViewEntry& entry, const UpdateEvent& event);
+  // A §6 view absorbs one event against the source's current state: its
+  // network emits into `out`, or a shard-bound external entry (no engine)
+  // only syncs delegate values. Skips §5.1 screening — the network must see
+  // every event to keep its memos aligned with the base.
+  Status ApplyGdnEvent(ViewEntry& entry, const UpdateEvent& event,
+                       ViewStorage* out);
   // The §5.1 local screening predicate (level >= 2 events only).
   bool EventRelevant(const ViewEntry& entry, const UpdateEvent& event) const;
   // Collects current members whose derivation/condition fails on the

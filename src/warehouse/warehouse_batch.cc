@@ -176,32 +176,9 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
         // One task per general view (never subtree-split), so this worker
         // is the only one touching the view's engine; it reads the frozen
         // final source state and buffers its deltas like any other task.
-        GeneralMaintainer general(task.buffer.get(), source.store, entry.def,
-                                  source.root);
         for (const auto& [event, relevant] : task.events) {
-          Update update = event->ToUpdate();
-          if (update.kind == UpdateKind::kModify) {
-            const Object* object = source.store->Get(update.parent);
-            if (object != nullptr && object->IsAtomic()) {
-              update = Update::Modify(update.parent, update.old_value,
-                                      object->value());
-            }
-          }
-          Status status;
-          if (entry.gdn != nullptr) {
-            status = entry.gdn->Apply(update, task.buffer.get());
-          } else if (entry.general != nullptr) {
-            status = general.Maintain(update);
-          } else {
-            // Shard-bound external entry: delegate values only.
-            status = task.buffer->SyncUpdate(update);
-          }
+          Status status = ApplyGdnEvent(entry, *event, task.buffer.get());
           if (!status.ok() && task.status.ok()) task.status = status;
-        }
-        if (entry.general != nullptr) {
-          // The per-task maintainer dies here; bank its cap hits now.
-          costs_.general_caps_hit.fetch_add(general.stats().caps_hit,
-                                            std::memory_order_relaxed);
         }
         return;
       }
@@ -284,7 +261,7 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
     for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
       if (!touched[views_[view_index]->source_index]) continue;
       if (views_[view_index]->stale) continue;  // swept after resync instead
-      // General engines keep membership exact against final state; only
+      // The GDN keeps membership exact against final state; only
       // Algorithm 1 views need the disclaimed-responsibility sweep.
       if (views_[view_index]->engine != EngineKind::kAlgorithm1) continue;
       SweepTask task;

@@ -68,7 +68,7 @@ Result<Update> UpdateGenerator::TryModify() {
 Result<Update> UpdateGenerator::TryDelete() {
   if (sets_.empty()) return Status::FailedPrecondition("no set objects");
   for (int attempt = 0; attempt < 16; ++attempt) {
-    const Oid& parent = sets_[rng_.Uniform(sets_.size())];
+    const Oid parent = sets_[rng_.Uniform(sets_.size())];  // outlives Rescan()
     const Object* object = store_->Get(parent);
     if (object == nullptr || !object->IsSet() || object->children().empty()) {
       continue;
@@ -85,7 +85,8 @@ Result<Update> UpdateGenerator::TryDelete() {
 
 Result<Update> UpdateGenerator::TryInsert() {
   if (sets_.empty()) return Status::FailedPrecondition("no set objects");
-  const Oid& parent = sets_[rng_.Uniform(sets_.size())];
+  // A copy: Rescan() below reallocates sets_.
+  const Oid parent = sets_[rng_.Uniform(sets_.size())];
 
   // Option 1: re-attach a detached subtree (tree-preserving by
   // construction: the subtree has no remaining parent). Skip candidates

@@ -4,7 +4,6 @@
 
 #include "core/aggregate_view.h"
 #include "core/consistency.h"
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/partial_materialization.h"
 #include "core/recompute.h"
@@ -12,6 +11,7 @@
 #include "core/view_cluster.h"
 #include "core/view_definition.h"
 #include "core/virtual_view.h"
+#include "ivm/gdn_network.h"
 #include "oem/store.h"
 #include "query/evaluator.h"
 #include "workload/dag_gen.h"
@@ -24,9 +24,9 @@ namespace {
 
 using namespace person_db;  // NOLINT(build/namespaces): OID helpers
 
-// ------------------------------------------------------ GeneralMaintainer
+// ----------------------------------------- GDN listener (standalone §6)
 
-class GeneralMaintainerTest : public ::testing::Test {
+class GdnListenerTest : public ::testing::Test {
  protected:
   void SetUp() override { ASSERT_TRUE(BuildPersonDb(&store_).ok()); }
 
@@ -36,7 +36,8 @@ class GeneralMaintainerTest : public ::testing::Test {
     view_ = std::make_unique<MaterializedView>(&store_, *def);
     ASSERT_TRUE(view_->Initialize(store_).ok());
     maintainer_ =
-        std::make_unique<GeneralMaintainer>(view_.get(), &store_, *def, root);
+        std::make_unique<GdnListener>(view_.get(), &store_, *def, root);
+    ASSERT_TRUE(maintainer_->Initialize().ok());
     store_.AddListener(maintainer_.get());
   }
 
@@ -49,12 +50,12 @@ class GeneralMaintainerTest : public ::testing::Test {
 
   ObjectStore store_;
   std::unique_ptr<MaterializedView> view_;
-  std::unique_ptr<GeneralMaintainer> maintainer_;
+  std::unique_ptr<GdnListener> maintainer_;
 };
 
 // Wildcard select path ("ROOT.*"): §6's first relaxation. An insertion of
 // any descendant can change the view.
-TEST_F(GeneralMaintainerTest, WildcardSelectPath) {
+TEST_F(GdnListenerTest, WildcardSelectPath) {
   MakeView("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John'",
            Root());
   EXPECT_EQ(view_->BaseMembers(), OidSet({P1(), P3()}));
@@ -71,7 +72,7 @@ TEST_F(GeneralMaintainerTest, WildcardSelectPath) {
   ExpectConsistent();
 }
 
-TEST_F(GeneralMaintainerTest, WildcardDeleteDisconnectsSubtree) {
+TEST_F(GdnListenerTest, WildcardDeleteDisconnectsSubtree) {
   MakeView("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John'",
            Root());
   // Unlink P1 from ROOT: P1 is gone, but P3 stays (direct child of ROOT).
@@ -80,7 +81,7 @@ TEST_F(GeneralMaintainerTest, WildcardDeleteDisconnectsSubtree) {
   ExpectConsistent();
 }
 
-TEST_F(GeneralMaintainerTest, MultiPredicateConditions) {
+TEST_F(GdnListenerTest, MultiPredicateConditions) {
   MakeView(
       "define view V as: SELECT ROOT.professor X WHERE "
       "X.age <= 45 AND X.name = 'John'",
@@ -102,7 +103,7 @@ TEST_F(GeneralMaintainerTest, MultiPredicateConditions) {
   ExpectConsistent();
 }
 
-TEST_F(GeneralMaintainerTest, OrConditions) {
+TEST_F(GdnListenerTest, OrConditions) {
   MakeView(
       "define view V as: SELECT ROOT.professor X WHERE "
       "X.name = 'Sally' OR X.age > 44",
@@ -114,7 +115,7 @@ TEST_F(GeneralMaintainerTest, OrConditions) {
   ExpectConsistent();
 }
 
-TEST_F(GeneralMaintainerTest, WithinScopedView) {
+TEST_F(GdnListenerTest, WithinScopedView) {
   // D1 = everything except A1. The view ignores A1 entirely.
   OidSet members;
   store_.ForEach([&](const Object& object) {
@@ -140,7 +141,7 @@ TEST_F(GeneralMaintainerTest, WithinScopedView) {
 }
 
 // DAG base (§6's second relaxation): multiple derivations per object.
-TEST_F(GeneralMaintainerTest, DagBaseMultipleDerivations) {
+TEST_F(GdnListenerTest, DagBaseMultipleDerivations) {
   ObjectStore store;
   DagGenOptions options;
   options.levels = 3;
@@ -156,7 +157,8 @@ TEST_F(GeneralMaintainerTest, DagBaseMultipleDerivations) {
   ASSERT_TRUE(def.ok());
   MaterializedView view(&store, *def);
   ASSERT_TRUE(view.Initialize(store).ok());
-  GeneralMaintainer maintainer(&view, &store, *def, dag->root);
+  GdnListener maintainer(&view, &store, *def, dag->root);
+  ASSERT_TRUE(maintainer.Initialize().ok());
   store.AddListener(&maintainer);
 
   // Churn: delete and re-insert edges between layer 0 and layer 1, and
@@ -182,7 +184,7 @@ TEST_F(GeneralMaintainerTest, DagBaseMultipleDerivations) {
     ASSERT_TRUE(expected.ok());
     ASSERT_EQ(view.BaseMembers(), *expected) << "round " << round;
   }
-  EXPECT_GT(maintainer.stats().candidates_checked, 0);
+  EXPECT_GT(maintainer.engine().stats().propagations, 0);
 }
 
 // --------------------------------------------------------------- Cluster

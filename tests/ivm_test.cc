@@ -1,26 +1,26 @@
 // Discrimination-network (GDN) engine suite: the generalized incremental
 // maintainer for the §6 view classes Algorithm 1 cannot handle. The
 // randomized twin property test drives one source through tree- and
-// DAG-preserving update streams and demands byte-identity between the GDN
-// warehouse (K=1), the sharded coordinator (K=4), the §6 candidate-recheck
-// GeneralMaintainer, and the §4.4 full-recompute oracle. Durability tests
-// kill the warehouse mid-batch and restore memo images from checkpoints;
+// DAG-preserving update streams, plus silently Put() subtrees linked by one
+// insert, and demands byte-identity between the GDN warehouse (K=1), the
+// sharded coordinator (K=4), and the §4.4 full-recompute oracle. Durability
+// tests kill the warehouse mid-batch and restore memo images from
+// checkpoints;
 // the concurrency test (this binary carries the `gdn-paged` ctest label:
 // ci.sh re-runs it under ASan, TSan, and the paged-engine stages) drains
 // many networks in parallel.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/recompute.h"
+#include "core/virtual_view.h"
 #include "core/view_definition.h"
 #include "ivm/gdn_network.h"
 #include "oem/paged_engine.h"
@@ -78,6 +78,28 @@ std::string GeneralDefinition(int shape, const Oid& root,
   }
 }
 
+// Silently Put()s a fresh subtree and returns its top in `*top`; no event
+// reports any of it. Three levels deep (top, two middle nodes, leaves) with
+// a witness (age 22) and non-witnesses (age 72) under every
+// GeneralDefinition shape. With `known` valid, the second middle node also
+// points at that object, which the network has already absorbed — a DAG
+// edge, so tree-mode callers pass an invalid Oid.
+void PutFreshSubtree(ObjectStore* source, const std::string& prefix,
+                     const Oid& known, Oid* top) {
+  const Oid a0(prefix + "a0"), a1(prefix + "a1"), a2(prefix + "a2");
+  const Oid n1(prefix + "n1"), m1(prefix + "m1"), m2(prefix + "m2");
+  ASSERT_TRUE(source->PutAtomic(a0, "age", Value::Int(72)).ok());
+  ASSERT_TRUE(source->PutAtomic(a1, "age", Value::Int(22)).ok());
+  ASSERT_TRUE(source->PutAtomic(a2, "age", Value::Int(72)).ok());
+  ASSERT_TRUE(source->PutAtomic(n1, "note", Value::Int(7)).ok());
+  ASSERT_TRUE(source->PutSet(m1, "person", {a1, n1}).ok());
+  std::vector<Oid> m2_children = {a2};
+  if (known.valid()) m2_children.push_back(known);
+  ASSERT_TRUE(source->PutSet(m2, "person", m2_children).ok());
+  *top = Oid(prefix + "t");
+  ASSERT_TRUE(source->PutSet(*top, "person", {a0, m1, m2}).ok());
+}
+
 // ------------------------------------------------- randomized twin suite
 
 struct GdnParam {
@@ -108,10 +130,11 @@ const GdnParam kGdnParams[] = {
 
 class GdnPropertyTest : public ::testing::TestWithParam<GdnParam> {};
 
-// One source, four maintainers: the GDN warehouse (level-1 events — the
+// One source, three maintainers: the GDN warehouse (level-1 events — the
 // network re-reads store truth, so OIDs suffice), the 4-shard coordinator,
-// the GeneralMaintainer twin, and the §4.4 recompute oracle. All four must
-// agree at every batch boundary, byte for byte.
+// and the §4.4 recompute oracle. All three must agree at every batch
+// boundary, byte for byte. Every other batch the test links a silently Put
+// subtree with one insert; in DAG streams it also points at a known object.
 TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
   const GdnParam& p = GetParam();
   ObjectStore source;
@@ -126,6 +149,12 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
   const std::string definition = GeneralDefinition(p.shape, tree->root);
   auto def = ViewDefinition::Parse(definition);
   ASSERT_TRUE(def.ok()) << def.status().ToString();
+  const std::string prefix = "ivm" + std::to_string(p.seed) + "_";
+  const bool dag = p.mode == UpdateMode::kDagPreserving;
+  // A witness in the base before any engine starts (unlinked): the first
+  // DAG-mode fresh subtree points at it.
+  Oid known(prefix + "k");
+  ASSERT_TRUE(source.PutAtomic(known, "age", Value::Int(22)).ok());
 
   ObjectStore w_store(DelegateStoreOptions());
   Warehouse warehouse(&w_store);
@@ -144,12 +173,6 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
   ASSERT_TRUE(sharded.DefineView(definition).ok());
   sharded.set_deferred(true);
 
-  ObjectStore g_store;
-  MaterializedView g_view(&g_store, *def);
-  ASSERT_TRUE(g_view.Initialize(source).ok());
-  GeneralMaintainer general(&g_view, &source, *def, tree->root);
-  source.AddListener(&general);
-
   ObjectStore r_store;
   MaterializedView r_view(&r_store, *def);
   ASSERT_TRUE(r_view.Initialize(source).ok());
@@ -164,11 +187,17 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
   for (size_t batch = 0; batch < p.batches; ++batch) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     ASSERT_TRUE(gen.Run(p.batch_size).ok());
+    if (batch % 2 == 1) {
+      const std::string fresh = prefix + "f" + std::to_string(batch) + "_";
+      Oid top;
+      ASSERT_NO_FATAL_FAILURE(
+          PutFreshSubtree(&source, fresh, dag ? known : Oid(), &top));
+      ASSERT_TRUE(source.Insert(tree->root, top).ok());
+      known = Oid(fresh + "a1");  // absorbed by the link just made
+    }
     ASSERT_TRUE(warehouse.ProcessPendingBatch().ok())
         << warehouse.last_status().ToString();
     ASSERT_TRUE(sharded.ProcessPendingBatch(4).ok());
-    ASSERT_TRUE(general.last_status().ok())
-        << general.last_status().ToString();
     ASSERT_TRUE(recompute.Recompute().ok());
 
     MaterializedView* w_view = warehouse.view("GV");
@@ -176,9 +205,7 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
     const auto expected = ViewContentLines(r_view);
     EXPECT_EQ(ViewContentLines(*w_view), expected);
     EXPECT_EQ(sharded.ViewContents("GV"), expected);
-    EXPECT_EQ(g_view.BaseMembers(), r_view.BaseMembers());
   }
-  source.RemoveListener(&general);
 
   // The network actually propagated (no silent recompute fallback), and the
   // counters surfaced on both cost sheets.
@@ -237,27 +264,6 @@ TEST(GdnEngineSelectionTest, GeneralViewsGetTheNetworkAndExplainIt) {
   EXPECT_EQ(explanation.engine, "gdn");
   EXPECT_GT(explanation.gdn_nodes, 0u);
   EXPECT_NE(explanation.ToString().find("engine: gdn"), std::string::npos);
-}
-
-TEST(GdnEngineSelectionTest, EnvOverrideSelectsGeneralMaintainer) {
-  ObjectStore source;
-  TreeGenOptions tree_options;
-  tree_options.seed = 13;
-  tree_options.oid_prefix = "sel3_";
-  auto tree = GenerateTree(&source, tree_options);
-  ASSERT_TRUE(tree.ok());
-
-  ::setenv("GSV_GENERAL_ENGINE", "general", 1);
-  ObjectStore store;
-  Warehouse warehouse(&store);
-  ASSERT_TRUE(
-      warehouse.ConnectSource(&source, tree->root, ReportingLevel::kOidsOnly)
-          .ok());
-  ASSERT_TRUE(warehouse.DefineView(GeneralDefinition(0, tree->root)).ok());
-  ::unsetenv("GSV_GENERAL_ENGINE");
-  EXPECT_EQ(warehouse.view_engine("GV"), Warehouse::EngineKind::kGeneral);
-  EXPECT_NE(warehouse.general_maintainer("GV"), nullptr);
-  EXPECT_EQ(warehouse.ExplainView("GV").engine, "general");
 }
 
 TEST(GdnEngineSelectionTest, AuxCachesRejectedForGeneralViews) {
@@ -351,26 +357,58 @@ TEST(GdnEngineTest, PropagationBudgetPoisonsAndRebuildHeals) {
   EXPECT_EQ(view.BaseMembers(), OidSet({P1(), P3(), Oid("P9")}));
 }
 
-TEST(GeneralMaintainerTest, SafetyCapsAreCountedWhenSearchTruncates) {
-  ObjectStore store;
-  ASSERT_TRUE(BuildPersonDb(&store).ok());
-  auto def = ViewDefinition::Parse(
-      "define mview V as: SELECT ROOT.* X WHERE X.name = 'John'");
+// ---------------------------------------------------------- fresh subtrees
+
+// Objects Put silently, then linked by a single insert event: the network
+// must absorb the whole region below the event's child, including an edge
+// from a fresh node to an object it already knows. K=1 and K=4 both.
+TEST(GdnFreshSubtreeTest, OneInsertLinksASilentlyPutSubtree) {
+  ObjectStore source;
+  ASSERT_TRUE(source.PutAtomic(Oid("FA1"), "age", Value::Int(45)).ok());
+  ASSERT_TRUE(source.PutSet(Oid("FP1"), "person", {Oid("FA1")}).ok());
+  ASSERT_TRUE(source.PutSet(Oid("FR"), "root", {Oid("FP1")}).ok());
+  const std::string definition =
+      "define mview FV as: SELECT FR.* X WHERE X.age > 40";
+  auto def = ViewDefinition::Parse(definition);
   ASSERT_TRUE(def.ok());
 
-  ObjectStore view_store;
-  MaterializedView view(&view_store, *def);
-  ASSERT_TRUE(view.Initialize(store).ok());
-  GeneralMaintainer::Options tiny;
-  tiny.max_depth = 1;  // the person DB is deeper than one level
-  GeneralMaintainer maintainer(&view, &store, *def, Root(), tiny);
+  ObjectStore store(DelegateStoreOptions());
+  Warehouse warehouse(&store);
+  ASSERT_TRUE(
+      warehouse.ConnectSource(&source, Oid("FR"), ReportingLevel::kOidsOnly)
+          .ok());
+  ASSERT_TRUE(warehouse.DefineView(definition).ok());
+  warehouse.set_deferred(true);
+  ShardedWarehouse sharded(4, ShardedDelegateOptions());
+  ASSERT_TRUE(sharded.init_status().ok());
+  ASSERT_TRUE(
+      sharded.ConnectSource(&source, Oid("FR"), ReportingLevel::kOidsOnly)
+          .ok());
+  ASSERT_TRUE(sharded.DefineView(definition).ok());
+  sharded.set_deferred(true);
 
-  ASSERT_TRUE(store.PutAtomic(Oid("N9"), "name", Value::Str("John")).ok());
-  ASSERT_TRUE(store.PutSet(Oid("P9"), "advisee", {Oid("N9")}).ok());
-  ASSERT_TRUE(store.Insert(P3(), Oid("P9")).ok());
-  (void)maintainer.Maintain(Update::Insert(P3(), Oid("P9")));
-  EXPECT_GT(maintainer.stats().caps_hit, 0)
-      << "a truncated search must be visible on the counter";
+  auto expect_truth = [&](const OidSet& want) {
+    ASSERT_TRUE(warehouse.ProcessPendingBatch().ok())
+        << warehouse.last_status().ToString();
+    ASSERT_TRUE(sharded.ProcessPendingBatch(4).ok());
+    auto truth = EvaluateView(source, *def);
+    ASSERT_TRUE(truth.ok());
+    EXPECT_EQ(*truth, want);
+    EXPECT_EQ(warehouse.view("FV")->BaseMembers(), *truth);
+    EXPECT_EQ(sharded.ViewContents("FV"),
+              ViewContentLines(*warehouse.view("FV")));
+  };
+
+  ASSERT_TRUE(source.PutAtomic(Oid("FA3"), "age", Value::Int(60)).ok());
+  ASSERT_TRUE(source.PutSet(Oid("FP3"), "person", {Oid("FA3")}).ok());
+  ASSERT_TRUE(source.Insert(Oid("FR"), Oid("FP3")).ok());
+  ASSERT_NO_FATAL_FAILURE(expect_truth(OidSet({Oid("FP1"), Oid("FP3")})));
+
+  // A fresh node whose only witness is an object the network knows.
+  ASSERT_TRUE(source.PutSet(Oid("FP4"), "person", {Oid("FA1")}).ok());
+  ASSERT_TRUE(source.Insert(Oid("FR"), Oid("FP4")).ok());
+  ASSERT_NO_FATAL_FAILURE(
+      expect_truth(OidSet({Oid("FP1"), Oid("FP3"), Oid("FP4")})));
 }
 
 // ------------------------------------------------------------ WITHIN flips
@@ -634,6 +672,76 @@ TEST(GdnDurabilityTest, CheckpointRestoresNetworkStateAcrossRestart) {
   ASSERT_TRUE(recovered.ProcessPendingBatch().ok());
   ASSERT_TRUE(rig.gen_twin->Run(20).ok());
   ASSERT_TRUE(rig.twin->ProcessPendingBatch().ok());
+  EXPECT_EQ(ViewContentLines(*recovered.view("GV")),
+            ViewContentLines(*rig.twin->view("GV")));
+}
+
+// A clean restart loads the memo image, which cannot vouch for objects
+// that sat in the store unlinked at capture time: linking such a subtree
+// after the restart, and a subtree Put after it, must both be absorbed.
+TEST(GdnDurabilityTest, FreshSubtreesLinkedAfterCleanRestart) {
+  const std::string dir = TempDir("fresh");
+  GdnTwinRig rig;
+  ASSERT_NO_FATAL_FAILURE(rig.Init(/*tree_seed=*/43, /*update_seed=*/901));
+  Warehouse::DurabilityOptions options;
+  options.dir = dir;
+
+  // Puts the same fresh subtree into both sources; links it when asked.
+  auto fresh = [&](const std::string& tag, bool link) {
+    for (ObjectStore* source : {&rig.source_durable, &rig.source_twin}) {
+      Oid top;
+      ASSERT_NO_FATAL_FAILURE(
+          PutFreshSubtree(source, "ivmk_" + tag + "_", Oid(), &top));
+      if (link) {
+        ASSERT_TRUE(source->Insert(rig.root, top).ok());
+      }
+    }
+  };
+  {
+    ObjectStore store_d(DelegateStoreOptions());
+    Warehouse durable(&store_d);
+    ASSERT_TRUE(durable
+                    .ConnectSource(&rig.source_durable, rig.root,
+                                   ReportingLevel::kOidsOnly)
+                    .ok());
+    durable.set_deferred(true);
+    ASSERT_TRUE(durable.EnableDurability(options).ok());
+    ASSERT_TRUE(durable.DefineView(rig.definition).ok());
+    ASSERT_TRUE(rig.gen_durable->Run(20).ok());
+    ASSERT_TRUE(rig.gen_twin->Run(20).ok());
+    ASSERT_NO_FATAL_FAILURE(fresh("linked", /*link=*/true));
+    ASSERT_TRUE(durable.ProcessPendingBatch().ok());
+    ASSERT_TRUE(rig.twin->ProcessPendingBatch().ok());
+    ASSERT_NO_FATAL_FAILURE(fresh("pending", /*link=*/false));
+    ASSERT_TRUE(durable.WriteCheckpoint().ok());
+  }
+
+  ObjectStore store_r(DelegateStoreOptions());
+  Warehouse recovered(&store_r);
+  ASSERT_TRUE(recovered
+                  .ConnectSource(&rig.source_durable, rig.root,
+                                 ReportingLevel::kOidsOnly)
+                  .ok());
+  recovered.set_deferred(true);
+  ASSERT_TRUE(recovered.EnableDurability(options).ok())
+      << recovered.last_status().ToString();
+  ASSERT_NE(recovered.gdn_engine("GV"), nullptr);
+  EXPECT_EQ(recovered.gdn_engine("GV")->stats().rebuilds, 0)
+      << "a clean restart loads the memo image";
+
+  for (ObjectStore* source : {&rig.source_durable, &rig.source_twin}) {
+    ASSERT_TRUE(source->Insert(rig.root, Oid("ivmk_pending_t")).ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(fresh("after", /*link=*/true));
+  ASSERT_TRUE(recovered.ProcessPendingBatch().ok())
+      << recovered.last_status().ToString();
+  ASSERT_TRUE(rig.twin->ProcessPendingBatch().ok());
+
+  auto def = ViewDefinition::Parse(rig.definition);
+  ASSERT_TRUE(def.ok());
+  auto truth = EvaluateView(rig.source_durable, *def);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_EQ(recovered.view("GV")->BaseMembers(), *truth);
   EXPECT_EQ(ViewContentLines(*recovered.view("GV")),
             ViewContentLines(*rig.twin->view("GV")));
 }

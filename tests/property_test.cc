@@ -8,12 +8,12 @@
 #include "core/algorithm1.h"
 #include "core/consistency.h"
 #include "core/union_view.h"
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/recompute.h"
 #include "core/swizzle.h"
 #include "core/view_definition.h"
 #include "core/virtual_view.h"
+#include "ivm/gdn_network.h"
 #include "oem/store.h"
 #include "relational/counting.h"
 #include "relational/flatten.h"
@@ -124,9 +124,9 @@ TEST_P(MaintainerPropertyTest, Algorithm1MatchesRecomputeOracle) {
   EXPECT_TRUE(report.consistent) << report.ToString();
 }
 
-// The generalized candidate-recheck maintainer agrees with Algorithm 1 on
-// simple views (they implement the same specification).
-TEST_P(MaintainerPropertyTest, GeneralMaintainerMatchesAlgorithm1) {
+// The discrimination network agrees with Algorithm 1 on simple views (they
+// implement the same specification).
+TEST_P(MaintainerPropertyTest, GdnMatchesAlgorithm1) {
   BuildBases();
   ViewDefinition def = Def();
 
@@ -137,11 +137,12 @@ TEST_P(MaintainerPropertyTest, GeneralMaintainerMatchesAlgorithm1) {
   Algorithm1Maintainer algo1(&a1_view, &accessor, def, root_);
   subject_base_.AddListener(&algo1);
 
-  ObjectStore general_store;
-  MaterializedView general_view(&general_store, def);
-  ASSERT_TRUE(general_view.Initialize(subject_base_).ok());
-  GeneralMaintainer general(&general_view, &subject_base_, def, root_);
-  subject_base_.AddListener(&general);
+  ObjectStore gdn_store;
+  MaterializedView gdn_view(&gdn_store, def);
+  ASSERT_TRUE(gdn_view.Initialize(subject_base_).ok());
+  GdnListener gdn(&gdn_view, &subject_base_, def, root_);
+  ASSERT_TRUE(gdn.Initialize().ok());
+  subject_base_.AddListener(&gdn);
 
   UpdateGenOptions gen_options;
   gen_options.seed = GetParam().seed + 2000;
@@ -149,22 +150,23 @@ TEST_P(MaintainerPropertyTest, GeneralMaintainerMatchesAlgorithm1) {
   for (size_t i = 0; i < GetParam().updates; ++i) {
     ASSERT_TRUE(generator.Step().ok());
     ASSERT_TRUE(algo1.last_status().ok());
-    ASSERT_TRUE(general.last_status().ok());
-    ASSERT_EQ(a1_view.BaseMembers(), general_view.BaseMembers());
+    ASSERT_TRUE(gdn.last_status().ok());
+    ASSERT_EQ(a1_view.BaseMembers(), gdn_view.BaseMembers());
   }
 }
 
-// On DAG-shaped streams (multiple parents), the general maintainer tracks
-// the recomputed truth (§6's DAG relaxation).
-TEST_P(MaintainerPropertyTest, GeneralMaintainerHandlesDagStreams) {
+// On DAG-shaped streams (multiple parents), the network tracks the
+// recomputed truth (§6's DAG relaxation).
+TEST_P(MaintainerPropertyTest, GdnHandlesDagStreams) {
   BuildBases();
   ViewDefinition def = Def();
 
   ObjectStore view_store;
   MaterializedView view(&view_store, def);
   ASSERT_TRUE(view.Initialize(subject_base_).ok());
-  GeneralMaintainer general(&view, &subject_base_, def, root_);
-  subject_base_.AddListener(&general);
+  GdnListener gdn(&view, &subject_base_, def, root_);
+  ASSERT_TRUE(gdn.Initialize().ok());
+  subject_base_.AddListener(&gdn);
 
   UpdateGenOptions gen_options;
   gen_options.mode = UpdateMode::kDagPreserving;
@@ -172,7 +174,7 @@ TEST_P(MaintainerPropertyTest, GeneralMaintainerHandlesDagStreams) {
   UpdateGenerator generator(&subject_base_, root_, gen_options);
   for (size_t i = 0; i < GetParam().updates; ++i) {
     ASSERT_TRUE(generator.Step().ok());
-    ASSERT_TRUE(general.last_status().ok());
+    ASSERT_TRUE(gdn.last_status().ok());
     if (i % 10 == 0) {
       auto truth = EvaluateView(subject_base_, def);
       ASSERT_TRUE(truth.ok());

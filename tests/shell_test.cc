@@ -51,17 +51,49 @@ TEST(ShellTest, QueryAndViews) {
   EXPECT_NE(Must(shell, "views").find("YOUNG = {}"), std::string::npos);
 }
 
-TEST(ShellTest, WildcardViewsUseGeneralMaintainer) {
+TEST(ShellTest, WildcardViewsUseGdn) {
   Shell shell;
   Must(shell, "put atomic N1 name string John");
   Must(shell, "put set P1 professor N1");
   Must(shell, "put set ROOT person P1");
   std::string defined = Must(
       shell, "define mview VJ as: SELECT ROOT.* X WHERE X.name = 'John'");
-  EXPECT_NE(defined.find("[general maintainer]"), std::string::npos);
+  EXPECT_NE(defined.find("[gdn]"), std::string::npos);
   EXPECT_NE(defined.find("{P1}"), std::string::npos);
   Must(shell, "modify N1 string Jane");
   EXPECT_NE(Must(shell, "views").find("VJ = {}"), std::string::npos);
+
+  // A fresh subtree linked by one insert: its witness is absorbed too.
+  Must(shell, "put atomic N2 name string John");
+  Must(shell, "put set P2 professor N2");
+  Must(shell, "insert ROOT P2");
+  EXPECT_NE(Must(shell, "views").find("VJ = {P2}"), std::string::npos);
+}
+
+// ANS INT intersects with a database no update event describes, so no
+// engine can keep a materialized ANS INT view current: the shell refuses
+// it (as the warehouse does) instead of letting it drift from the query.
+TEST(ShellTest, MaterializedAnsIntViewsAreRejected) {
+  Shell shell;
+  Must(shell, "put atomic A1 age int 45");
+  Must(shell, "put atomic A3 age int 60");
+  Must(shell, "put set P1 person A1");
+  Must(shell, "put set P3 person A3");
+  Must(shell, "put set ROOT root P1");
+  Must(shell, "put set S1 club P1");
+  Must(shell, "register D1 S1");
+  const std::string query =
+      "SELECT ROOT.person X WHERE X.age > 40 ANS INT D1";
+  Result<std::string> defined =
+      shell.ProcessLine("define mview W as: " + query);
+  EXPECT_EQ(defined.status().code(), StatusCode::kInvalidArgument);
+
+  Must(shell, "insert ROOT P3");
+  EXPECT_EQ(Must(shell, "query " + query), "<ANS1, answer, set, {P1}>");
+  EXPECT_EQ(Must(shell, "views"), "no materialized views");
+  // Virtual ANS INT views are evaluated on demand and stay available.
+  EXPECT_EQ(Must(shell, "define view WV as: " + query),
+            "virtual view WV = {P1}");
 }
 
 TEST(ShellTest, VirtualViewsAndDatabases) {
