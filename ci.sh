@@ -3,8 +3,9 @@
 # experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
 # recomputation), then a quick
 # perf smoke of the label-index speedup experiment (catches silent index
-# regressions that correctness tests cannot see), then an
-# Address+UB-Sanitizer build of the robustness and fault-injection tests
+# regressions that correctness tests cannot see), then a release-build
+# stress stage that repeats the paged writeback hammer and engine twins 20
+# times (rare writeback interleavings), then an Address+UB-Sanitizer build of the robustness and fault-injection tests
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
 # replication suite's kill-mid-ship twin test with them), then a
@@ -73,14 +74,23 @@ GSV_STORAGE_ENGINE=paged:8:4096:compressed \
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L paged
 
 echo
+echo "=== stress: paged writeback vs mutator, 20 repetitions (release build) ==="
+# The writeback thread races the mutator on every eviction, steal and
+# flush; an interleaving that rolls a page back shows up only now and
+# then, so the hammer and the engine twins run many times over.
+./build/tests/gsv_paged_concurrency_test --gtest_repeat=20 --gtest_brief=1
+./build/tests/gsv_storage_engine_test --gtest_filter='EngineTwinTest.*' \
+  --gtest_repeat=20 --gtest_brief=1
+
+echo
 echo "=== asan: robustness + fault-injection + durability + replication tests under address;undefined ==="
 cmake -B build-asan -S . -DGSV_SANITIZE="address;undefined" >/dev/null
 cmake --build build-asan -j "${JOBS}" --target gsv_robustness_test \
   --target gsv_fault_tolerance_test --target gsv_recovery_test \
   --target gsv_replication_test --target gsv_storage_engine_test \
   --target gsv_ivm_test
-# The gdn suite runs under ASan too: memo images load from checkpoint
-# bytes and poisoned networks rebuild in place.
+# The gdn suite runs under ASan too: recovery rebuilds every network over
+# a freshly restored base, and poisoned networks rebuild in place.
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L 'asan|gdn'
 
 echo

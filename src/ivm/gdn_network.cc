@@ -1,8 +1,5 @@
 #include "ivm/gdn_network.h"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <utility>
 
@@ -559,147 +556,6 @@ Status GdnEngine::Reconcile(ViewStorage* out) {
     GSV_RETURN_IF_ERROR(out->VDelete(member));
     ++stats_.v_deletes;
   }
-  return Status::Ok();
-}
-
-// ---- Persistence ----
-
-namespace {
-
-// Rows sort by (oid string, state): deterministic across runs and engines.
-struct MemoRow {
-  std::string oid;
-  int state;
-  const GdnEngine* unused = nullptr;
-};
-
-}  // namespace
-
-void GdnEngine::SaveTo(std::ostream& out) const {
-  out << "gdn-memo v1 " << def_.name() << "\n";
-  out << "members " << members_.size() << "\n";
-  for (const Oid& member : members_) out << member.str() << "\n";
-  auto dump = [&out](const MemoTable& table, const std::string& tag) {
-    out << "node " << tag << " " << table.size() << "\n";
-    std::vector<uint64_t> keys;
-    keys.reserve(table.size());
-    for (const auto& [key, match] : table) {
-      (void)match;
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end(), [](uint64_t a, uint64_t b) {
-      const std::string& sa = OidOf(a).str();
-      const std::string& sb = OidOf(b).str();
-      if (sa != sb) return sa < sb;
-      return StateOf(a) < StateOf(b);
-    });
-    for (uint64_t key : keys) {
-      const Match& match = table.find(key)->second;
-      out << "m " << OidOf(key).str() << " " << StateOf(key) << " "
-          << match.in.size();
-      std::vector<uint64_t> sources(match.in.begin(), match.in.end());
-      std::sort(sources.begin(), sources.end(),
-                [](uint64_t a, uint64_t b) {
-                  if (a == kAxiom) return b != kAxiom;
-                  if (b == kAxiom) return false;
-                  const std::string& sa = OidOf(a).str();
-                  const std::string& sb = OidOf(b).str();
-                  if (sa != sb) return sa < sb;
-                  return StateOf(a) < StateOf(b);
-                });
-      for (uint64_t src : sources) {
-        if (src == kAxiom) {
-          out << " @";
-        } else {
-          out << " " << StateOf(src) << ":" << OidOf(src).str();
-        }
-      }
-      out << "\n";
-    }
-  };
-  dump(reach_.table, "reach");
-  for (size_t k = 0; k < sats_.size(); ++k) {
-    dump(sats_[k].table, "sat" + std::to_string(k));
-  }
-  out << "end\n";
-}
-
-Status GdnEngine::LoadFrom(std::istream& in) {
-  const Status malformed = Status::DataLoss("gdn memo image malformed");
-  std::string tok;
-  std::string version;
-  std::string name;
-  if (!(in >> tok >> version >> name) || tok != "gdn-memo" ||
-      version != "v1" || name != def_.name()) {
-    return malformed;
-  }
-  size_t member_count = 0;
-  if (!(in >> tok >> member_count) || tok != "members") return malformed;
-  OidSet members;
-  for (size_t i = 0; i < member_count; ++i) {
-    if (!(in >> tok)) return malformed;
-    members.Insert(Oid(tok));
-  }
-  auto load_node = [&](MemoNode& node, const std::string& want_tag) -> bool {
-    size_t count = 0;
-    std::string tag;
-    if (!(in >> tok >> tag >> count) || tok != "node" || tag != want_tag) {
-      return false;
-    }
-    const int states = static_cast<int>(node.nfa.state_count());
-    MemoTable table;
-    table.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      std::string oid_text;
-      int state = 0;
-      size_t in_count = 0;
-      if (!(in >> tok >> oid_text >> state >> in_count) || tok != "m" ||
-          state < 0 || state >= states) {
-        return false;
-      }
-      Match& match = table[KeyOf(Oid(oid_text), state)];
-      for (size_t j = 0; j < in_count; ++j) {
-        if (!(in >> tok)) return false;
-        if (tok == "@") {
-          match.in.insert(kAxiom);
-          continue;
-        }
-        const size_t colon = tok.find(':');
-        if (colon == std::string::npos) return false;
-        int src_state = 0;
-        try {
-          src_state = std::stoi(tok.substr(0, colon));
-        } catch (...) {
-          return false;
-        }
-        if (src_state < 0 || src_state >= states) return false;
-        match.in.insert(KeyOf(Oid(tok.substr(colon + 1)), src_state));
-      }
-    }
-    // Mirror the out-links and verify every referenced source is present
-    // (the alive-iff-present invariant).
-    for (auto& [key, match] : table) {
-      for (uint64_t src : match.in) {
-        if (src == kAxiom) continue;
-        auto sit = table.find(src);
-        if (sit == table.end()) return false;
-        sit->second.out.insert(key);
-      }
-    }
-    node.table = std::move(table);
-    return true;
-  };
-  if (!load_node(reach_, "reach")) return malformed;
-  for (size_t k = 0; k < sats_.size(); ++k) {
-    if (!load_node(sats_[k], "sat" + std::to_string(k))) return malformed;
-  }
-  if (!(in >> tok) || tok != "end") return malformed;
-  members_ = std::move(members);
-  known_.clear();  // see SaveTo: absorbed again on first link
-  poisoned_ = false;
-  touched_.clear();
-  pending_.clear();
-  if (!within_name_.empty()) within_oid_ = base_->DatabaseOid(within_name_);
   return Status::Ok();
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -102,8 +101,8 @@ class GdnEngine {
   Status Apply(const Update& update, ViewStorage* out);
 
   // Diffs the engine's member set against `out` and emits the fixes; a
-  // no-op when they already agree. Recovery runs this after loading or
-  // rebuilding memos so tail-replayed events become convergent no-ops.
+  // no-op when they already agree. Recovery runs this after Rebuild() so
+  // tail-replayed events become convergent no-ops.
   Status Reconcile(ViewStorage* out);
 
   const OidSet& members() const { return members_; }
@@ -113,15 +112,6 @@ class GdnEngine {
   size_t node_count() const { return 1 + sats_.size(); }
   const Stats& stats() const { return stats_; }
   bool poisoned() const { return poisoned_; }
-
-  // Deterministic text image of the memo tables + member set, restored by
-  // LoadFrom (which rejects malformed input — the caller then Rebuild()s).
-  // Only valid against the exact base state the image was captured at. The
-  // image does not say which store objects it absorbed, so LoadFrom starts
-  // with an empty known set: objects Put after the capture are absorbed
-  // when first linked, and re-absorbing an old one is an idempotent no-op.
-  void SaveTo(std::ostream& out) const;
-  Status LoadFrom(std::istream& in);
 
  private:
   // A partial match's support links. Keys are (oid id << 32 | state) of

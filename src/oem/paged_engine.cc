@@ -118,6 +118,10 @@ struct Frame;
 struct WritebackJob {
   Frame* frame = nullptr;
   uint64_t ticket = 0;
+  // The frame's in-flight job when this one was enqueued. A steal hands the
+  // frame back to it while it is still live (queued or running), so later
+  // writes of the frame keep queueing behind it.
+  std::weak_ptr<WritebackJob> older;
   bool has_objects = false;  // eviction job: `objects` is the content
   ObjectsMap objects;
   PageImage image;           // flush job: pre-serialized under the lock
@@ -151,8 +155,9 @@ struct Frame {
   uint64_t touched_epoch = 0;  // last epoch a pointer was handed out
   size_t approx_bytes = 0;     // encoded-size estimate driving splits
   ObjectsMap objects;
-  // Newest writeback job carrying this frame's disk-bound content, or
-  // null. While set, faults are served from the job, never the extent.
+  // Newest live writeback job for this frame, or null. While set, faults
+  // are served from the job, never the extent, and every further write of
+  // the frame queues behind it.
   std::shared_ptr<WritebackJob> inflight;
 };
 
@@ -483,7 +488,12 @@ class PagedEngine final : public StorageEngine {
       if (job->has_objects && !job->started) {
         frame->objects = std::move(job->objects);
         job->canceled = true;
-        frame->inflight = nullptr;
+        // Jobs complete in ticket order, so a ticket past completed_ticket_
+        // is still live: its write has yet to land.
+        std::shared_ptr<WritebackJob> older = job->older.lock();
+        frame->inflight =
+            older != nullptr && older->ticket > completed_ticket_ ? older
+                                                                  : nullptr;
         frame->dirty = true;  // the canceled write never reached disk
         frame->approx_bytes = job->approx_bytes;
         ++writeback_steals_;
@@ -604,6 +614,7 @@ class PagedEngine final : public StorageEngine {
 
   void EnqueueJobLocked(std::shared_ptr<WritebackJob> job) {
     job->ticket = ++next_ticket_;
+    job->older = job->frame->inflight;
     job->frame->inflight = job;
     queue_.push_back(std::move(job));
     queue_peak_ = std::max<uint64_t>(queue_peak_, queue_.size());

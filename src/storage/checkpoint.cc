@@ -41,10 +41,6 @@ std::string CacheFileName(const std::string& view) {
   return "cache-" + view + ".gsv";
 }
 
-std::string GdnFileName(const std::string& view) {
-  return "gdn-" + view + ".gsv";
-}
-
 // Writes `content` to `path` and fsyncs it before closing — a checkpoint
 // file must be on disk before the manifest (and the manifest before the
 // rename) for the atomicity argument to hold.
@@ -102,6 +98,9 @@ Result<std::string> ReadFileToString(const std::string& path) {
 }
 
 // Validates one checkpoint directory end to end and loads its contents.
+// Every file the manifest lists is CRC- and size-checked; one this version
+// does not read (an older home's gdn-<view>.gsv network image) is then
+// ignored, since recovery rebuilds networks from the base.
 Result<LoadedCheckpoint> LoadCheckpointDir(const std::string& path,
                                            const std::string& name) {
   GSV_ASSIGN_OR_RETURN(std::string manifest_text,
@@ -127,10 +126,6 @@ Result<LoadedCheckpoint> LoadCheckpointDir(const std::string& path,
       std::string view =
           file_name.substr(6, file_name.size() - 6 - 4);  // "cache-"..".gsv"
       loaded.cache_texts[view] = std::move(content);
-    } else if (StartsWith(file_name, "gdn-") && EndsWith(file_name, ".gsv")) {
-      std::string view =
-          file_name.substr(4, file_name.size() - 4 - 4);  // "gdn-"..".gsv"
-      loaded.gdn_texts[view] = std::move(content);
     }
   }
   if (loaded.store_text.empty() &&
@@ -282,9 +277,6 @@ Status PersistCheckpoint(const std::string& dir,
   files.emplace_back(kStoreName, capture.store_text);
   for (const auto& [view, text] : capture.cache_texts) {
     files.emplace_back(CacheFileName(view), text);
-  }
-  for (const auto& [view, text] : capture.gdn_texts) {
-    files.emplace_back(GdnFileName(view), text);
   }
   for (const auto& [file_name, content] : files) {
     GSV_RETURN_IF_ERROR(

@@ -27,7 +27,6 @@ class ObjectStore;
 //     MANIFEST         text: id, wal_lsn, watermarks, view states, file CRCs
 //     store.gsv        delegate store (oem/serialize text format)
 //     cache-<view>.gsv auxiliary cache state, one per cached view
-//     gdn-<view>.gsv   discrimination-network memo image, one per GDN view
 //   CURRENT            name of the newest durable checkpoint directory
 //
 // Writing is capture-then-persist: the warehouse captures everything into
@@ -63,8 +62,6 @@ struct CheckpointCapture {
   std::string store_text;  // serialized delegate store
   // (view name, serialized AuxiliaryCache) for every cached view.
   std::vector<std::pair<std::string, std::string>> cache_texts;
-  // (view name, GdnEngine memo image) for every GDN-maintained view.
-  std::vector<std::pair<std::string, std::string>> gdn_texts;
 };
 
 // A checkpoint read back from disk, fully validated (manifest complete,
@@ -73,7 +70,6 @@ struct LoadedCheckpoint {
   CheckpointManifest manifest;
   std::string store_text;
   std::unordered_map<std::string, std::string> cache_texts;  // by view name
-  std::unordered_map<std::string, std::string> gdn_texts;    // by view name
   std::string dir_name;  // "checkpoint-<id>"
 };
 

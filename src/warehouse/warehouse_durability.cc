@@ -369,28 +369,15 @@ Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
   bool saved_deferred = deferred_;
   deferred_ = true;
   Status first_error;
-  // 6a. Discrimination networks. Reload the saved memo image only when the
-  //     checkpoint is exactly the current durable state (the image is valid
-  //     only against the base state it was captured at); any logged history
-  //     or a malformed image means Rebuild() from the live base instead.
-  //     Either way Reconcile afterwards — with the sinks attached, so every
-  //     divergence fix is itself logged — which makes the tail replay below
-  //     a convergent no-op for these views.
+  // 6a. Discrimination networks are derived state: Rebuild() each from the
+  //     live base, as the sharded coordinator does, then Reconcile — with
+  //     the sinks attached, so every divergence fix is itself logged — which
+  //     makes the tail replay below a convergent no-op for these views.
   for (auto& entry : views_) {
     if (entry->gdn == nullptr) continue;
-    bool loaded = false;
-    if (clean && plan.have_checkpoint) {
-      auto it = plan.checkpoint.gdn_texts.find(entry->def.name());
-      if (it != plan.checkpoint.gdn_texts.end()) {
-        std::istringstream in(it->second);
-        loaded = entry->gdn->LoadFrom(in).ok();
-      }
-    }
-    if (!loaded) {
-      Status status = entry->gdn->Rebuild();
-      if (!status.ok() && first_error.ok()) first_error = status;
-    }
-    Status status = entry->gdn->Reconcile(entry->storage());
+    Status status = entry->gdn->Rebuild();
+    if (!status.ok() && first_error.ok()) first_error = status;
+    status = entry->gdn->Reconcile(entry->storage());
     if (!status.ok() && first_error.ok()) first_error = status;
   }
   for (const WalRecord& record : plan.tail) {
@@ -463,13 +450,6 @@ Status Warehouse::WriteCheckpoint() {
       std::ostringstream out;
       GSV_RETURN_IF_ERROR(entry->cache->SaveTo(out));
       capture.cache_texts.emplace_back(entry->def.name(), out.str());
-    }
-    if (entry->gdn != nullptr && !entry->gdn->poisoned()) {
-      // The memo image recovers like a §5.2 aux cache: reloaded verbatim
-      // when the checkpoint is the exact durable state, rebuilt otherwise.
-      std::ostringstream out;
-      entry->gdn->SaveTo(out);
-      capture.gdn_texts.emplace_back(entry->def.name(), out.str());
     }
   }
   GSV_ASSIGN_OR_RETURN(capture.store_text, ExportStoreImage(store_));

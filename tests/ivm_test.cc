@@ -4,17 +4,20 @@
 // DAG-preserving update streams, plus silently Put() subtrees linked by one
 // insert, and demands byte-identity between the GDN warehouse (K=1), the
 // sharded coordinator (K=4), and the §4.4 full-recompute oracle. Durability
-// tests kill the warehouse mid-batch and restore memo images from
-// checkpoints;
-// the concurrency test (this binary carries the `gdn-paged` ctest label:
-// ci.sh re-runs it under ASan, TSan, and the paged-engine stages) drains
-// many networks in parallel.
+// tests kill the warehouse mid-batch and check that recovery rebuilds every
+// network from the restored base; the concurrency test drains many networks
+// in parallel. This binary carries the `gdn-paged` ctest label: ci.sh
+// re-runs it under ASan, TSan, and the paged-engine stages.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "ivm/gdn_network.h"
 #include "oem/paged_engine.h"
 #include "oem/store.h"
+#include "storage/checkpoint.h"
 #include "warehouse/sharded_warehouse.h"
 #include "warehouse/sharding.h"
 #include "warehouse/warehouse.h"
@@ -38,7 +42,8 @@ namespace {
 using namespace person_db;  // NOLINT(build/namespaces): OID helpers
 
 std::string TempDir(const std::string& tag) {
-  std::string path = ::testing::TempDir() + "gsv_ivm_" + tag;
+  std::string path = ::testing::TempDir() + "gsv_ivm_" +
+                     std::to_string(::getpid()) + "_" + tag;
   std::filesystem::remove_all(path);
   return path;
 }
@@ -287,41 +292,6 @@ TEST(GdnEngineSelectionTest, AuxCachesRejectedForGeneralViews) {
 
 // ----------------------------------------------------- engine-level units
 
-TEST(GdnEngineTest, MemoImageRoundTripIsByteStable) {
-  ObjectStore store;
-  ASSERT_TRUE(BuildPersonDb(&store).ok());
-  auto def = ViewDefinition::Parse(
-      "define mview V as: SELECT ROOT.* X WHERE X.name = 'John'");
-  ASSERT_TRUE(def.ok());
-
-  GdnEngine engine(&store, *def, Root());
-  ASSERT_TRUE(engine.Initialize().ok());
-  std::ostringstream first;
-  engine.SaveTo(first);
-
-  GdnEngine loaded(&store, *def, Root());
-  std::istringstream in(first.str());
-  ASSERT_TRUE(loaded.LoadFrom(in).ok());
-  std::ostringstream second;
-  loaded.SaveTo(second);
-  EXPECT_EQ(first.str(), second.str());
-  EXPECT_EQ(loaded.members(), engine.members());
-}
-
-TEST(GdnEngineTest, MalformedImageIsRejectedAndRebuildRecovers) {
-  ObjectStore store;
-  ASSERT_TRUE(BuildPersonDb(&store).ok());
-  auto def = ViewDefinition::Parse(
-      "define mview V as: SELECT ROOT.* X WHERE X.name = 'John'");
-  ASSERT_TRUE(def.ok());
-
-  GdnEngine engine(&store, *def, Root());
-  std::istringstream garbage("not a gdn memo image\n");
-  EXPECT_FALSE(engine.LoadFrom(garbage).ok());
-  ASSERT_TRUE(engine.Rebuild().ok());
-  EXPECT_EQ(engine.members(), OidSet({P1(), P3()}));
-}
-
 TEST(GdnEngineTest, PropagationBudgetPoisonsAndRebuildHeals) {
   ObjectStore store;
   ASSERT_TRUE(BuildPersonDb(&store).ok());
@@ -505,7 +475,7 @@ struct GdnTwinRig {
 };
 
 // Kill the warehouse at arbitrary WAL bytes mid-batch; recovery must
-// restore (clean) or rebuild (torn) the network memos, replay the tail
+// rebuild the network from the restored base, replay the tail
 // convergently, and finish the workload byte-identical to the live twin.
 TEST(GdnDurabilityTest, RandomizedKillMidBatchConvergesByteIdentical) {
   constexpr size_t kUpdates = 100;
@@ -614,9 +584,10 @@ TEST(GdnDurabilityTest, RandomizedKillMidBatchConvergesByteIdentical) {
   }
 }
 
-// A clean restart restores the checkpointed memo image and the warehouse
-// keeps maintaining correctly from it — including a committed WAL tail
-// past the checkpoint, which must replay convergently over the memos.
+// A restart rebuilds the network from the checkpointed base and the
+// warehouse keeps maintaining correctly from it — including a committed WAL
+// tail past the checkpoint, which must replay convergently over the rebuilt
+// network.
 TEST(GdnDurabilityTest, CheckpointRestoresNetworkStateAcrossRestart) {
   const std::string dir = TempDir("ckpt");
   GdnTwinRig rig;
@@ -676,9 +647,10 @@ TEST(GdnDurabilityTest, CheckpointRestoresNetworkStateAcrossRestart) {
             ViewContentLines(*rig.twin->view("GV")));
 }
 
-// A clean restart loads the memo image, which cannot vouch for objects
-// that sat in the store unlinked at capture time: linking such a subtree
-// after the restart, and a subtree Put after it, must both be absorbed.
+// A clean restart rebuilds the network from the whole base, including a
+// subtree that sat unlinked in the store at checkpoint time: linking it
+// after the restart, and a subtree Put after the restart, must both be
+// absorbed.
 TEST(GdnDurabilityTest, FreshSubtreesLinkedAfterCleanRestart) {
   const std::string dir = TempDir("fresh");
   GdnTwinRig rig;
@@ -726,8 +698,8 @@ TEST(GdnDurabilityTest, FreshSubtreesLinkedAfterCleanRestart) {
   ASSERT_TRUE(recovered.EnableDurability(options).ok())
       << recovered.last_status().ToString();
   ASSERT_NE(recovered.gdn_engine("GV"), nullptr);
-  EXPECT_EQ(recovered.gdn_engine("GV")->stats().rebuilds, 0)
-      << "a clean restart loads the memo image";
+  EXPECT_EQ(recovered.gdn_engine("GV")->stats().rebuilds, 1)
+      << "recovery rebuilds the network once, even on a clean restart";
 
   for (ObjectStore* source : {&rig.source_durable, &rig.source_twin}) {
     ASSERT_TRUE(source->Insert(rig.root, Oid("ivmk_pending_t")).ok());
@@ -736,6 +708,97 @@ TEST(GdnDurabilityTest, FreshSubtreesLinkedAfterCleanRestart) {
   ASSERT_TRUE(recovered.ProcessPendingBatch().ok())
       << recovered.last_status().ToString();
   ASSERT_TRUE(rig.twin->ProcessPendingBatch().ok());
+
+  auto def = ViewDefinition::Parse(rig.definition);
+  ASSERT_TRUE(def.ok());
+  auto truth = EvaluateView(rig.source_durable, *def);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_EQ(recovered.view("GV")->BaseMembers(), *truth);
+  EXPECT_EQ(ViewContentLines(*recovered.view("GV")),
+            ViewContentLines(*rig.twin->view("GV")));
+}
+
+// A home written before networks stopped carrying images: its newest
+// checkpoint lists a gdn-GV.gsv memo image with a correct CRC. The image is
+// stale on purpose (no members), so adopting it would show. Recovery still
+// verifies the file, then ignores it and rebuilds; wal_inspect audits the
+// home without error.
+TEST(GdnDurabilityTest, LegacyHomeWithNetworkImageRecovers) {
+  const std::string dir = TempDir("legacy");
+  GdnTwinRig rig;
+  ASSERT_NO_FATAL_FAILURE(rig.Init(/*tree_seed=*/47, /*update_seed=*/911));
+  Warehouse::DurabilityOptions options;
+  options.dir = dir;
+  {
+    ObjectStore store_d(DelegateStoreOptions());
+    Warehouse durable(&store_d);
+    ASSERT_TRUE(durable
+                    .ConnectSource(&rig.source_durable, rig.root,
+                                   ReportingLevel::kOidsOnly)
+                    .ok());
+    durable.set_deferred(true);
+    ASSERT_TRUE(durable.EnableDurability(options).ok());
+    ASSERT_TRUE(durable.DefineView(rig.definition).ok());
+    ASSERT_TRUE(rig.gen_durable->Run(30).ok());
+    ASSERT_TRUE(durable.ProcessPendingBatch().ok());
+    ASSERT_TRUE(durable.WriteCheckpoint().ok());
+    ASSERT_FALSE(durable.view("GV")->BaseMembers().empty());
+  }
+  ASSERT_TRUE(rig.gen_twin->Run(30).ok());
+  ASSERT_TRUE(rig.twin->ProcessPendingBatch().ok());
+
+  // Re-list the newest checkpoint's files with the legacy image added.
+  auto list = ListCheckpoints(dir);
+  ASSERT_TRUE(list.ok());
+  ASSERT_FALSE(list->empty());
+  const std::string newest = list->back().path;
+  auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  std::vector<std::pair<std::string, std::pair<uint32_t, uint64_t>>> listed;
+  auto manifest =
+      DecodeCheckpointManifest(read_file(newest + "/MANIFEST"), &listed);
+  ASSERT_TRUE(manifest.ok());
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& entry : listed) {
+    files.emplace_back(entry.first, read_file(newest + "/" + entry.first));
+  }
+  const std::string image =
+      "gdn-memo v1 GV\nmembers 0\nnode reach 0\nnode sat0 0\nend\n";
+  files.emplace_back("gdn-GV.gsv", image);
+  auto write_file = [](const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+    out.close();
+    return !out.fail();
+  };
+  ASSERT_TRUE(write_file(newest + "/gdn-GV.gsv", image));
+  ASSERT_TRUE(write_file(newest + "/MANIFEST",
+                         EncodeCheckpointManifest(*manifest, files)));
+  auto latest = LoadLatestCheckpoint(dir);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->dir_name, list->back().name)
+      << "the legacy image must pass the CRC and size check";
+
+  const std::string audit = std::string(GSV_WAL_INSPECT_PATH) +
+                            " checkpoints " + dir + " > /dev/null";
+  const int rc = std::system(audit.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 0);
+
+  ObjectStore store_r(DelegateStoreOptions());
+  Warehouse recovered(&store_r);
+  ASSERT_TRUE(recovered
+                  .ConnectSource(&rig.source_durable, rig.root,
+                                 ReportingLevel::kOidsOnly)
+                  .ok());
+  recovered.set_deferred(true);
+  ASSERT_TRUE(recovered.EnableDurability(options).ok())
+      << recovered.last_status().ToString();
+  EXPECT_TRUE(recovered.recovery_report().recovered_checkpoint);
+  ASSERT_NE(recovered.gdn_engine("GV"), nullptr);
+  EXPECT_EQ(recovered.gdn_engine("GV")->stats().rebuilds, 1);
 
   auto def = ViewDefinition::Parse(rig.definition);
   ASSERT_TRUE(def.ok());

@@ -8,6 +8,7 @@
 // ones the real store exercises.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <sstream>
@@ -24,7 +25,8 @@ namespace gsv {
 namespace {
 
 std::string TempDir(const std::string& tag) {
-  std::string path = ::testing::TempDir() + "gsv_paged_conc_" + tag;
+  std::string path = ::testing::TempDir() + "gsv_paged_conc_" +
+                     std::to_string(::getpid()) + "_" + tag;
   std::filesystem::remove_all(path);
   return path;
 }

@@ -5,6 +5,7 @@
 // crashed.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -32,7 +33,8 @@ namespace gsv {
 namespace {
 
 std::string TempDir(const std::string& tag) {
-  std::string path = ::testing::TempDir() + "gsv_recovery_" + tag;
+  std::string path = ::testing::TempDir() + "gsv_recovery_" +
+                     std::to_string(::getpid()) + "_" + tag;
   std::filesystem::remove_all(path);
   return path;
 }

@@ -6,6 +6,7 @@
 // follower's fence cuts the old primary off at its next log write.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -37,7 +38,8 @@ namespace gsv {
 namespace {
 
 std::string TempDir(const std::string& tag) {
-  std::string path = ::testing::TempDir() + "gsv_replication_" + tag;
+  std::string path = ::testing::TempDir() + "gsv_replication_" +
+                     std::to_string(::getpid()) + "_" + tag;
   std::filesystem::remove_all(path);
   return path;
 }

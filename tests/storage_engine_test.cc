@@ -7,6 +7,7 @@
 // through checkpoints and crash recovery included.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -40,7 +41,8 @@ namespace gsv {
 namespace {
 
 std::string TempDir(const std::string& tag) {
-  std::string path = ::testing::TempDir() + "gsv_engine_" + tag;
+  std::string path = ::testing::TempDir() + "gsv_engine_" +
+                     std::to_string(::getpid()) + "_" + tag;
   std::filesystem::remove_all(path);
   return path;
 }

@@ -106,11 +106,11 @@ int Verify(const std::string& dir) {
   return 1;
 }
 
-// Prints the per-view data images a checkpoint carries (§5.2 auxiliary
-// caches, discrimination-network memos): header line, size, line count —
-// enough to see what recovery will adopt without flooding the terminal.
-void DumpImages(const char* kind,
-                const std::unordered_map<std::string, std::string>& images) {
+// Prints the §5.2 auxiliary cache images a checkpoint carries: header line,
+// size, line count — enough to see what recovery will adopt without flooding
+// the terminal. Discrimination networks carry no image; recovery rebuilds
+// them from the base.
+void DumpImages(const std::unordered_map<std::string, std::string>& images) {
   std::vector<std::string> names;
   names.reserve(images.size());
   for (const auto& [name, text] : images) names.push_back(name);
@@ -122,7 +122,7 @@ void DumpImages(const char* kind,
         newline == std::string::npos ? text : text.substr(0, newline);
     const size_t lines =
         static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
-    std::printf("  %s %s: \"%s\", %zu byte(s), %zu line(s)\n", kind,
+    std::printf("  cache image %s: \"%s\", %zu byte(s), %zu line(s)\n",
                 name.c_str(), header.c_str(), text.size(), lines);
   }
 }
@@ -156,8 +156,7 @@ int Checkpoints(const std::string& dir) {
                 view.name.c_str(), view.source.c_str(), view.cache_mode,
                 view.stale ? ", STALE" : "", view.definition.c_str());
   }
-  DumpImages("cache image", latest.value().cache_texts);
-  DumpImages("gdn memo", latest.value().gdn_texts);
+  DumpImages(latest.value().cache_texts);
   return 0;
 }
 
