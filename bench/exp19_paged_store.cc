@@ -187,8 +187,7 @@ int main(int argc, char** argv) {
             ? static_cast<double>(status.pages_total)
             : static_cast<double>(status.pages_total) / faults_per_drain;
     const int64_t writeback =
-        warehouse_p.costs().store_writeback_bytes.load(
-            std::memory_order_relaxed);
+        store_p.metrics().page_writeback_bytes.load(std::memory_order_relaxed);
 
     if (first_pool) {
       footprint_ok = footprint >= kFootprintFloor;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (full build + test suite), then the §6
 # experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
-# recomputation), then a quick
+# recomputation), then a smoke run of the six examples, then a quick
 # perf smoke of the label-index speedup experiment (catches silent index
 # regressions that correctness tests cannot see), then a release-build
 # stress stage that repeats the paged writeback hammer and engine twins 20
@@ -28,6 +28,20 @@ echo
 echo "=== §6 experiments on the GDN: E8 path expressions + E9 DAG bases (exit 1 on a wrong view) ==="
 ./build/bench/exp8_path_expressions
 ./build/bench/exp9_dag
+
+echo
+echo "=== examples smoke: every example runs to exit 0 (prints the cost sheets) ==="
+# From a throwaway directory, so files an example writes stay out of the tree.
+EXAMPLES_BIN="$(pwd)/build/examples"
+EXAMPLES_DIR="$(mktemp -d)"
+for example in quickstart paper_walkthrough web_cache access_control \
+    warehouse_demo extensions_tour; do
+  if ! (cd "${EXAMPLES_DIR}" && "${EXAMPLES_BIN}/${example}" >/dev/null); then
+    echo "example ${example} exited non-zero"
+    exit 1
+  fi
+done
+rm -rf "${EXAMPLES_DIR}"
 
 echo
 echo "=== perf-smoke: index speedup floor (E15 --smoke, 1.5x bar) ==="

@@ -15,6 +15,7 @@
 #include "oem/storage_engine.h"
 #include "oem/update.h"
 #include "oem/value.h"
+#include "util/counters.h"
 #include "util/status.h"
 
 namespace gsv {
@@ -25,74 +26,28 @@ namespace gsv {
 // The counters are relaxed atomics so that const store methods stay safe to
 // call from several maintenance workers at once (the batch engine reads
 // source stores concurrently); totals are exact, ordering between counters
-// is not guaranteed mid-flight.
+// is not guaranteed mid-flight. A sharded warehouse keeps one delegate
+// store per shard; whole-warehouse reporting merges their metrics instead
+// of quoting shard 0.
+//
+// One row per counter: X(field, ToString key, print group, merge kind).
+#define GSV_STORE_METRICS(X)                                                   \
+  X(edges_traversed, "edges_traversed", kBase, kSum) /* child links */         \
+  X(parent_lookups, "parent_lookups", kBase, kSum) /* inverse-index steps */   \
+  X(lookups, "lookups", kBase, kSum)                 /* OID table probes */    \
+  X(objects_scanned, "scanned", kBase, kSum)         /* full-scan visits */    \
+  X(index_probes, "index_probes", kBase, kSum) /* label/step posting scans */  \
+  X(index_fallbacks, "index_fallbacks", kBase, kSum) /* via traversal */       \
+  /* Buffer-pool counters (paged storage engine; zero on memory). */           \
+  X(page_faults, "page_faults", kPaging, kSum) /* pages read in */             \
+  X(page_evictions, "page_evictions", kPaging, kSum) /* frames dropped */      \
+  X(page_writeback_bytes, "writeback_bytes", kPaging, kSum) /* dirty bytes */  \
+  X(pages_pinned_peak, "pinned_peak", kPaging, kMax) /* pinned high-water */   \
+  X(swizzle_hits, "swizzle_hits", kPaging, kSum) /* reads via direct ptr */    \
+  X(swizzle_misses, "swizzle_misses", kPaging, kSum) /* took the slow path */
+
 struct StoreMetrics {
-  std::atomic<int64_t> edges_traversed{0};  // child links followed
-  std::atomic<int64_t> parent_lookups{0};   // ancestor steps (inverse index)
-  std::atomic<int64_t> objects_scanned{0};  // objects visited by full scans
-  std::atomic<int64_t> lookups{0};          // OID hash-table probes
-  std::atomic<int64_t> index_probes{0};     // label/step posting range scans
-  std::atomic<int64_t> index_fallbacks{0};  // primitives answered by traversal
-  // ---- Buffer-pool counters (paged storage engine; zero on memory) ----
-  std::atomic<int64_t> page_faults{0};      // pages read in from the page file
-  std::atomic<int64_t> page_evictions{0};   // frames dropped from the pool
-  std::atomic<int64_t> page_writeback_bytes{0};  // dirty payload written out
-  std::atomic<int64_t> pages_pinned_peak{0};     // high-water of pinned frames
-  std::atomic<int64_t> swizzle_hits{0};    // point reads served by a direct ptr
-  std::atomic<int64_t> swizzle_misses{0};  // point reads that took the slow path
-
-  StoreMetrics() = default;
-  StoreMetrics(const StoreMetrics& other) { *this = other; }
-  StoreMetrics& operator=(const StoreMetrics& other) {
-    edges_traversed = other.edges_traversed.load(std::memory_order_relaxed);
-    parent_lookups = other.parent_lookups.load(std::memory_order_relaxed);
-    objects_scanned = other.objects_scanned.load(std::memory_order_relaxed);
-    lookups = other.lookups.load(std::memory_order_relaxed);
-    index_probes = other.index_probes.load(std::memory_order_relaxed);
-    index_fallbacks = other.index_fallbacks.load(std::memory_order_relaxed);
-    page_faults = other.page_faults.load(std::memory_order_relaxed);
-    page_evictions = other.page_evictions.load(std::memory_order_relaxed);
-    page_writeback_bytes =
-        other.page_writeback_bytes.load(std::memory_order_relaxed);
-    pages_pinned_peak =
-        other.pages_pinned_peak.load(std::memory_order_relaxed);
-    swizzle_hits = other.swizzle_hits.load(std::memory_order_relaxed);
-    swizzle_misses = other.swizzle_misses.load(std::memory_order_relaxed);
-    return *this;
-  }
-
-  void Reset() { *this = StoreMetrics(); }
-
-  // Adds `other`'s counters into this sheet (relaxed). A sharded warehouse
-  // keeps one delegate store per shard; whole-warehouse reporting merges
-  // their metrics instead of quoting shard 0.
-  StoreMetrics& Merge(const StoreMetrics& other) {
-    auto add = [](std::atomic<int64_t>* into, const std::atomic<int64_t>& from) {
-      into->fetch_add(from.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    };
-    add(&edges_traversed, other.edges_traversed);
-    add(&parent_lookups, other.parent_lookups);
-    add(&objects_scanned, other.objects_scanned);
-    add(&lookups, other.lookups);
-    add(&index_probes, other.index_probes);
-    add(&index_fallbacks, other.index_fallbacks);
-    add(&page_faults, other.page_faults);
-    add(&page_evictions, other.page_evictions);
-    add(&page_writeback_bytes, other.page_writeback_bytes);
-    add(&swizzle_hits, other.swizzle_hits);
-    add(&swizzle_misses, other.swizzle_misses);
-    // A high-water mark merges as a max: the fleet's peak is the worst
-    // shard's peak, not their sum.
-    int64_t other_peak =
-        other.pages_pinned_peak.load(std::memory_order_relaxed);
-    int64_t mine = pages_pinned_peak.load(std::memory_order_relaxed);
-    while (other_peak > mine &&
-           !pages_pinned_peak.compare_exchange_weak(
-               mine, other_peak, std::memory_order_relaxed)) {
-    }
-    return *this;
-  }
+  GSV_COUNTER_SHEET(StoreMetrics, GSV_STORE_METRICS)
 };
 
 // An edge whose child OID no longer resolves to an object.

@@ -832,23 +832,9 @@ Result<ReplicaViewRead> ShardedReplica::ReadView(
     merged.served_stale = merged.served_stale || read.served_stale;
     slices.push_back(std::move(read.lines));
   }
-  // K-way merge in lexicographic OID order — the ShardedWarehouse::
-  // ViewContents discipline, so the merged lines are byte-identical with
-  // the primary's.
-  std::vector<size_t> heads(slices.size(), 0);
-  while (true) {
-    int best = -1;
-    for (size_t i = 0; i < slices.size(); ++i) {
-      if (heads[i] >= slices[i].size()) continue;
-      if (best < 0 || slices[i][heads[i]].first.str() <
-                          slices[best][heads[best]].first.str()) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    merged.lines.push_back(std::move(slices[best][heads[best]]));
-    ++heads[best];
-  }
+  // The ShardedWarehouse::ViewContents merge, so the merged lines are
+  // byte-identical with the primary's.
+  merged.lines = MergeContentLineRuns(std::move(slices));
   return merged;
 }
 

@@ -289,17 +289,10 @@ Result<std::string> Shell::CmdViews() {
 }
 
 Result<std::string> Shell::CmdStats() {
-  const StoreMetrics& metrics = store_.metrics();
-  std::ostringstream out;
-  out << "objects=" << store_.size()
-      << " edges_traversed=" << metrics.edges_traversed
-      << " parent_lookups=" << metrics.parent_lookups
-      << " lookups=" << metrics.lookups
-      << " scanned=" << metrics.objects_scanned
-      << " index_probes=" << metrics.index_probes
-      << " index_fallbacks=" << metrics.index_fallbacks;
+  std::string line = "objects=" + std::to_string(store_.size()) + " " +
+                     store_.metrics().ToString();
   store_.metrics().Reset();
-  return out.str();
+  return line;
 }
 
 Result<std::string> Shell::ProcessLine(std::string_view line) {

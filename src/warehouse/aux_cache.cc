@@ -131,19 +131,6 @@ void AuxiliaryCache::RecomputeMembership() {
   depths_ = std::move(new_depths);
 }
 
-void AuxiliaryCache::FlushIndexCounters(WarehouseCosts* costs) {
-  int64_t probes =
-      store_.metrics().index_probes.load(std::memory_order_relaxed);
-  int64_t fallbacks =
-      store_.metrics().index_fallbacks.load(std::memory_order_relaxed);
-  costs->index_probes.fetch_add(probes - flushed_index_probes_,
-                                std::memory_order_relaxed);
-  costs->index_fallbacks.fetch_add(fallbacks - flushed_index_fallbacks_,
-                                   std::memory_order_relaxed);
-  flushed_index_probes_ = probes;
-  flushed_index_fallbacks_ = fallbacks;
-}
-
 void AuxiliaryCache::Prune() {
   std::vector<Oid> orphans;
   store_.ForEach([&](const Object& object) {

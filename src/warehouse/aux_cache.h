@@ -11,7 +11,6 @@
 #include "oem/store.h"
 #include "path/path.h"
 #include "util/status.h"
-#include "warehouse/cost_model.h"
 #include "warehouse/update_event.h"
 #include "warehouse/wrapper.h"
 
@@ -67,12 +66,6 @@ class AuxiliaryCache {
 
   // Drops cached objects that are no longer on the corridor.
   void Prune();
-
-  // Adds the cache store's index counter deltas since the last flush to
-  // `costs`. Index probing inside the corridor is warehouse-side work, so
-  // it is surfaced on the warehouse cost sheet rather than lost in the
-  // cache's private store.
-  void FlushIndexCounters(WarehouseCosts* costs);
 
   // Declares a storage quiescent point on the corridor store (see
   // ObjectStore::StorageSafePoint): a paged engine may shrink back to its
@@ -141,9 +134,6 @@ class AuxiliaryCache {
   std::unordered_map<std::string, std::set<size_t>> depths_;
   // Atomic OIDs whose cached value is real (always true in kFull mode).
   OidSet values_known_;
-  // Last-flushed index counter readings (FlushIndexCounters deltas).
-  int64_t flushed_index_probes_ = 0;
-  int64_t flushed_index_fallbacks_ = 0;
 };
 
 }  // namespace gsv

@@ -569,30 +569,11 @@ std::vector<std::pair<Oid, std::string>> ShardedWarehouse::ViewContents(
     const std::string& name) {
   std::vector<std::vector<std::pair<Oid, std::string>>> runs;
   runs.reserve(shards_.size());
-  size_t total = 0;
   for (auto& shard : shards_) {
     MaterializedView* slice = shard->view(name);
-    if (slice == nullptr) continue;
-    runs.push_back(ViewContentLines(*slice));
-    total += runs.back().size();
+    if (slice != nullptr) runs.push_back(ViewContentLines(*slice));
   }
-  // Same k-way merge as ViewMembers, over (OID, line) pairs.
-  std::vector<std::pair<Oid, std::string>> merged;
-  merged.reserve(total);
-  std::vector<size_t> heads(runs.size(), 0);
-  for (;;) {
-    size_t best = runs.size();
-    for (size_t i = 0; i < runs.size(); ++i) {
-      if (heads[i] >= runs[i].size()) continue;
-      if (best == runs.size() ||
-          runs[i][heads[i]].first < runs[best][heads[best]].first) {
-        best = i;
-      }
-    }
-    if (best == runs.size()) break;
-    merged.push_back(std::move(runs[best][heads[best]++]));
-  }
-  return merged;
+  return MergeContentLineRuns(std::move(runs));
 }
 
 ShardedViewExplanation ShardedWarehouse::ExplainView(const std::string& name) {
@@ -630,19 +611,6 @@ ShardedViewExplanation ShardedWarehouse::ExplainView(const std::string& name) {
 WarehouseCosts ShardedWarehouse::MergedCosts() const {
   WarehouseCosts merged;
   for (const auto& shard : shards_) merged.Merge(shard->costs());
-  // The coordinator-owned engines sit on no shard's sheet; fold their
-  // counters in here (shard entries for these views carry no engines, so
-  // nothing double-counts).
-  for (const auto& view : coord_views_) {
-    const GdnEngine::Stats& stats = view->gdn->stats();
-    merged.gdn_propagations.fetch_add(stats.propagations,
-                                      std::memory_order_relaxed);
-    merged.gdn_matches_created.fetch_add(stats.matches_created,
-                                         std::memory_order_relaxed);
-    merged.gdn_matches_freed.fetch_add(stats.matches_freed,
-                                       std::memory_order_relaxed);
-    merged.gdn_rebuilds.fetch_add(stats.rebuilds, std::memory_order_relaxed);
-  }
   return merged;
 }
 

@@ -171,6 +171,11 @@ class ShardScopedStorage : public ViewStorage {
 std::vector<std::pair<Oid, std::string>> ViewContentLines(
     const MaterializedView& view);
 
+// Merges per-shard ViewContentLines runs (each sorted, pairwise disjoint)
+// into one run in lexicographic OID order — the 1-shard answer.
+std::vector<std::pair<Oid, std::string>> MergeContentLineRuns(
+    std::vector<std::vector<std::pair<Oid, std::string>>> runs);
+
 }  // namespace gsv
 
 #endif  // GSV_WAREHOUSE_SHARDING_H_

@@ -804,9 +804,8 @@ Status Warehouse::HandleEventForView(ViewEntry& entry,
       ++costs_.events_screened_out;
       // Delegate values must still track the base (§3.2).
       Status status = entry.storage()->SyncUpdate(event.ToUpdate());
-      if (entry.cache != nullptr) {
-        if (event.kind == UpdateKind::kDelete) entry.cache->Prune();
-        entry.cache->FlushIndexCounters(&costs_);
+      if (entry.cache != nullptr && event.kind == UpdateKind::kDelete) {
+        entry.cache->Prune();
       }
       return status;
     }
@@ -823,9 +822,8 @@ Status Warehouse::HandleEventForView(ViewEntry& entry,
     status = entry.maintainer->Maintain(event.ToUpdate());
   }
   entry.accessor->set_current_event(nullptr);
-  if (entry.cache != nullptr) {
-    if (event.kind == UpdateKind::kDelete) entry.cache->Prune();
-    entry.cache->FlushIndexCounters(&costs_);
+  if (entry.cache != nullptr && event.kind == UpdateKind::kDelete) {
+    entry.cache->Prune();
   }
   return status;
 }
@@ -881,53 +879,6 @@ void Warehouse::StorageQuiescent() {
   for (auto& entry : views_) {
     if (entry->cache != nullptr) entry->cache->StorageSafePoint();
   }
-  // Flush the generalized engines' counter deltas onto the cost sheet (the
-  // same delta pattern as the paging counters below).
-  for (auto& entry : views_) {
-    if (entry->gdn != nullptr) {
-      const GdnEngine::Stats& s = entry->gdn->stats();
-      costs_.gdn_propagations.fetch_add(
-          s.propagations - entry->gdn_flushed.propagations,
-          std::memory_order_relaxed);
-      costs_.gdn_matches_created.fetch_add(
-          s.matches_created - entry->gdn_flushed.matches_created,
-          std::memory_order_relaxed);
-      costs_.gdn_matches_freed.fetch_add(
-          s.matches_freed - entry->gdn_flushed.matches_freed,
-          std::memory_order_relaxed);
-      costs_.gdn_rebuilds.fetch_add(
-          s.rebuilds - entry->gdn_flushed.rebuilds,
-          std::memory_order_relaxed);
-      entry->gdn_flushed = s;
-    }
-  }
-  // Flush the delegate store's buffer-pool deltas onto the cost sheet so
-  // maintenance reports show the paging the drain actually caused. (Cache
-  // stores report through the same StoreMetrics merge path as their index
-  // counters; the delegate store dominates and is what exp19 studies.)
-  const StoreMetrics& metrics = store_->metrics();
-  int64_t faults = metrics.page_faults.load(std::memory_order_relaxed);
-  int64_t evictions = metrics.page_evictions.load(std::memory_order_relaxed);
-  int64_t writeback =
-      metrics.page_writeback_bytes.load(std::memory_order_relaxed);
-  int64_t swizzle_hits = metrics.swizzle_hits.load(std::memory_order_relaxed);
-  int64_t swizzle_misses =
-      metrics.swizzle_misses.load(std::memory_order_relaxed);
-  costs_.store_page_faults.fetch_add(faults - flushed_page_faults_,
-                                     std::memory_order_relaxed);
-  costs_.store_page_evictions.fetch_add(evictions - flushed_page_evictions_,
-                                        std::memory_order_relaxed);
-  costs_.store_writeback_bytes.fetch_add(writeback - flushed_writeback_bytes_,
-                                         std::memory_order_relaxed);
-  costs_.store_swizzle_hits.fetch_add(swizzle_hits - flushed_swizzle_hits_,
-                                      std::memory_order_relaxed);
-  costs_.store_swizzle_misses.fetch_add(
-      swizzle_misses - flushed_swizzle_misses_, std::memory_order_relaxed);
-  flushed_page_faults_ = faults;
-  flushed_page_evictions_ = evictions;
-  flushed_writeback_bytes_ = writeback;
-  flushed_swizzle_hits_ = swizzle_hits;
-  flushed_swizzle_misses_ = swizzle_misses;
 }
 
 ThreadPool* Warehouse::Pool(size_t threads) {

@@ -397,8 +397,6 @@ class Warehouse {
     EngineKind engine = EngineKind::kAlgorithm1;
     std::unique_ptr<Algorithm1Maintainer> maintainer;
     std::unique_ptr<GdnEngine> gdn;
-    // Last-flushed engine counters (StorageQuiescent cost-sheet deltas).
-    GdnEngine::Stats gdn_flushed;
     // Where maintenance writes: the scoped storage when sharded, the view
     // itself otherwise.
     ViewStorage* storage() {
@@ -451,8 +449,7 @@ class Warehouse {
   // Declares a storage quiescent point: no `const Object*` from the
   // delegate store or a corridor cache is live past this call, so a paged
   // engine may evict back down to its buffer-pool budget. Runs at the end
-  // of every drain / inline dispatch / resync / checkpoint, and flushes the
-  // engines' buffer-pool counter deltas onto the cost sheet while there.
+  // of every drain / inline dispatch / resync / checkpoint.
   void StorageQuiescent();
   // Lazily builds/resizes the worker pool for `threads` workers.
   ThreadPool* Pool(size_t threads);
@@ -512,12 +509,6 @@ class Warehouse {
   Status last_status_;
   std::unique_ptr<ThreadPool> pool_;
   size_t pool_threads_ = 0;
-  // Last-flushed delegate-store paging counters (StorageQuiescent deltas).
-  int64_t flushed_page_faults_ = 0;
-  int64_t flushed_page_evictions_ = 0;
-  int64_t flushed_writeback_bytes_ = 0;
-  int64_t flushed_swizzle_hits_ = 0;
-  int64_t flushed_swizzle_misses_ = 0;
   // Durability state (WAL, stats, recovery report); null when disabled.
   std::unique_ptr<WarehouseDurability> durability_;
 };

@@ -248,7 +248,6 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
     if (touched[entry->source_index] && !entry->stale &&
         entry->cache != nullptr) {
       entry->cache->Prune();
-      entry->cache->FlushIndexCounters(&costs_);
     }
   }
 

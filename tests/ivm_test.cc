@@ -212,10 +212,11 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
     EXPECT_EQ(sharded.ViewContents("GV"), expected);
   }
 
-  // The network actually propagated (no silent recompute fallback), and the
-  // counters surfaced on both cost sheets.
-  EXPECT_GT(warehouse.costs().gdn_propagations.load(), 0);
-  EXPECT_GT(sharded.MergedCosts().gdn_propagations.load(), 0);
+  // The network actually propagated (no silent recompute fallback), on the
+  // 1-shard engine and on the sharded coordinator's.
+  ASSERT_NE(warehouse.gdn_engine("GV"), nullptr);
+  EXPECT_GT(warehouse.gdn_engine("GV")->stats().propagations, 0);
+  EXPECT_GT(sharded.ExplainView("GV").gdn_propagations, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Randomized, GdnPropertyTest,

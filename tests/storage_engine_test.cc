@@ -747,13 +747,13 @@ TEST(EngineTwinTest, WarehouseViewsCachesAndRecoveryByteIdentical) {
     }
   }
   // The paged delegate store is genuinely beyond its two-frame pool, and
-  // its paging showed up on the warehouse cost sheet (flushed at the
-  // drain quiescent points) — on the paged twin only.
+  // its paging shows on the delegate store's metrics — on the paged twin
+  // only.
   PagedEngineStatus status;
   ASSERT_TRUE(QueryPagedEngineStatus(store_p.storage_engine(), &status));
   EXPECT_GT(status.pages_total, status.pool_pages);
-  EXPECT_GT(warehouse_p.costs().store_page_faults.load(), 0);
-  EXPECT_EQ(warehouse_m.costs().store_page_faults.load(), 0);
+  EXPECT_GT(store_p.metrics().page_faults.load(), 0);
+  EXPECT_EQ(store_m.metrics().page_faults.load(), 0);
 
   // Checkpoint, accept a never-drained tail, "crash", recover on a fresh
   // paged store: the tail replays and the twins converge again.

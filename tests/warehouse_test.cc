@@ -127,12 +127,15 @@ TEST_F(MonitorTest, EventAndCostFormatting) {
   // N1 is ROOT itself: its root path is the empty path, still reported.
   EXPECT_EQ(events[1].ToString(), "delete(ROOT, P4) [with-root-path] path=");
 
+  // The base group always prints; the health and cross-shard groups stay
+  // off the line while all of their counters are zero.
   WarehouseCosts costs;
   costs.events_received = 3;
   costs.source_queries = 2;
-  std::string text = costs.ToString();
-  EXPECT_NE(text.find("events=3"), std::string::npos);
-  EXPECT_NE(text.find("queries=2"), std::string::npos);
+  EXPECT_EQ(costs.ToString(),
+            "events=3 screened=0 local_only=0 coalesced=0 queries=2 "
+            "objects_shipped=0 values_shipped=0 cache_queries=0 cache_hits=0 "
+            "cache_misses=0");
 }
 
 // ---------------------------------------------------------------- Wrapper
@@ -1215,6 +1218,47 @@ TEST(WarehouseCostsTest, MergeAddsEveryCounterIntoTheTarget) {
   EXPECT_EQ(b.events_received.load(), 4) << "merge must not mutate source";
 }
 
+TEST(WarehouseCostsTest, ToStringPrintsAGroupOnceOneOfItsCountersIsLive) {
+  const std::string base =
+      "events=0 screened=0 local_only=0 coalesced=0 queries=0 "
+      "objects_shipped=0 values_shipped=0 cache_queries=0 cache_hits=0 "
+      "cache_misses=0";
+  WarehouseCosts health;
+  health.wrapper_retries = 2;
+  EXPECT_EQ(health.ToString(),
+            base +
+                " dup_dropped=0 gaps=0 buffered_stale=0 retries=2 "
+                "wrapper_failures=0 breaker_trips=0 breaker_rejections=0 "
+                "quarantined=0 resyncs=0 resync_failures=0");
+  WarehouseCosts cross_shard;
+  cross_shard.cross_shard_probes = 4;
+  EXPECT_EQ(cross_shard.ToString(),
+            base + " xshard_exports=0 xshard_applies=0 xshard_probes=4");
+}
+
+TEST(WarehouseCostsTest, CopyAndResetCoverEveryField) {
+  WarehouseCosts costs;
+  int64_t next = 0;
+#define GSV_SET_ROW(field, key, group, merge) costs.field = ++next;
+  GSV_WAREHOUSE_COSTS(GSV_SET_ROW)
+#undef GSV_SET_ROW
+  const WarehouseCosts copied(costs);
+  WarehouseCosts assigned;
+  assigned = costs;
+  int64_t expected = 0;
+#define GSV_CHECK_ROW(field, key, group, merge)          \
+  ++expected;                                            \
+  EXPECT_EQ(copied.field.load(), expected) << #field;    \
+  EXPECT_EQ(assigned.field.load(), expected) << #field;
+  GSV_WAREHOUSE_COSTS(GSV_CHECK_ROW)
+#undef GSV_CHECK_ROW
+  costs.Reset();
+#define GSV_CHECK_ZERO(field, key, group, merge) \
+  EXPECT_EQ(costs.field.load(), 0) << #field;
+  GSV_WAREHOUSE_COSTS(GSV_CHECK_ZERO)
+#undef GSV_CHECK_ZERO
+}
+
 TEST(StoreMetricsTest, MergeAddsEveryCounterIntoTheTarget) {
   StoreMetrics a;
   StoreMetrics b;
@@ -1225,6 +1269,8 @@ TEST(StoreMetricsTest, MergeAddsEveryCounterIntoTheTarget) {
   b.lookups = 8;
   a.index_probes = 2;
   b.index_fallbacks = 6;
+  a.pages_pinned_peak = 5;
+  b.pages_pinned_peak = 3;
   a.Merge(b);
   EXPECT_EQ(a.edges_traversed.load(), 15);
   EXPECT_EQ(a.parent_lookups.load(), 3);
@@ -1232,7 +1278,17 @@ TEST(StoreMetricsTest, MergeAddsEveryCounterIntoTheTarget) {
   EXPECT_EQ(a.lookups.load(), 8);
   EXPECT_EQ(a.index_probes.load(), 2);
   EXPECT_EQ(a.index_fallbacks.load(), 6);
+  // A high-water mark merges as a max, in either direction.
+  EXPECT_EQ(a.pages_pinned_peak.load(), 5);
+  b.pages_pinned_peak = 9;
+  a.Merge(b);
+  EXPECT_EQ(a.pages_pinned_peak.load(), 9);
   EXPECT_EQ(b.edges_traversed.load(), 5) << "merge must not mutate source";
+  // One live paging counter brings the whole paging group onto the line.
+  EXPECT_EQ(b.ToString(),
+            "edges_traversed=5 parent_lookups=3 lookups=8 scanned=0 "
+            "index_probes=0 index_fallbacks=6 page_faults=0 page_evictions=0 "
+            "writeback_bytes=0 pinned_peak=9 swizzle_hits=0 swizzle_misses=0");
 }
 
 }  // namespace
