@@ -4,8 +4,10 @@
 # recomputation), then a smoke run of the six examples, then a quick
 # perf smoke of the label-index speedup experiment (catches silent index
 # regressions that correctness tests cannot see), then a release-build
-# stress stage that repeats the paged writeback hammer and engine twins 20
-# times (rare writeback interleavings), then an Address+UB-Sanitizer build of the robustness and fault-injection tests
+# stress stage that repeats the paged writeback hammer, the engine twins,
+# the replication suite and the kill-mid-batch crash test 20 times (rare
+# interleavings), then an Address+UB-Sanitizer build of the robustness and
+# fault-injection tests
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
 # replication suite's kill-mid-ship twin test with them), then a
@@ -88,12 +90,19 @@ GSV_STORAGE_ENGINE=paged:8:4096:compressed \
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L paged
 
 echo
-echo "=== stress: paged writeback vs mutator, 20 repetitions (release build) ==="
+echo "=== stress: paged writeback, replication, kill-mid-batch: 20 repetitions (release build) ==="
 # The writeback thread races the mutator on every eviction, steal and
 # flush; an interleaving that rolls a page back shows up only now and
 # then, so the hammer and the engine twins run many times over.
 ./build/tests/gsv_paged_concurrency_test --gtest_repeat=20 --gtest_brief=1
 ./build/tests/gsv_storage_engine_test --gtest_filter='EngineTwinTest.*' \
+  --gtest_repeat=20 --gtest_brief=1
+# The shared redo path (frame decoder, view-record redo, segment retention)
+# under recovery and the follower: the replication suite and the randomized
+# kill-mid-batch crash test, 20 repetitions each.
+./build/tests/gsv_replication_test --gtest_repeat=20 --gtest_brief=1
+./build/tests/gsv_recovery_test \
+  --gtest_filter='WarehouseDurabilityTest.RandomizedKillMidBatchConvergesByteIdentical' \
   --gtest_repeat=20 --gtest_brief=1
 
 echo

@@ -2,13 +2,10 @@
 
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "core/materialized_view.h"
-#include "core/view_definition.h"
-#include "oem/serialize.h"
 #include "oem/store.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
@@ -18,17 +15,19 @@
 
 namespace gsv {
 
-uint32_t ChecksumOfContentLines(
-    const std::vector<std::pair<Oid, std::string>>& lines) {
-  uint32_t crc = 0;
-  for (const auto& [oid, line] : lines) {
-    const std::string& name = oid.str();
-    crc = Crc32(name.data(), name.size(), crc);
-    crc = Crc32(" ", 1, crc);
-    crc = Crc32(line.data(), line.size(), crc);
-    crc = Crc32("\n", 1, crc);
+ViewChecksum ChecksumView(const std::string& name,
+                          const MaterializedView& view) {
+  ViewChecksum checksum;
+  checksum.view = name;
+  for (const auto& [oid, line] : ViewContentLines(view)) {
+    const std::string& base = oid.str();
+    checksum.crc = Crc32(base.data(), base.size(), checksum.crc);
+    checksum.crc = Crc32(" ", 1, checksum.crc);
+    checksum.crc = Crc32(line.data(), line.size(), checksum.crc);
+    checksum.crc = Crc32("\n", 1, checksum.crc);
+    ++checksum.members;
   }
-  return crc;
+  return checksum;
 }
 
 std::string EncodeChecksumStamp(const ChecksumStamp& stamp) {
@@ -79,82 +78,13 @@ Result<ChecksumStamp> DecodeChecksumStamp(const std::string& text) {
 
 Result<ChecksumStamp> ChecksumDurabilityHome(const std::string& dir) {
   GSV_ASSIGN_OR_RETURN(RecoveryPlan plan, PlanRecovery(dir));
-
   ObjectStore store;
-  std::vector<std::pair<std::string, std::unique_ptr<MaterializedView>>>
-      views;
-  auto define = [&](const std::string& definition,
-                    bool adopt) -> Status {
-    GSV_ASSIGN_OR_RETURN(ViewDefinition def,
-                         ViewDefinition::Parse(definition));
-    auto view = std::make_unique<MaterializedView>(&store, def);
-    GSV_RETURN_IF_ERROR(adopt ? view->AdoptExisting() : view->Bootstrap());
-    views.emplace_back(def.name(), std::move(view));
-    return Status::Ok();
-  };
-
-  if (plan.have_checkpoint) {
-    GSV_RETURN_IF_ERROR(
-        ImportStoreImage(plan.checkpoint.store_text, &store));
-    for (const CheckpointViewState& state : plan.checkpoint.manifest.views) {
-      GSV_RETURN_IF_ERROR(define(state.definition, /*adopt=*/true));
-    }
-  }
-  for (const WalRecord& record : plan.committed) {
-    switch (record.type) {
-      case WalRecordType::kViewDef:
-        GSV_RETURN_IF_ERROR(define(record.definition, /*adopt=*/false));
-        break;
-      case WalRecordType::kViewDelta: {
-        MaterializedView* target = nullptr;
-        for (auto& [name, view] : views) {
-          if (name == record.view) {
-            target = view.get();
-            break;
-          }
-        }
-        if (target == nullptr) {
-          return Status::DataLoss("checksums: delta for unknown view '" +
-                                  record.view + "' in " + dir);
-        }
-        Status applied = Status::Ok();
-        switch (record.op) {
-          case ViewDeltaOp::kVInsert:
-            applied = record.object.has_value()
-                          ? target->VInsert(*record.object)
-                          : Status::DataLoss("v_insert without object");
-            break;
-          case ViewDeltaOp::kVDelete:
-            applied = target->VDelete(record.base_oid);
-            break;
-          case ViewDeltaOp::kSync:
-            applied = target->SyncUpdate(record.update);
-            break;
-          case ViewDeltaOp::kRefresh:
-            applied = record.object.has_value()
-                          ? target->RefreshDelegate(*record.object)
-                          : Status::DataLoss("refresh without object");
-            break;
-        }
-        GSV_RETURN_IF_ERROR(applied);
-        break;
-      }
-      case WalRecordType::kEvent:
-      case WalRecordType::kCommit:
-      case WalRecordType::kEpoch:
-        break;
-    }
-  }
-
+  MaterializedViewSet views(&store);
+  GSV_RETURN_IF_ERROR(RedoCommitted(plan, &store, &views));
   ChecksumStamp stamp;
   stamp.lsn = plan.next_lsn - 1;
-  for (const auto& [name, view] : views) {
-    ViewChecksum checksum;
-    checksum.view = name;
-    const auto lines = ViewContentLines(*view);
-    checksum.crc = ChecksumOfContentLines(lines);
-    checksum.members = lines.size();
-    stamp.views.push_back(std::move(checksum));
+  for (const MaterializedViewSet::Entry& entry : views.entries()) {
+    stamp.views.push_back(ChecksumView(entry.state.name, *entry.view));
   }
   return stamp;
 }
@@ -196,13 +126,7 @@ Status PublishChecksums(Warehouse& warehouse) {
   stamp.lsn = warehouse.wal()->next_lsn() - 1;
   for (const std::string& name : warehouse.view_names()) {
     const MaterializedView* view = warehouse.view(name);
-    if (view == nullptr) continue;
-    ViewChecksum checksum;
-    checksum.view = name;
-    const auto lines = ViewContentLines(*view);
-    checksum.crc = ChecksumOfContentLines(lines);
-    checksum.members = lines.size();
-    stamp.views.push_back(std::move(checksum));
+    if (view != nullptr) stamp.views.push_back(ChecksumView(name, *view));
   }
   return WriteStampFile(warehouse.wal()->dir(), stamp);
 }

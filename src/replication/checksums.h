@@ -3,14 +3,13 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "oem/oid.h"
 #include "util/status.h"
 
 namespace gsv {
 
+class MaterializedView;
 class Warehouse;
 class ShardedWarehouse;
 
@@ -38,9 +37,10 @@ struct ChecksumStamp {
 // Name of the stamp file within a durability home.
 inline const char* ChecksumFileName() { return "CHECKSUMS"; }
 
-// CRC-32 over canonical view content lines ("<oid> <line>\n", chained).
-uint32_t ChecksumOfContentLines(
-    const std::vector<std::pair<Oid, std::string>>& lines);
+// The checksum of `view` stamped under `name`: CRC-32 over its canonical
+// content lines ("<oid> <line>\n", chained) plus their count.
+ViewChecksum ChecksumView(const std::string& name,
+                          const MaterializedView& view);
 
 // Text codec (one "lsn" line, then one "view <crc> <members> <name>" per
 // view; names may contain spaces).

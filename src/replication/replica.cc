@@ -4,8 +4,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "core/view_definition.h"
-#include "oem/serialize.h"
 #include "replication/checksums.h"
 #include "storage/recovery.h"
 #include "warehouse/sharding.h"
@@ -13,21 +11,6 @@
 namespace gsv {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-constexpr size_t kFrameHeader = 8;  // [u32 len][u32 crc] (wal.cc framing)
-constexpr uint32_t kMaxPayload = 1u << 30;
-
-uint32_t U32At(const std::string& data, size_t at) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(data[at + i])) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 namespace {
 ObjectStore::Options ReplicaStoreOptions(const StorageEngineFactory& factory) {
@@ -39,10 +22,11 @@ ObjectStore::Options ReplicaStoreOptions(const StorageEngineFactory& factory) {
 
 Replica::Replica(std::unique_ptr<LogTransport> transport,
                  ReplicaOptions options)
-    : transport_(std::move(transport)), options_(std::move(options)) {
-  store_ =
-      std::make_unique<ObjectStore>(ReplicaStoreOptions(options_.engine_factory));
-}
+    : transport_(std::move(transport)),
+      options_(std::move(options)),
+      store_(std::make_unique<ObjectStore>(
+          ReplicaStoreOptions(options_.engine_factory))),
+      views_(store_.get()) {}
 
 Replica::~Replica() = default;
 
@@ -108,49 +92,43 @@ Status Replica::Start() {
   }
 
   GSV_ASSIGN_OR_RETURN(RecoveryPlan plan, PlanRecovery(options_.dir));
-  const bool has_local_state =
-      plan.have_checkpoint || !plan.committed.empty() || !plan.tail.empty();
-  if (has_local_state) {
-    // A torn local tail (killed mid-mirror-append) truncates away; the
-    // bytes were part of an un-acked group and will be refetched.
-    GSV_RETURN_IF_ERROR(ApplyLogTruncation(options_.dir, plan));
-    if (plan.have_checkpoint) {
-      GSV_RETURN_IF_ERROR(AdoptCheckpoint(plan.checkpoint));
-    }
-    for (const WalRecord& record : plan.committed) {
-      GSV_RETURN_IF_ERROR(ApplyRecord(record));
-    }
-    applied_lsn_ = plan.next_lsn - 1;
-    watermarks_ = plan.watermarks;
-    GSV_ASSIGN_OR_RETURN(std::vector<CheckpointInfo> checkpoints,
-                         ListCheckpoints(options_.dir));
-    if (!checkpoints.empty()) {
-      next_checkpoint_id_ = checkpoints.back().id + 1;
-    }
-    GSV_ASSIGN_OR_RETURN(std::vector<WalSegmentInfo> segments,
-                         ListWalSegments(options_.dir));
-    if (!segments.empty()) {
-      mirror_segment_ = segments.back().name;
-      std::error_code size_ec;
-      uintmax_t size = fs::file_size(segments.back().path, size_ec);
-      if (size_ec) {
-        return Status::Internal("replica: cannot stat " +
-                                segments.back().path);
-      }
-      mirror_offset_ = static_cast<uint64_t>(size);
-    } else {
-      mirror_segment_.clear();
-      mirror_offset_ = 0;
-    }
-    started_ = true;
-    return Status::Ok();
+  if (plan.have_checkpoint || !plan.committed.empty() || !plan.tail.empty()) {
+    GSV_RETURN_IF_ERROR(RecoverLocal(plan));
+  } else {
+    // Fresh home: seed over the transport. `started_` flips only on
+    // success, so a transient transport failure here is retryable — call
+    // Start() again (a partial seed is wiped and redone).
+    GSV_RETURN_IF_ERROR(ReseedFromPrimary());
   }
-
-  // Fresh home: seed over the transport. `started_` flips only on
-  // success, so a transient transport failure here is retryable — call
-  // Start() again (a partial seed is wiped and redone).
-  GSV_RETURN_IF_ERROR(ReseedFromPrimary());
   started_ = true;
+  return Status::Ok();
+}
+
+Status Replica::RecoverLocal(const RecoveryPlan& plan) {
+  // A torn local tail (killed mid-mirror-append) truncates away; the bytes
+  // were part of an un-acked group and will be refetched.
+  GSV_RETURN_IF_ERROR(ApplyLogTruncation(options_.dir, plan));
+  GSV_RETURN_IF_ERROR(RedoCommitted(
+      plan, store_.get(), &views_, nullptr,
+      [this](const WalRecord& record) { return ApplyRecord(record); }));
+  applied_lsn_ = plan.next_lsn - 1;
+  watermarks_ = plan.watermarks;
+  GSV_ASSIGN_OR_RETURN(std::vector<CheckpointInfo> checkpoints,
+                       ListCheckpoints(options_.dir));
+  if (!checkpoints.empty()) next_checkpoint_id_ = checkpoints.back().id + 1;
+  GSV_ASSIGN_OR_RETURN(std::vector<WalSegmentInfo> segments,
+                       ListWalSegments(options_.dir));
+  mirror_segment_.clear();
+  mirror_offset_ = 0;
+  if (!segments.empty()) {
+    std::error_code ec;
+    const uintmax_t size = fs::file_size(segments.back().path, ec);
+    if (ec) {
+      return Status::Internal("replica: cannot stat " + segments.back().path);
+    }
+    mirror_segment_ = segments.back().name;
+    mirror_offset_ = static_cast<uint64_t>(size);
+  }
   return Status::Ok();
 }
 
@@ -172,9 +150,10 @@ Status Replica::WipeLocal() {
                               remove_ec.message());
     }
   }
-  views_.clear();
-  store_ =
+  auto store =
       std::make_unique<ObjectStore>(ReplicaStoreOptions(options_.engine_factory));
+  views_ = MaterializedViewSet(store.get());  // old views die before their store
+  store_ = std::move(store);
   applied_lsn_ = 0;
   watermarks_.clear();
   mirror_segment_.clear();
@@ -264,84 +243,21 @@ Status Replica::ReseedFromPrimary() {
     }
   }
 
-  GSV_ASSIGN_OR_RETURN(LoadedCheckpoint loaded,
-                       LoadLatestCheckpoint(options_.dir));
-  GSV_RETURN_IF_ERROR(AdoptCheckpoint(loaded));
-  applied_lsn_ = loaded.manifest.wal_lsn;
-  watermarks_ = loaded.manifest.watermarks;
-  next_checkpoint_id_ = loaded.manifest.id + 1;
-  return Status::Ok();
-}
-
-Status Replica::AdoptCheckpoint(const LoadedCheckpoint& checkpoint) {
-  GSV_RETURN_IF_ERROR(ImportStoreImage(checkpoint.store_text, store_.get()));
-  for (const CheckpointViewState& state : checkpoint.manifest.views) {
-    GSV_RETURN_IF_ERROR(DefineReplicaView(state, /*adopt=*/true));
+  // The seeded home now holds just the checkpoint: load it the way a
+  // follower restart does.
+  GSV_ASSIGN_OR_RETURN(RecoveryPlan plan, PlanRecovery(options_.dir));
+  if (!plan.have_checkpoint) {
+    return Status::Internal("replica: seeded checkpoint " + checkpoint_dir +
+                            " does not load");
   }
-  // Seed complete: let a paged engine shed the bulk-load working set.
-  store_->StorageSafePoint();
-  return Status::Ok();
+  return RecoverLocal(plan);
 }
-
-Status Replica::DefineReplicaView(const CheckpointViewState& state,
-                                  bool adopt) {
-  GSV_ASSIGN_OR_RETURN(ViewDefinition def,
-                       ViewDefinition::Parse(state.definition));
-  for (const ReplicaView& existing : views_) {
-    if (existing.state.name == def.name()) {
-      return Status::DataLoss("replica: duplicate view definition '" +
-                              def.name() + "'");
-    }
-  }
-  ReplicaView entry;
-  entry.state = state;
-  entry.state.name = def.name();
-  entry.view = std::make_unique<MaterializedView>(store_.get(), def);
-  if (adopt) {
-    GSV_RETURN_IF_ERROR(entry.view->AdoptExisting());
-  } else {
-    GSV_RETURN_IF_ERROR(entry.view->Bootstrap());
-  }
-  views_.push_back(std::move(entry));
-  return Status::Ok();
-}
-
-// ---- Applying committed records ----
 
 Status Replica::ApplyRecord(const WalRecord& record) {
   switch (record.type) {
-    case WalRecordType::kViewDef: {
-      CheckpointViewState state;
-      state.definition = record.definition;
-      state.cache_mode = record.cache_mode;
-      state.source = record.source;
-      return DefineReplicaView(state, /*adopt=*/false);
-    }
-    case WalRecordType::kViewDelta: {
-      for (ReplicaView& entry : views_) {
-        if (entry.state.name != record.view) continue;
-        ++stats_.deltas_applied;
-        switch (record.op) {
-          case ViewDeltaOp::kVInsert:
-            if (!record.object.has_value()) {
-              return Status::DataLoss("v_insert record without an object");
-            }
-            return entry.view->VInsert(*record.object);
-          case ViewDeltaOp::kVDelete:
-            return entry.view->VDelete(record.base_oid);
-          case ViewDeltaOp::kSync:
-            return entry.view->SyncUpdate(record.update);
-          case ViewDeltaOp::kRefresh:
-            if (!record.object.has_value()) {
-              return Status::DataLoss("refresh record without an object");
-            }
-            return entry.view->RefreshDelegate(*record.object);
-        }
-        return Status::DataLoss("unknown view delta op");
-      }
-      return Status::DataLoss("view delta for unknown view '" + record.view +
-                              "'");
-    }
+    case WalRecordType::kViewDelta:
+      ++stats_.deltas_applied;
+      return Status::Ok();
     case WalRecordType::kCommit:
       watermarks_ = record.watermarks;
       ++stats_.commits_applied;
@@ -349,13 +265,14 @@ Status Replica::ApplyRecord(const WalRecord& record) {
       // delegate store may evict back down to its pool budget here.
       store_->StorageSafePoint();
       return Status::Ok();
-    case WalRecordType::kEvent:  // base objects live at the sources
-      return Status::Ok();
     case WalRecordType::kEpoch:
       // Live tailing tracks epochs during frame validation; this path
       // matters on restart, when the mirrored log replays locally — the
       // fence level must survive a follower crash.
       return NoteEpoch(record.epoch, record.owner);
+    case WalRecordType::kViewDef:  // the redo defined the view
+    case WalRecordType::kEvent:    // base objects live at the sources
+      return Status::Ok();
   }
   return Status::DataLoss("unknown wal record type");
 }
@@ -488,27 +405,11 @@ Status Replica::TailOnce(const std::vector<TransportSegment>& listing,
     size_t valid_end = 0;  // end of the last complete valid frame
     bool corrupt = false;
     while (pos < buffer.size()) {
-      if (buffer.size() - pos < kFrameHeader) break;  // torn: wait for more
-      const uint32_t length = U32At(buffer, pos);
-      const uint32_t crc = U32At(buffer, pos + 4);
-      if (length > kMaxPayload) {
-        corrupt = true;
-        break;
-      }
-      if (buffer.size() - pos - kFrameHeader < length) break;  // torn
-      const std::string payload = buffer.substr(pos + kFrameHeader, length);
-      if (Crc32(payload.data(), payload.size()) != crc) {
-        corrupt = true;
-        break;
-      }
-      Result<WalRecord> decoded = DecodeWalPayload(payload);
-      if (!decoded.ok()) {
-        corrupt = true;
-        break;
-      }
-      WalRecord record = std::move(decoded).value();
-      const uint64_t expected = applied_lsn_ + group.size() + 1;
-      if (record.lsn != expected) {
+      WalFrame frame = DecodeWalFrame(buffer, pos);
+      if (frame.status == WalFrameStatus::kIncomplete) break;  // wait
+      WalRecord& record = frame.record;
+      if (frame.status == WalFrameStatus::kCorrupt ||
+          record.lsn != applied_lsn_ + group.size() + 1) {
         corrupt = true;
         break;
       }
@@ -528,7 +429,7 @@ Status Replica::TailOnce(const std::vector<TransportSegment>& listing,
       }
       const bool is_commit = record.type == WalRecordType::kCommit;
       group.push_back(std::move(record));
-      pos += kFrameHeader + length;
+      pos += frame.size;
       valid_end = pos;
       if (!is_commit) continue;
 
@@ -537,6 +438,7 @@ Status Replica::TailOnce(const std::vector<TransportSegment>& listing,
       GSV_RETURN_IF_ERROR(MirrorBytes(
           mirror_segment_, buffer.substr(committed_end, pos - committed_end)));
       for (const WalRecord& member : group) {
+        GSV_RETURN_IF_ERROR(RedoViewRecord(member, &views_));
         GSV_RETURN_IF_ERROR(ApplyRecord(member));
       }
       stats_.records_applied += static_cast<int64_t>(group.size());
@@ -631,9 +533,8 @@ Status Replica::VerifyChecksums() {
       diverged = true;
       break;
     }
-    const auto lines = ViewContentLines(*local);
-    if (lines.size() != expected.members ||
-        ChecksumOfContentLines(lines) != expected.crc) {
+    const ViewChecksum actual = ChecksumView(expected.view, *local);
+    if (actual.members != expected.members || actual.crc != expected.crc) {
       diverged = true;
       break;
     }
@@ -663,7 +564,7 @@ ReplicaStaleness Replica::staleness() const {
 }
 
 const MaterializedView* Replica::view(const std::string& name) const {
-  for (const ReplicaView& entry : views_) {
+  for (const MaterializedViewSet::Entry& entry : views_.entries()) {
     if (entry.state.name == name) return entry.view.get();
   }
   return nullptr;
@@ -671,8 +572,10 @@ const MaterializedView* Replica::view(const std::string& name) const {
 
 std::vector<std::string> Replica::view_names() const {
   std::vector<std::string> names;
-  names.reserve(views_.size());
-  for (const ReplicaView& entry : views_) names.push_back(entry.state.name);
+  names.reserve(views_.entries().size());
+  for (const MaterializedViewSet::Entry& entry : views_.entries()) {
+    names.push_back(entry.state.name);
+  }
   return names;
 }
 
@@ -705,7 +608,7 @@ Status Replica::WriteLocalCheckpoint() {
   capture.manifest.id = next_checkpoint_id_;
   capture.manifest.wal_lsn = applied_lsn_;
   capture.manifest.watermarks = watermarks_;
-  for (const ReplicaView& entry : views_) {
+  for (const MaterializedViewSet::Entry& entry : views_.entries()) {
     capture.manifest.views.push_back(entry.state);
   }
   GSV_ASSIGN_OR_RETURN(capture.store_text, ExportStoreImage(store_.get()));
@@ -714,25 +617,7 @@ Status Replica::WriteLocalCheckpoint() {
   ++stats_.checkpoints_written;
   records_since_checkpoint_ = 0;
 
-  // Keep-2 retention (the primary's rule): only records above the
-  // *previous* retained checkpoint's LSN can matter to a local recovery.
-  auto checkpoints = ListCheckpoints(options_.dir);
-  if (checkpoints.ok() && checkpoints.value().size() >= 2) {
-    const CheckpointInfo& previous =
-        checkpoints.value()[checkpoints.value().size() - 2];
-    auto manifest = ReadCheckpointManifest(previous.path);
-    auto segments = ListWalSegments(options_.dir);
-    if (manifest.ok() && segments.ok()) {
-      const uint64_t keep_lsn = manifest.value().wal_lsn + 1;
-      const std::vector<WalSegmentInfo>& segs = segments.value();
-      for (size_t i = 0; i + 1 < segs.size(); ++i) {
-        if (segs[i + 1].first_lsn <= keep_lsn) {
-          std::error_code ec;
-          fs::remove(segs[i].path, ec);
-        }
-      }
-    }
-  }
+  RetireCoveredWalSegments(options_.dir);
   return Status::Ok();
 }
 

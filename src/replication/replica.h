@@ -12,6 +12,7 @@
 #include "oem/store.h"
 #include "replication/log_transport.h"
 #include "storage/checkpoint.h"
+#include "storage/recovery.h"
 #include "storage/wal.h"
 #include "util/retry.h"
 #include "util/status.h"
@@ -175,11 +176,6 @@ class Replica {
   LogTransport* transport() { return transport_.get(); }
 
  private:
-  struct ReplicaView {
-    std::unique_ptr<MaterializedView> view;
-    CheckpointViewState state;  // definition/source/cache_mode for capture
-  };
-
   // Transport calls under the retry policy.
   Result<std::vector<TransportSegment>> ListRemote();
   Result<TransportChunk> ReadRemote(const std::string& segment,
@@ -190,11 +186,12 @@ class Replica {
   // (or from scratch when it has none).
   Status ReseedFromPrimary();
   Status WipeLocal();
-  // Restores store + views from a locally-persisted checkpoint.
-  Status AdoptCheckpoint(const LoadedCheckpoint& checkpoint);
-  // Builds a view from a kViewDef record / checkpoint state.
-  Status DefineReplicaView(const CheckpointViewState& state, bool adopt);
-  // Applies one committed record to follower state.
+  // Loads the local home — its checkpoint plus the committed mirror —
+  // through the shared redo path and positions tailing where it ends. A
+  // follower restart and a fresh seed both end here.
+  Status RecoverLocal(const RecoveryPlan& plan);
+  // The follower's own bookkeeping for one committed record once the redo
+  // has applied its view effects: commit watermarks, epochs, counters.
   Status ApplyRecord(const WalRecord& record);
   // Appends validated raw bytes to the local mirror segment.
   Status MirrorBytes(const std::string& segment, const std::string& bytes);
@@ -214,7 +211,7 @@ class Replica {
   // Owned delegate store; replaced wholesale on re-seed (views point into
   // it, so they are rebuilt with it).
   std::unique_ptr<ObjectStore> store_;
-  std::vector<ReplicaView> views_;
+  MaterializedViewSet views_;
 
   bool started_ = false;
   bool promoted_ = false;

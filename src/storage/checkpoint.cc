@@ -194,6 +194,14 @@ Result<CheckpointManifest> DecodeCheckpointManifest(
       CheckpointViewState view;
       int stale = 0;
       fields >> view.name >> view.source >> view.cache_mode >> stale;
+      // The manifest has no CRC of its own: reject a cache mode or stale
+      // flag no writer produces, so a damaged manifest falls back to the
+      // previous checkpoint instead of restoring a bogus view.
+      if (view.cache_mode < 0 || view.cache_mode > 2 ||
+          (stale != 0 && stale != 1)) {
+        return Status::DataLoss("checkpoint manifest: bad cache mode or "
+                                "stale flag in '" + line + "'");
+      }
       view.stale = stale != 0;
       std::getline(fields, view.definition);
       // Trim the single separating space left by >>.
@@ -247,11 +255,25 @@ Result<std::vector<CheckpointInfo>> ListCheckpoints(const std::string& dir) {
   return checkpoints;
 }
 
-Result<CheckpointManifest> ReadCheckpointManifest(
-    const std::string& checkpoint_path) {
-  GSV_ASSIGN_OR_RETURN(std::string text,
-                       ReadFileToString(checkpoint_path + "/" + kManifestName));
-  return DecodeCheckpointManifest(text, nullptr);
+void RetireCoveredWalSegments(const std::string& dir) {
+  auto checkpoints = ListCheckpoints(dir);
+  if (!checkpoints.ok() || checkpoints.value().size() < 2) return;
+  const CheckpointInfo& previous =
+      checkpoints.value()[checkpoints.value().size() - 2];
+  auto manifest_text = ReadFileToString(previous.path + "/" + kManifestName);
+  if (!manifest_text.ok()) return;
+  auto manifest = DecodeCheckpointManifest(manifest_text.value(), nullptr);
+  auto segments = ListWalSegments(dir);
+  if (!manifest.ok() || !segments.ok()) return;
+  const uint64_t keep_lsn = manifest.value().wal_lsn + 1;
+  const std::vector<WalSegmentInfo>& segs = segments.value();
+  for (size_t i = 0; i + 1 < segs.size(); ++i) {
+    // Segment i spans [first_i, first_{i+1} - 1].
+    if (segs[i + 1].first_lsn <= keep_lsn) {
+      std::error_code ec;
+      fs::remove(segs[i].path, ec);
+    }
+  }
 }
 
 Status PersistCheckpoint(const std::string& dir,

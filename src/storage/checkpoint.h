@@ -94,10 +94,14 @@ Result<LoadedCheckpoint> LoadLatestCheckpoint(const std::string& dir);
 // validate their contents.
 Result<std::vector<CheckpointInfo>> ListCheckpoints(const std::string& dir);
 
-// Parses just the manifest of one checkpoint directory (no data-file
-// validation; used for retention decisions).
-Result<CheckpointManifest> ReadCheckpointManifest(
-    const std::string& checkpoint_path);
+// Keep-2 segment retention: LoadLatestCheckpoint falls back at most to the
+// *previous* retained checkpoint, so only records above its wal_lsn can
+// matter to a future recovery. Deletes every WAL segment of `dir` that lies
+// wholly at or below that LSN. Best effort: a segment that cannot be
+// listed or removed stays (it only costs disk). The primary calls this
+// after rolling its log past a new checkpoint, a follower after persisting
+// one of its own.
+void RetireCoveredWalSegments(const std::string& dir);
 
 // ---- Store page images (storage-engine seam, DESIGN.md §4h) ----
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/view_definition.h"
+
 namespace gsv {
 
 Result<RecoveryPlan> PlanRecovery(const std::string& dir) {
@@ -82,6 +84,89 @@ Result<RecoveryPlan> PlanRecovery(const std::string& dir) {
 Status ApplyLogTruncation(const std::string& dir, const RecoveryPlan& plan) {
   if (!plan.need_truncate) return Status::Ok();
   return TruncateWal(dir, plan.truncate_segment, plan.truncate_offset);
+}
+
+Status MaterializedViewSet::Define(const CheckpointViewState& state,
+                                   bool adopt) {
+  GSV_ASSIGN_OR_RETURN(ViewDefinition def,
+                       ViewDefinition::Parse(state.definition));
+  if (Find(def.name()) != nullptr) {
+    return Status::DataLoss("duplicate view definition '" + def.name() + "'");
+  }
+  Entry entry;
+  entry.state = state;
+  entry.state.name = def.name();
+  entry.view = std::make_unique<MaterializedView>(store_, std::move(def));
+  GSV_RETURN_IF_ERROR(adopt ? entry.view->AdoptExisting()
+                            : entry.view->Bootstrap());
+  entries_.push_back(std::move(entry));
+  return Status::Ok();
+}
+
+MaterializedView* MaterializedViewSet::Find(const std::string& name) {
+  for (Entry& entry : entries_) {
+    if (entry.state.name == name) return entry.view.get();
+  }
+  return nullptr;
+}
+
+Status RedoViewRecord(const WalRecord& record, RedoViews* views) {
+  if (record.type == WalRecordType::kViewDef) {
+    CheckpointViewState state;
+    state.definition = record.definition;
+    state.cache_mode = record.cache_mode;
+    state.source = record.source;
+    return views->Define(state, /*adopt=*/false);
+  }
+  if (record.type != WalRecordType::kViewDelta) return Status::Ok();
+  MaterializedView* view = views->Find(record.view);
+  if (view == nullptr) {
+    return Status::DataLoss("view delta for unknown view '" + record.view +
+                            "'");
+  }
+  switch (record.op) {
+    case ViewDeltaOp::kVInsert:
+      if (!record.object.has_value()) {
+        return Status::DataLoss("v_insert record without an object");
+      }
+      return view->VInsert(*record.object);
+    case ViewDeltaOp::kVDelete:
+      return view->VDelete(record.base_oid);
+    case ViewDeltaOp::kSync:
+      return view->SyncUpdate(record.update);
+    case ViewDeltaOp::kRefresh:
+      if (!record.object.has_value()) {
+        return Status::DataLoss("refresh record without an object");
+      }
+      return view->RefreshDelegate(*record.object);
+  }
+  return Status::DataLoss("unknown view delta op");
+}
+
+Status RedoCommitted(
+    const RecoveryPlan& plan, ObjectStore* store, RedoViews* views,
+    RedoCounts* counts,
+    const std::function<Status(const WalRecord&)>& on_record) {
+  RedoCounts ignored;
+  if (counts == nullptr) counts = &ignored;
+  if (plan.have_checkpoint) {
+    // Delegate store first, then every view rebinds to its objects
+    // (AdoptExisting re-derives membership from the delegates).
+    GSV_RETURN_IF_ERROR(ImportStoreImage(plan.checkpoint.store_text, store));
+    for (const CheckpointViewState& state : plan.checkpoint.manifest.views) {
+      GSV_RETURN_IF_ERROR(views->Define(state, /*adopt=*/true));
+      ++counts->views_adopted;
+    }
+    // Image loaded: let a paged engine shed the bulk-load working set.
+    store->StorageSafePoint();
+  }
+  for (const WalRecord& record : plan.committed) {
+    GSV_RETURN_IF_ERROR(RedoViewRecord(record, views));
+    if (record.type == WalRecordType::kViewDef) ++counts->views_defined;
+    if (record.type == WalRecordType::kViewDelta) ++counts->deltas_redone;
+    if (on_record) GSV_RETURN_IF_ERROR(on_record(record));
+  }
+  return Status::Ok();
 }
 
 Result<size_t> ReplayEventsInto(const std::vector<WalRecord>& records,

@@ -2,9 +2,12 @@
 #define GSV_STORAGE_RECOVERY_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/materialized_view.h"
 #include "oem/store.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
@@ -14,8 +17,9 @@ namespace gsv {
 
 // Crash-recovery planning: turns the on-disk durability state (checkpoints
 // + WAL segments) into an executable plan. The planner only reads; the
-// warehouse applies the plan (truncation, state restore, redo, replay) via
-// Warehouse::EnableDurability.
+// warehouse (Warehouse::EnableDurability) and a follower (Replica::Start)
+// apply the plan: truncation, then RedoCommitted below, then — warehouse
+// only — the live replay of the tail.
 //
 // The plan's shape follows the commit-group invariant the logger maintains:
 // every commit record certifies that all preceding records are fully
@@ -69,6 +73,63 @@ Result<RecoveryPlan> PlanRecovery(const std::string& dir);
 // Applies the plan's physical log repair (torn-tail / uncommitted-group
 // truncation). No-op when the plan needs none.
 Status ApplyLogTruncation(const std::string& dir, const RecoveryPlan& plan);
+
+// ---- Redo: one path for recovery, the follower and `wal_inspect diff` ----
+
+// The materialized views a redo writes into. The warehouse, a follower and
+// the offline checksum checker each keep their views their own way; these
+// are the two things redo needs from them.
+class RedoViews {
+ public:
+  virtual ~RedoViews() = default;
+  // Builds the view `state` describes. With `adopt` it rebinds to the
+  // objects a checkpoint image already put in the delegate store;
+  // otherwise it is bootstrapped empty (a kViewDef record — the members
+  // arrive as the delta records that follow).
+  virtual Status Define(const CheckpointViewState& state, bool adopt) = 0;
+  // The view named `name`, or null.
+  virtual MaterializedView* Find(const std::string& name) = 0;
+};
+
+// Plain views over one delegate store: the follower's and the checksum
+// checker's redo target. Defining a name twice is kDataLoss.
+class MaterializedViewSet : public RedoViews {
+ public:
+  struct Entry {
+    CheckpointViewState state;  // name filled in from the definition
+    std::unique_ptr<MaterializedView> view;
+  };
+
+  explicit MaterializedViewSet(ObjectStore* store) : store_(store) {}
+  Status Define(const CheckpointViewState& state, bool adopt) override;
+  MaterializedView* Find(const std::string& name) override;
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  ObjectStore* store_;
+  std::vector<Entry> entries_;
+};
+
+// Applies one committed kViewDef or kViewDelta record to `views`; every
+// other record type is a no-op. kDataLoss for a v_insert or refresh without
+// an object and for a delta naming an unknown view.
+Status RedoViewRecord(const WalRecord& record, RedoViews* views);
+
+struct RedoCounts {
+  size_t views_adopted = 0;  // from the checkpoint image
+  size_t views_defined = 0;  // from committed kViewDef records
+  size_t deltas_redone = 0;  // committed kViewDelta records
+};
+
+// Loads `plan`'s checkpoint image (if any) into `store` and adopts its
+// views, then redoes the committed zone through RedoViewRecord. Purely
+// local: no Algorithm 1, no source query. `on_record`, when set, sees every
+// committed record after its redo (the follower tracks commits and epochs
+// there).
+Status RedoCommitted(
+    const RecoveryPlan& plan, ObjectStore* store, RedoViews* views,
+    RedoCounts* counts = nullptr,
+    const std::function<Status(const WalRecord&)>& on_record = nullptr);
 
 // Standalone event redo into a plain store (wal_inspect --apply, tests):
 // applies every kEvent record's base update to `store` through the

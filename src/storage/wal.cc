@@ -768,6 +768,39 @@ Result<std::vector<WalSegmentInfo>> ListWalSegments(
   return segments;
 }
 
+WalFrame DecodeWalFrame(const std::string& data, size_t offset) {
+  auto failed = [](WalFrameStatus status) {
+    WalFrame frame;
+    frame.status = status;
+    return frame;
+  };
+  if (offset > data.size() || data.size() - offset < kFrameHeaderSize) {
+    return failed(WalFrameStatus::kIncomplete);
+  }
+  auto u32at = [&](size_t at) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(data[at + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  const uint32_t length = u32at(offset);
+  const uint32_t crc = u32at(offset + 4);
+  if (length > kMaxPayloadSize) return failed(WalFrameStatus::kCorrupt);
+  if (data.size() - offset - kFrameHeaderSize < length) {
+    return failed(WalFrameStatus::kIncomplete);
+  }
+  const std::string payload = data.substr(offset + kFrameHeaderSize, length);
+  if (Crc32(payload.data(), payload.size()) != crc) {
+    return failed(WalFrameStatus::kCorrupt);
+  }
+  Result<WalRecord> decoded = DecodeWalPayload(payload);
+  if (!decoded.ok()) return failed(WalFrameStatus::kCorrupt);
+  return WalFrame{WalFrameStatus::kRecord, std::move(decoded).value(),
+                  kFrameHeaderSize + length};
+}
+
 Result<WalScan> ScanWal(const std::string& dir) {
   WalScan scan;
   GSV_ASSIGN_OR_RETURN(std::vector<WalSegmentInfo> segments,
@@ -784,48 +817,21 @@ Result<WalScan> ScanWal(const std::string& dir) {
     size_t pos = 0;
     bool torn_here = false;
     while (pos < data.size()) {
-      if (data.size() - pos < kFrameHeaderSize) {
+      // An incomplete frame, a corrupt one and an LSN discontinuity all
+      // end the valid prefix here.
+      WalFrame frame = DecodeWalFrame(data, pos);
+      if (frame.status != WalFrameStatus::kRecord ||
+          (expected_lsn != 0 && frame.record.lsn != expected_lsn)) {
         torn_here = true;
         break;
       }
-      auto u32at = [&](size_t at) {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) {
-          v |= static_cast<uint32_t>(
-                   static_cast<uint8_t>(data[at + i]))
-               << (8 * i);
-        }
-        return v;
-      };
-      const uint32_t length = u32at(pos);
-      const uint32_t crc = u32at(pos + 4);
-      if (length > kMaxPayloadSize ||
-          data.size() - pos - kFrameHeaderSize < length) {
-        torn_here = true;
-        break;
-      }
-      const std::string payload =
-          data.substr(pos + kFrameHeaderSize, length);
-      if (Crc32(payload.data(), payload.size()) != crc) {
-        torn_here = true;
-        break;
-      }
-      Result<WalRecord> decoded = DecodeWalPayload(payload);
-      if (!decoded.ok()) {
-        torn_here = true;
-        break;
-      }
-      WalRecord record = std::move(decoded).value();
-      if (expected_lsn != 0 && record.lsn != expected_lsn) {
-        torn_here = true;  // LSN discontinuity: treat like corruption
-        break;
-      }
+      WalRecord& record = frame.record;
       expected_lsn = record.lsn + 1;
       record.segment = info.name;
       record.offset = pos;
-      record.end_offset = pos + kFrameHeaderSize + length;
+      record.end_offset = pos + frame.size;
       scan.records.push_back(std::move(record));
-      pos += kFrameHeaderSize + length;
+      pos += frame.size;
     }
 
     if (torn_here) {

@@ -287,6 +287,20 @@ Status TruncateWal(const std::string& dir, const std::string& segment,
 
 // ---- Record codec (exposed for wal_inspect and tests) ----
 
+// One frame decoded from a byte buffer. kIncomplete means the buffer ends
+// inside the frame (more bytes may complete it); kCorrupt means no number
+// of further bytes can make it valid (length over the cap, CRC mismatch,
+// undecodable payload). Crash recovery treats both as a tear; a follower
+// waits on kIncomplete and refetches on kCorrupt.
+enum class WalFrameStatus { kRecord, kIncomplete, kCorrupt };
+struct WalFrame {
+  WalFrameStatus status = WalFrameStatus::kIncomplete;
+  WalRecord record;  // kRecord only
+  size_t size = 0;   // bytes the frame occupies (kRecord only)
+};
+// Decodes the frame that starts at `offset` of `data`.
+WalFrame DecodeWalFrame(const std::string& data, size_t offset);
+
 // Serializes the payload (type + lsn + body, no frame).
 std::string EncodeWalPayload(const WalRecord& record);
 // Parses a payload produced by EncodeWalPayload.

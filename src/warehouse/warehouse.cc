@@ -304,6 +304,26 @@ Status Warehouse::DefineView(std::string_view definition,
   GSV_ASSIGN_OR_RETURN(std::unique_ptr<ViewEntry> entry,
                        BuildViewEntry(source_index, definition, cache_mode));
 
+  // What can fail must fail before the definition is logged: the next
+  // commit would certify a kViewDef, and recovery would re-bootstrap a view
+  // this warehouse never got. So a name clash is rejected here, and the
+  // corridor cache and the discrimination network (each reads only the
+  // source) initialize first.
+  const std::string& name = entry->def.name();
+  if (view(name) != nullptr || store_->Contains(entry->def.view_oid()) ||
+      store_->DatabaseOid(name).valid()) {
+    return Status::AlreadyExists("view '" + name +
+                                 "' is already defined in the delegate store");
+  }
+  if (entry->cache != nullptr) {
+    GSV_RETURN_IF_ERROR(entry->cache->Initialize(source.wrapper.get()));
+  }
+  // The network seeds its memo tables from the base state the view
+  // materializes from below; both derive the same members.
+  if (entry->gdn != nullptr) {
+    GSV_RETURN_IF_ERROR(entry->gdn->Initialize());
+  }
+
   // Log the definition (and, via the delta sink, the initial membership)
   // before materializing, so recovery can re-bootstrap the view from the
   // log alone when no checkpoint covers it yet.
@@ -317,14 +337,6 @@ Status Warehouse::DefineView(std::string_view definition,
   // Every shard of a partitioned warehouse runs this same initialization,
   // so each just drops the members it doesn't own — no exports needed.
   PruneForeignMembers(*entry, /*export_members=*/false);
-  if (entry->cache != nullptr) {
-    GSV_RETURN_IF_ERROR(entry->cache->Initialize(source.wrapper.get()));
-  }
-  // The discrimination network seeds its memo tables from the same base
-  // state the view just materialized from; both derive the same members.
-  if (entry->gdn != nullptr) {
-    GSV_RETURN_IF_ERROR(entry->gdn->Initialize());
-  }
   views_.push_back(std::move(entry));
   LogCommit();
   StorageQuiescent();

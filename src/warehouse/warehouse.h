@@ -483,8 +483,6 @@ class Warehouse {
   void AttachSink(MaterializedView* view);
   // Recovery steps.
   Status RestoreFromPlan(const RecoveryPlan& plan);
-  Status RestoreView(const CheckpointViewState& state, bool adopt);
-  Status RedoDelta(const WalRecord& record);
 
   SourceEntry& SourceOf(const ViewEntry& entry) {
     return *sources_[entry.source_index];

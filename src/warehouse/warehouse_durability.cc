@@ -1,4 +1,3 @@
-#include <filesystem>
 #include <sstream>
 
 #include "oem/serialize.h"
@@ -210,54 +209,6 @@ Status Warehouse::EnableDurability(const DurabilityOptions& options) {
   return Status::Ok();
 }
 
-Status Warehouse::RestoreView(const CheckpointViewState& state, bool adopt) {
-  GSV_ASSIGN_OR_RETURN(size_t source_index, ResolveSourceIndex(state.source));
-  GSV_ASSIGN_OR_RETURN(
-      std::unique_ptr<ViewEntry> entry,
-      BuildViewEntry(source_index, state.definition,
-                     static_cast<CacheMode>(state.cache_mode)));
-  if (adopt) {
-    // The checkpoint image already holds the view object and its
-    // delegates; rebind instead of materializing.
-    GSV_RETURN_IF_ERROR(entry->view->AdoptExisting());
-  } else {
-    // Re-bootstrapped from a kViewDef record: the membership arrives via
-    // the committed delta records that follow it.
-    GSV_RETURN_IF_ERROR(entry->view->Bootstrap());
-  }
-  if (state.stale) {
-    Quarantine(*entry, Status::Unavailable("view '" + entry->def.name() +
-                                           "' was quarantined when the "
-                                           "checkpoint was taken"));
-  }
-  views_.push_back(std::move(entry));
-  return Status::Ok();
-}
-
-Status Warehouse::RedoDelta(const WalRecord& record) {
-  for (auto& entry : views_) {
-    if (entry->def.name() != record.view) continue;
-    switch (record.op) {
-      case ViewDeltaOp::kVInsert:
-        if (!record.object.has_value()) {
-          return Status::DataLoss("v_insert record without an object");
-        }
-        return entry->view->VInsert(*record.object);
-      case ViewDeltaOp::kVDelete:
-        return entry->view->VDelete(record.base_oid);
-      case ViewDeltaOp::kSync:
-        return entry->view->SyncUpdate(record.update);
-      case ViewDeltaOp::kRefresh:
-        if (!record.object.has_value()) {
-          return Status::DataLoss("refresh record without an object");
-        }
-        return entry->view->RefreshDelegate(*record.object);
-    }
-    return Status::DataLoss("unknown view delta op");
-  }
-  return Status::DataLoss("view delta for unknown view '" + record.view + "'");
-}
-
 Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
   WarehouseDurability& d = *durability_;
   d.report = RecoveryReport{};
@@ -265,42 +216,45 @@ Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
   d.report.torn_bytes = plan.torn_bytes;
   d.report.tail_deltas_dropped = plan.tail_deltas_dropped;
 
-  // 1. The checkpoint image: delegate store first, then every view rebinds
-  //    to its objects (AdoptExisting re-derives membership from delegates).
-  if (plan.have_checkpoint) {
-    d.report.recovered_checkpoint = true;
-    d.report.checkpoint_id = plan.checkpoint.manifest.id;
-    GSV_RETURN_IF_ERROR(ImportStoreImage(plan.checkpoint.store_text, store_));
-    for (const CheckpointViewState& state : plan.checkpoint.manifest.views) {
-      GSV_RETURN_IF_ERROR(RestoreView(state, /*adopt=*/true));
-      ++d.report.views_restored;
-    }
-  }
-
-  // 2. Committed zone: redo is purely local — the delta records replay into
-  //    the views without Algorithm 1 and without a single source query.
-  //    That asymmetry (redo log vs recompute) is what exp16 measures.
-  for (const WalRecord& record : plan.committed) {
-    switch (record.type) {
-      case WalRecordType::kViewDelta:
-        GSV_RETURN_IF_ERROR(RedoDelta(record));
-        ++d.report.deltas_redone;
-        break;
-      case WalRecordType::kViewDef: {
-        CheckpointViewState state;
-        state.definition = record.definition;
-        state.cache_mode = record.cache_mode;
-        state.source = record.source;
-        GSV_RETURN_IF_ERROR(RestoreView(state, /*adopt=*/false));
-        ++d.report.views_redefined;
-        break;
+  // The warehouse's views as a redo target: each one is rebuilt with its
+  // cache, engine and accessor by BuildViewEntry.
+  struct WarehouseViews : RedoViews {
+    explicit WarehouseViews(Warehouse* warehouse) : w(warehouse) {}
+    Status Define(const CheckpointViewState& state, bool adopt) override {
+      GSV_ASSIGN_OR_RETURN(size_t source_index,
+                           w->ResolveSourceIndex(state.source));
+      GSV_ASSIGN_OR_RETURN(
+          std::unique_ptr<ViewEntry> entry,
+          w->BuildViewEntry(source_index, state.definition,
+                            static_cast<CacheMode>(state.cache_mode)));
+      GSV_RETURN_IF_ERROR(adopt ? entry->view->AdoptExisting()
+                                : entry->view->Bootstrap());
+      if (state.stale) {
+        w->Quarantine(*entry,
+                      Status::Unavailable("view '" + entry->def.name() +
+                                          "' was quarantined when the "
+                                          "checkpoint was taken"));
       }
-      case WalRecordType::kEvent:   // base objects live at the source
-      case WalRecordType::kCommit:  // watermarks come from the plan
-      case WalRecordType::kEpoch:   // writer-session header, no state
-        break;
+      w->views_.push_back(std::move(entry));
+      return Status::Ok();
     }
-  }
+    MaterializedView* Find(const std::string& name) override {
+      return w->view(name);
+    }
+    Warehouse* w;
+  } views(this);
+
+  // 1-2. The checkpoint image, then the committed zone. Redo is purely
+  //      local — the delta records replay into the views without
+  //      Algorithm 1 and without a single source query. That asymmetry
+  //      (redo log vs recompute) is what exp16 measures.
+  RedoCounts counts;
+  GSV_RETURN_IF_ERROR(RedoCommitted(plan, store_, &views, &counts));
+  d.report.recovered_checkpoint = plan.have_checkpoint;
+  d.report.checkpoint_id = plan.checkpoint.manifest.id;  // 0 without one
+  d.report.views_restored = counts.views_adopted;
+  d.report.views_redefined = counts.views_defined;
+  d.report.deltas_redone = counts.deltas_redone;
 
   // 3. Watermarks: the integrator expects last_sequence + 1 next.
   for (const WalWatermark& mark : plan.watermarks) {
@@ -462,27 +416,7 @@ Status Warehouse::WriteCheckpoint() {
   d.events_since_checkpoint = 0;
   GSV_RETURN_IF_ERROR(d.wal->Roll());
 
-  // Retire segments no future recovery can need: LoadLatestCheckpoint falls
-  // back at most to the *previous* retained checkpoint, so only records
-  // above its wal_lsn must survive.
-  auto checkpoints = ListCheckpoints(d.options.dir);
-  if (checkpoints.ok() && checkpoints.value().size() >= 2) {
-    const CheckpointInfo& previous =
-        checkpoints.value()[checkpoints.value().size() - 2];
-    auto manifest = ReadCheckpointManifest(previous.path);
-    auto segments = ListWalSegments(d.options.dir);
-    if (manifest.ok() && segments.ok()) {
-      uint64_t keep_lsn = manifest.value().wal_lsn + 1;
-      const std::vector<WalSegmentInfo>& segs = segments.value();
-      for (size_t i = 0; i + 1 < segs.size(); ++i) {
-        // Segment i spans [first_i, first_{i+1} - 1].
-        if (segs[i + 1].first_lsn <= keep_lsn) {
-          std::error_code ec;
-          std::filesystem::remove(segs[i].path, ec);
-        }
-      }
-    }
-  }
+  RetireCoveredWalSegments(d.options.dir);
   StorageQuiescent();
   return Status::Ok();
 }

@@ -9,9 +9,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/virtual_view.h"
@@ -222,6 +224,59 @@ TEST(WalTest, CrashInjectionTearsTheTailAndSticks) {
   EXPECT_EQ(static_cast<int64_t>(scan.value().torn_offset), clean_bytes);
 }
 
+// One frame decoder serves crash recovery (which treats kIncomplete and
+// kCorrupt alike, as a tear) and the follower (which waits on kIncomplete
+// and refetches on kCorrupt), so each case pins the exact result.
+TEST(WalTest, FrameDecoderSeparatesIncompleteFromCorrupt) {
+  auto u32 = [](uint32_t v) {
+    std::string out;
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+    return out;
+  };
+  auto frame_of = [&](const std::string& payload) {
+    return u32(static_cast<uint32_t>(payload.size())) +
+           u32(Crc32(payload.data(), payload.size())) + payload;
+  };
+  WalRecord commit = WalRecord::Commit({{"source1", 9}});
+  commit.lsn = 42;
+  const std::string valid = frame_of(EncodeWalPayload(commit));
+  std::string flipped = valid;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+  std::string unknown_type = EncodeWalPayload(commit);
+  unknown_type[0] = static_cast<char>(0x7f);
+
+  struct Case {
+    std::string name;
+    std::string data;
+    size_t offset;
+    WalFrameStatus want;
+  };
+  const std::vector<Case> cases = {
+      {"valid", valid, 0, WalFrameStatus::kRecord},
+      {"valid_at_offset", valid + valid, valid.size(),
+       WalFrameStatus::kRecord},
+      {"empty", "", 0, WalFrameStatus::kIncomplete},
+      {"short_header", valid.substr(0, 5), 0, WalFrameStatus::kIncomplete},
+      {"short_payload", valid.substr(0, valid.size() - 1), 0,
+       WalFrameStatus::kIncomplete},
+      {"length_over_cap", u32(0xffffffffu) + u32(0), 0,
+       WalFrameStatus::kCorrupt},
+      {"crc_mismatch", flipped, 0, WalFrameStatus::kCorrupt},
+      {"undecodable_payload", frame_of(unknown_type), 0,
+       WalFrameStatus::kCorrupt},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    WalFrame frame = DecodeWalFrame(c.data, c.offset);
+    EXPECT_EQ(frame.status, c.want);
+    if (c.want != WalFrameStatus::kRecord) continue;
+    EXPECT_EQ(frame.size, valid.size());
+    EXPECT_EQ(frame.record.lsn, 42u);
+    EXPECT_EQ(frame.record.type, WalRecordType::kCommit);
+    EXPECT_EQ(frame.record.watermarks, commit.watermarks);
+  }
+}
+
 // ------------------------------------------------------------- checkpoints
 
 CheckpointCapture MakeCapture(uint64_t id, const std::string& marker) {
@@ -259,21 +314,57 @@ TEST(CheckpointTest, PersistLoadRoundTrip) {
   EXPECT_EQ(loaded.value().cache_texts.at("WV"), "# cache one\n");
 }
 
-TEST(CheckpointTest, CorruptNewestFallsBackToPrevious) {
-  std::string dir = TempDir("ckpt_fallback");
-  ASSERT_TRUE(PersistCheckpoint(dir, MakeCapture(1, "one")).ok());
-  ASSERT_TRUE(PersistCheckpoint(dir, MakeCapture(2, "two")).ok());
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
-  // Flip the newest checkpoint's store file: CRC mismatch.
-  {
-    std::ofstream out(dir + "/checkpoint-000002/store.gsv",
-                      std::ios::binary | std::ios::trunc);
-    out << "# corrupted\n";
+TEST(CheckpointTest, CorruptNewestFallsBackToPrevious) {
+  // Each corruption damages only the newest checkpoint; loading must fall
+  // back to the previous one.
+  const std::vector<std::pair<std::string, std::function<void(
+                                               const std::string&)>>>
+      corruptions = {
+          // Flip the store file: CRC mismatch.
+          {"store_crc",
+           [](const std::string& ckpt) {
+             std::ofstream out(ckpt + "/store.gsv",
+                               std::ios::binary | std::ios::trunc);
+             out << "# corrupted\n";
+           }},
+          // Re-encode the manifest (file CRCs still valid) with a cache
+          // mode no writer produces.
+          {"cache_mode",
+           [](const std::string& ckpt) {
+             std::vector<std::pair<std::string, std::pair<uint32_t, uint64_t>>>
+                 listed;
+             auto manifest =
+                 DecodeCheckpointManifest(ReadFile(ckpt + "/MANIFEST"), &listed);
+             ASSERT_TRUE(manifest.ok());
+             ASSERT_EQ(manifest.value().views.size(), 1u);
+             manifest.value().views[0].cache_mode = 8;
+             std::vector<std::pair<std::string, std::string>> files;
+             for (const auto& entry : listed) {
+               files.emplace_back(entry.first,
+                                  ReadFile(ckpt + "/" + entry.first));
+             }
+             std::ofstream out(ckpt + "/MANIFEST", std::ios::trunc);
+             out << EncodeCheckpointManifest(manifest.value(), files);
+           }},
+      };
+  for (const auto& [tag, corrupt] : corruptions) {
+    SCOPED_TRACE(tag);
+    std::string dir = TempDir("ckpt_fallback_" + tag);
+    ASSERT_TRUE(PersistCheckpoint(dir, MakeCapture(1, "one")).ok());
+    ASSERT_TRUE(PersistCheckpoint(dir, MakeCapture(2, "two")).ok());
+    ASSERT_NO_FATAL_FAILURE(corrupt(dir + "/checkpoint-000002"));
+    auto loaded = LoadLatestCheckpoint(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().manifest.id, 1u);
+    EXPECT_EQ(loaded.value().store_text, "# store one\n");
   }
-  auto loaded = LoadLatestCheckpoint(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().manifest.id, 1u);
-  EXPECT_EQ(loaded.value().store_text, "# store one\n");
 }
 
 TEST(CheckpointTest, RetentionKeepsTheTwoNewest) {

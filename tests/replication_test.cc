@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -27,10 +28,12 @@
 #include "storage/checkpoint.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
+#include "warehouse/fault_injector.h"
 #include "warehouse/sharded_warehouse.h"
 #include "warehouse/sharding.h"
 #include "warehouse/warehouse.h"
 #include "workload/dag_gen.h"
+#include "workload/person_db.h"
 #include "workload/tree_gen.h"
 #include "workload/update_gen.h"
 
@@ -685,6 +688,167 @@ TEST(ReplicaTest, PersistentMirrorCorruptionSelfHeals) {
   // the follower converges without ever needing those bytes again.
   ASSERT_TRUE(replica.CatchUp().ok());
   ASSERT_NO_FATAL_FAILURE(rig.ExpectConverged(replica));
+}
+
+// ------------------------------------------------------- segment retention
+
+// Asserts the keep-2 rule on one durability home: every WAL segment that
+// lies wholly at or below the older retained checkpoint's wal_lsn is gone.
+void ExpectCoveredSegmentsRetired(const std::string& dir) {
+  auto checkpoints = ListCheckpoints(dir);
+  ASSERT_TRUE(checkpoints.ok());
+  ASSERT_EQ(checkpoints.value().size(), 2u) << dir;
+  auto manifest = DecodeCheckpointManifest(
+      ReadFileBytes(checkpoints.value()[0].path + "/MANIFEST"), nullptr);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  const uint64_t older_lsn = manifest.value().wal_lsn;
+  auto segments = ListWalSegments(dir);
+  ASSERT_TRUE(segments.ok());
+  ASSERT_FALSE(segments.value().empty()) << dir;
+  // The first segment the log ever had is below the older checkpoint.
+  EXPECT_GT(segments.value().front().first_lsn, 1u) << dir;
+  for (size_t i = 0; i + 1 < segments.value().size(); ++i) {
+    // Segment i ends just before segment i+1 starts.
+    EXPECT_GT(segments.value()[i + 1].first_lsn - 1, older_lsn)
+        << dir << ": " << segments.value()[i].name << " should be retired";
+  }
+}
+
+TEST(ReplicaTest, CheckpointsRetireCoveredSegmentsOnBothHomes) {
+  PrimaryRig rig;
+  ASSERT_NO_FATAL_FAILURE(rig.Init("retire_primary", 37));
+  ReplicaOptions options = DefaultReplicaOptions("retire_replica");
+  options.checkpoint_interval_records = 1;  // one checkpoint per catch-up
+  auto replica = std::make_unique<Replica>(
+      std::make_unique<FileLogTransport>(rig.primary_dir), options);
+  ASSERT_TRUE(replica->Start().ok());
+
+  // Three primary checkpoints with logged groups between them; the
+  // follower checkpoints on its own after every catch-up.
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_NO_FATAL_FAILURE(rig.Advance(20));
+    ASSERT_TRUE(rig.warehouse->WriteCheckpoint().ok());
+    ASSERT_NO_FATAL_FAILURE(rig.Advance(20));
+    ASSERT_TRUE(replica->CatchUp().ok());
+  }
+  EXPECT_GE(replica->stats().checkpoints_written, 2);
+  ASSERT_NO_FATAL_FAILURE(rig.ExpectConverged(*replica));
+  ASSERT_NO_FATAL_FAILURE(ExpectCoveredSegmentsRetired(rig.primary_dir));
+  ASSERT_NO_FATAL_FAILURE(ExpectCoveredSegmentsRetired(replica->dir()));
+
+  // Both homes still recover byte-identical from what retention left.
+  const std::string expected_store = StoreToString(rig.store);
+  const auto expected_lines = ViewContentLines(*rig.warehouse->view("WV"));
+  rig.warehouse.reset();
+  ObjectStore store_r(DelegateStoreOptions());
+  Warehouse recovered(&store_r);
+  ASSERT_TRUE(
+      recovered.ConnectSource(&rig.source, rig.root,
+                              ReportingLevel::kWithValues)
+          .ok());
+  Warehouse::DurabilityOptions durability;
+  durability.dir = rig.primary_dir;
+  ASSERT_TRUE(recovered.EnableDurability(durability).ok());
+  EXPECT_EQ(StoreToString(store_r), expected_store);
+  ASSERT_NE(recovered.view("WV"), nullptr);
+  EXPECT_EQ(ViewContentLines(*recovered.view("WV")), expected_lines);
+
+  replica.reset();
+  Replica reborn(std::make_unique<FileLogTransport>(rig.primary_dir),
+                 options);
+  ASSERT_TRUE(reborn.Start().ok());
+  EXPECT_EQ(reborn.stats().reseeds, 0);  // local recovery
+  EXPECT_EQ(StoreToString(reborn.store()), expected_store);
+  ASSERT_NE(reborn.view("WV"), nullptr);
+  EXPECT_EQ(ViewContentLines(*reborn.view("WV")), expected_lines);
+}
+
+// ---------------------------------------------- rejected view definitions
+
+// A DefineView that fails must fail before its kViewDef reaches the log:
+// once a commit certified that record, recovery, a follower and the
+// offline checksum all re-bootstrapped a view the warehouse never got (or
+// got once already) and failed or diverged. Each case fails one DefineView
+// of YP, leaves exactly one YP defined, and applies one monitored insert.
+TEST(DurabilityHomeTest, FailedDefineViewKeepsTheHomeReopenable) {
+  const std::string definition =
+      "define mview YP as: SELECT ROOT.professor X WHERE X.age <= 45";
+  struct Case {
+    std::string name;
+    std::function<void(Warehouse&, FaultInjector&)> define;
+  };
+  const std::vector<Case> cases = {
+      {"duplicate",
+       [&](Warehouse& w, FaultInjector&) {
+         ASSERT_TRUE(w.DefineView(definition).ok());
+         EXPECT_EQ(w.DefineView(definition).code(),
+                   StatusCode::kAlreadyExists);
+       }},
+      // The corridor cache cannot initialize while the source is down;
+      // the retry after it heals must succeed.
+      {"cache_init_fails",
+       [&](Warehouse& w, FaultInjector& injector) {
+         injector.set_down(true);
+         EXPECT_EQ(w.DefineView(definition, Warehouse::CacheMode::kFull)
+                       .code(),
+                   StatusCode::kUnavailable);
+         injector.set_down(false);
+         ASSERT_TRUE(
+             w.DefineView(definition, Warehouse::CacheMode::kFull).ok());
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = TempDir("failed_define_" + c.name);
+    ObjectStore source;
+    ASSERT_TRUE(BuildPersonDb(&source, /*with_database=*/false).ok());
+    ObjectStore store(DelegateStoreOptions());
+    Warehouse primary(&store);
+    ASSERT_TRUE(primary
+                    .ConnectSource(&source, person_db::Root(),
+                                   ReportingLevel::kWithValues)
+                    .ok());
+    FaultInjector injector(FaultProfile{});
+    ASSERT_TRUE(primary.SetFaultInjector("source1", &injector).ok());
+    Warehouse::DurabilityOptions durability;
+    durability.dir = dir;
+    ASSERT_TRUE(primary.EnableDurability(durability).ok());
+    ASSERT_NO_FATAL_FAILURE(c.define(primary, injector));
+    EXPECT_EQ(primary.view_names(), std::vector<std::string>{"YP"});
+    // One monitored insert: P2 gains an age and joins YP.
+    ASSERT_TRUE(source.PutAtomic(Oid("A2"), "age", Value::Int(30)).ok());
+    ASSERT_TRUE(source.Insert(person_db::P2(), Oid("A2")).ok());
+    ASSERT_TRUE(primary.last_status().ok())
+        << primary.last_status().ToString();
+    const auto expected_lines = ViewContentLines(*primary.view("YP"));
+    ASSERT_EQ(expected_lines.size(), 2u);
+
+    ObjectStore store_r(DelegateStoreOptions());
+    Warehouse recovered(&store_r);
+    ASSERT_TRUE(recovered
+                    .ConnectSource(&source, person_db::Root(),
+                                   ReportingLevel::kWithValues)
+                    .ok());
+    Status reopened = recovered.EnableDurability(durability);
+    ASSERT_TRUE(reopened.ok()) << reopened.ToString();
+    EXPECT_EQ(recovered.view_names(), std::vector<std::string>{"YP"});
+    EXPECT_EQ(ViewContentLines(*recovered.view("YP")), expected_lines);
+
+    Replica follower(
+        std::make_unique<FileLogTransport>(dir),
+        DefaultReplicaOptions("failed_define_follower_" + c.name));
+    ASSERT_TRUE(follower.Start().ok());
+    Status caught = follower.CatchUp();
+    ASSERT_TRUE(caught.ok()) << caught.ToString();
+    EXPECT_EQ(follower.view_names(), std::vector<std::string>{"YP"});
+    EXPECT_EQ(ViewContentLines(*follower.view("YP")), expected_lines);
+
+    auto stamp = ChecksumDurabilityHome(dir);
+    ASSERT_TRUE(stamp.ok()) << stamp.status().ToString();
+    ASSERT_EQ(stamp.value().views.size(), 1u);
+    EXPECT_EQ(stamp.value().views[0].view, "YP");
+    EXPECT_EQ(stamp.value().views[0].members, expected_lines.size());
+  }
 }
 
 // -------------------------------------------------------------- failover
