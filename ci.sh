@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (full build + test suite), then the §6
 # experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
-# recomputation), then a smoke run of the six examples, then a quick
+# recomputation) and E12 (exits 1 when an inline or deferred-drain view is
+# inconsistent with its source), then a smoke run of the six examples, then a quick
 # perf smoke of the label-index speedup experiment (catches silent index
 # regressions that correctness tests cannot see), then a release-build
 # stress stage that repeats the paged writeback hammer, the engine twins,
-# the replication suite and the kill-mid-batch crash test 20 times (rare
-# interleavings), then an Address+UB-Sanitizer build of the robustness and
+# the replication suite, the kill-mid-batch crash test and the sharded
+# warehouse and fault-convergence suites 20 times (rare interleavings), then an Address+UB-Sanitizer build of the robustness and
 # fault-injection tests
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
@@ -30,6 +31,10 @@ echo
 echo "=== §6 experiments on the GDN: E8 path expressions + E9 DAG bases (exit 1 on a wrong view) ==="
 ./build/bench/exp8_path_expressions
 ./build/bench/exp9_dag
+
+echo
+echo "=== E12: inline vs coalescing deferred drains (exit 1 on an inconsistent view) ==="
+./build/bench/exp12_deferred_compaction
 
 echo
 echo "=== examples smoke: every example runs to exit 0 (prints the cost sheets) ==="
@@ -90,7 +95,7 @@ GSV_STORAGE_ENGINE=paged:8:4096:compressed \
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L paged
 
 echo
-echo "=== stress: paged writeback, replication, kill-mid-batch: 20 repetitions (release build) ==="
+echo "=== stress: paged writeback, replication, kill-mid-batch, sharded resync: 20 repetitions (release build) ==="
 # The writeback thread races the mutator on every eviction, steal and
 # flush; an interleaving that rolls a page back shows up only now and
 # then, so the hammer and the engine twins run many times over.
@@ -104,6 +109,12 @@ echo "=== stress: paged writeback, replication, kill-mid-batch: 20 repetitions (
 ./build/tests/gsv_recovery_test \
   --gtest_filter='WarehouseDurabilityTest.RandomizedKillMidBatchConvergesByteIdentical' \
   --gtest_repeat=20 --gtest_brief=1
+# Quarantine and resync at K=1 and K=4: the resync recompute is the only
+# heal, and at K=4 its refresh exports carry peers' missed updates.
+./build/tests/gsv_warehouse_test --gtest_filter='ShardedWarehouseTest.*' \
+  --gtest_repeat=20 --gtest_brief=1
+./build/tests/gsv_fault_tolerance_test \
+  --gtest_filter='FaultConvergenceTest.*' --gtest_repeat=20 --gtest_brief=1
 
 echo
 echo "=== asan: robustness + fault-injection + durability + replication tests under address;undefined ==="

@@ -99,7 +99,7 @@ int main() {
   // ---- Part 2: two sources, one of them a legacy relational database ----
   std::printf(
       "\npart 2: multi-source warehouse — an OEM tree plus a relational\n"
-      "source behind the Figure-6 wrapper, drained deferred+compacted\n\n");
+      "source behind the Figure-6 wrapper, drained deferred+coalesced\n\n");
 
   ObjectStore tree_source;
   TreeGenOptions tree_options;
@@ -142,13 +142,15 @@ int main() {
                   Value::Int(rng.UniformInt(1000, 9000))});
       Check(row.status().ok() ? Status::Ok() : row.status());
     }
-    size_t compacted = warehouse.CompactPending();
     size_t pending = warehouse.pending_events();
+    int64_t coalesced_before = warehouse.costs().events_coalesced;
     Check(warehouse.ProcessPending());
-    std::printf("round %d: drained %zu events (%zu compacted away); "
+    std::printf("round %d: drained %zu events (%lld coalesced away); "
                 "TV=%zu members, RICH=%zu members\n",
-                round, pending, compacted, warehouse.view("TV")->size(),
-                warehouse.view("RICH")->size());
+                round, pending,
+                static_cast<long long>(warehouse.costs().events_coalesced -
+                                       coalesced_before),
+                warehouse.view("TV")->size(), warehouse.view("RICH")->size());
   }
   Check(warehouse.last_status());
   std::printf("costs: %s\n", warehouse.costs().ToString().c_str());

@@ -26,14 +26,31 @@ Status MaterializedView::Bootstrap() {
 }
 
 Status MaterializedView::Initialize(const ObjectStore& base) {
-  GSV_RETURN_IF_ERROR(Bootstrap());
+  GSV_ASSIGN_OR_RETURN(std::vector<const Object*> members,
+                       ResolveMembers(base));
+  return Materialize(members);
+}
+
+Result<std::vector<const Object*>> MaterializedView::ResolveMembers(
+    const ObjectStore& base) const {
   GSV_ASSIGN_OR_RETURN(OidSet members, EvaluateView(base, def_));
+  std::vector<const Object*> objects;
+  objects.reserve(members.size());
   for (const Oid& oid : members) {
     const Object* object = base.Get(oid);
     if (object == nullptr) {
       return Status::Internal("view member " + oid.str() +
                               " missing from base store");
     }
+    objects.push_back(object);
+  }
+  return objects;
+}
+
+Status MaterializedView::Materialize(
+    const std::vector<const Object*>& members) {
+  GSV_RETURN_IF_ERROR(Bootstrap());
+  for (const Object* object : members) {
     GSV_RETURN_IF_ERROR(VInsert(*object));
   }
   return Status::Ok();

@@ -2,6 +2,7 @@
 #define GSV_CORE_MATERIALIZED_VIEW_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/view_definition.h"
 #include "core/view_storage.h"
@@ -81,9 +82,19 @@ class MaterializedView : public ViewStorage {
   // the delegate store. Call once.
   Status Bootstrap();
 
-  // Bootstrap + evaluate the defining query on `base` + create a delegate
-  // for every member (initial materialization).
+  // Initial materialization: ResolveMembers + Materialize.
   Status Initialize(const ObjectStore& base);
+
+  // Initial materialization in two steps, for a caller that must log the
+  // definition after everything that can fail and before the first write.
+  // ResolveMembers evaluates the defining query on `base` and resolves
+  // every member object, writing nothing; Materialize bootstraps the view
+  // and creates a delegate per resolved member. The pointers follow the
+  // store's pointer contract: no write to or safe point on `base` between
+  // the two calls.
+  Result<std::vector<const Object*>> ResolveMembers(
+      const ObjectStore& base) const;
+  Status Materialize(const std::vector<const Object*>& members);
 
   // Rebinds this view to state already present in the delegate store —
   // the crash-recovery path, where the store was reloaded from a

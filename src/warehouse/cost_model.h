@@ -28,7 +28,7 @@ namespace gsv {
   X(events_received, "events", kBase, kSum)                                    \
   X(events_screened_out, "screened", kBase, kSum) /* screening (§5.1) */       \
   X(events_local_only, "local_only", kBase, kSum) /* no source queries */      \
-  X(events_coalesced, "coalesced", kBase, kSum)   /* merged by batching */     \
+  X(events_coalesced, "coalesced", kBase, kSum)   /* cut by the drain */       \
   /* Query-backs to sources. */                                                \
   X(source_queries, "queries", kBase, kSum)          /* round trips */         \
   X(objects_shipped, "objects_shipped", kBase, kSum) /* objects in answers */  \
@@ -40,7 +40,7 @@ namespace gsv {
   /* Fault tolerance: sequenced delivery, retries, quarantine health. */       \
   X(events_duplicate_dropped, "dup_dropped", kHealth, kSum) /* redelivery */   \
   X(events_gap_detected, "gaps", kHealth, kSum) /* lost deliveries seen */     \
-  X(events_buffered_stale, "buffered_stale", kHealth, kSum) /* for replay */   \
+  X(events_buffered_stale, "buffered_stale", kHealth, kSum) /* stale skips */  \
   X(wrapper_retries, "retries", kHealth, kSum) /* extra tries after faults */  \
   X(wrapper_failures, "wrapper_failures", kHealth, kSum) /* after retries */   \
   X(breaker_trips, "breaker_trips", kHealth, kSum) /* now open */              \

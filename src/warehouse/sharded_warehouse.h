@@ -110,7 +110,8 @@ class ShardedWarehouse {
   Status SetFaultInjector(const std::string& source_name, uint32_t shard_index,
                           FaultInjector* injector);
   size_t stale_view_count() const;
-  // Forces resync at every shard, redistributes the recompute exports, and
+  // Forces resync at every shard, redistributes the recompute exports (each
+  // owner inserts or refreshes the member, so values catch up too), and
   // sweeps all shards so peers drop what the lost events should have
   // deleted. Returns Ok when no views remain stale.
   Status ResyncStaleViews();

@@ -56,11 +56,17 @@ inline uint32_t RouteShardOf(const UpdateEvent& event, uint32_t shard_mask) {
 // Maintenance evaluates against the frozen final source state, so the op is
 // correct wherever it lands; the coordinator redistributes outboxes to the
 // owning shards between the evaluation barrier and the verification sweep.
+//
+// kRefresh is resync-only: a shard whose recompute derived a foreign member
+// exports the member's current state, and the owner inserts it or, when
+// the delegate exists, refreshes its value. A plain kVInsert of an existing
+// delegate is ignored (§4.3), so it could not carry the updates the owner
+// missed while the exporting shard was quarantined.
 struct ForeignViewOp {
-  enum class Kind { kVInsert, kVDelete, kSync };
+  enum class Kind { kVInsert, kVDelete, kSync, kRefresh };
   Kind kind = Kind::kVInsert;
   std::string view;  // view (definition) name, identical across shards
-  Object object;     // kVInsert: the base object to delegate
+  Object object;     // kVInsert / kRefresh: the base object to delegate
   Oid base_oid;      // kVDelete: the member to drop
   Update update;     // kSync: the base update to propagate into values
 };
@@ -70,6 +76,7 @@ struct ForeignViewOp {
 inline uint32_t OwnerOfOp(const ForeignViewOp& op, uint32_t mask) {
   switch (op.kind) {
     case ForeignViewOp::Kind::kVInsert:
+    case ForeignViewOp::Kind::kRefresh:
       return ShardOfOid(op.object.oid(), mask);
     case ForeignViewOp::Kind::kVDelete:
       return ShardOfOid(op.base_oid, mask);

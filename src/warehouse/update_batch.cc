@@ -29,12 +29,16 @@ size_t UpdateBatch::Coalesce() {
   // index into events_ of the last surviving event for a key, per source.
   std::unordered_map<size_t, std::unordered_map<uint64_t, size_t>> last_edge;
   std::unordered_map<size_t, std::unordered_map<uint32_t, size_t>> last_modify;
+  // index of the last event naming an object, as parent or as child.
+  std::unordered_map<size_t, std::unordered_map<uint32_t, size_t>> last_named;
   std::vector<bool> dead(events_.size(), false);
   size_t removed = 0;
 
   for (size_t i = 0; i < events_.size(); ++i) {
     const auto& [source, event] = events_[i];
+    auto& named = last_named[source];
     if (event.kind == UpdateKind::kModify) {
+      named[event.parent.id()] = i;
       auto& per_source = last_modify[source];
       auto [it, inserted] = per_source.emplace(event.parent.id(), i);
       if (!inserted) {
@@ -54,8 +58,16 @@ size_t UpdateBatch::Coalesce() {
     auto& per_source = last_edge[source];
     const uint64_t key = EdgeKey(event);
     auto it = per_source.find(key);
-    if (it != per_source.end() &&
-        events_[it->second].second.kind != event.kind) {
+    // The pair cancels only when no event between the two names the
+    // parent: such an event may carry a snapshot of P holding the transient
+    // edge, and a delegate built from it would keep C with nothing left to
+    // take it out.
+    const bool cancels = it != per_source.end() &&
+                         events_[it->second].second.kind != event.kind &&
+                         named[event.parent.id()] == it->second;
+    named[event.parent.id()] = i;
+    named[event.child.id()] = i;
+    if (cancels) {
       // insert/delete (or delete/insert) of the same edge: net nil.
       dead[it->second] = true;
       dead[i] = true;

@@ -123,6 +123,13 @@ Status Warehouse::ApplyForeignOps(const std::vector<ForeignViewOp>& ops) {
       case ForeignViewOp::Kind::kSync:
         status = entry->view->SyncUpdate(op.update);
         break;
+      case ForeignViewOp::Kind::kRefresh:
+        // A peer's resync recompute: the object's current state, whose
+        // value may carry updates this owner never saw.
+        status = entry->view->ContainsBase(op.object.oid())
+                     ? entry->view->RefreshDelegate(op.object)
+                     : entry->view->VInsert(op.object);
+        break;
     }
     if (!status.ok() && first_error.ok()) first_error = status;
   }
@@ -133,7 +140,7 @@ Status Warehouse::ApplyForeignOps(const std::vector<ForeignViewOp>& ops) {
 Status Warehouse::RunVerificationSweep() {
   Status first_error;
   for (auto& entry : views_) {
-    if (entry->stale) continue;  // swept after resync instead
+    if (entry->stale) continue;  // its resync recomputes
     Status status = VerifyMembers(*entry);
     if (!status.ok()) {
       if (IsSourceFailure(status)) {
@@ -161,7 +168,7 @@ void Warehouse::PruneForeignMembers(ViewEntry& entry, bool export_members) {
       if (object != nullptr) {
         ++costs_.cross_shard_exports;
         ForeignViewOp op;
-        op.kind = ForeignViewOp::Kind::kVInsert;
+        op.kind = ForeignViewOp::Kind::kRefresh;
         op.view = entry.def.name();
         op.object = *object;
         outbox_.push_back(std::move(op));
@@ -307,8 +314,8 @@ Status Warehouse::DefineView(std::string_view definition,
   // What can fail must fail before the definition is logged: the next
   // commit would certify a kViewDef, and recovery would re-bootstrap a view
   // this warehouse never got. So a name clash is rejected here, and the
-  // corridor cache and the discrimination network (each reads only the
-  // source) initialize first.
+  // corridor cache, the discrimination network and the member evaluation
+  // (each reads only the source) run first.
   const std::string& name = entry->def.name();
   if (view(name) != nullptr || store_->Contains(entry->def.view_oid()) ||
       store_->DatabaseOid(name).valid()) {
@@ -323,17 +330,18 @@ Status Warehouse::DefineView(std::string_view definition,
   if (entry->gdn != nullptr) {
     GSV_RETURN_IF_ERROR(entry->gdn->Initialize());
   }
+  // Initial materialization reads the source directly: it is part of view
+  // setup, not of incremental maintenance (§4 assumes an initially correct
+  // materialized view).
+  GSV_ASSIGN_OR_RETURN(std::vector<const Object*> members,
+                       entry->view->ResolveMembers(*source.store));
 
   // Log the definition (and, via the delta sink, the initial membership)
   // before materializing, so recovery can re-bootstrap the view from the
   // log alone when no checkpoint covers it yet.
   LogViewDef(entry->definition_text, cache_mode, source.name);
   AttachSink(entry->view.get());
-
-  // Initial materialization reads the source directly: it is part of view
-  // setup, not of incremental maintenance (§4 assumes an initially correct
-  // materialized view).
-  GSV_RETURN_IF_ERROR(entry->view->Initialize(*source.store));
+  GSV_RETURN_IF_ERROR(entry->view->Materialize(members));
   // Every shard of a partitioned warehouse runs this same initialization,
   // so each just drops the members it doesn't own — no exports needed.
   PruneForeignMembers(*entry, /*export_members=*/false);
@@ -484,12 +492,12 @@ void Warehouse::DispatchEvent(size_t source_index, const UpdateEvent& event) {
       // the probe cheap while the source is still down.
       TryResyncView(*entry, /*force=*/false);
       if (entry->stale) {
-        BufferStaleEvent(*entry, event);
+        SkipStaleEvents(*entry);
         continue;
       }
       // Resynced just now from the current source state, which already
-      // includes this event's update; handling it below is a redundant
-      // (convergent) replay, same as a deferred drain.
+      // includes this event's update; handling it below is redundant but
+      // convergent, as in a deferred drain.
     }
     entry->accessor->ClearError();
     Status status = HandleEventForView(*entry, event);
@@ -498,11 +506,11 @@ void Warehouse::DispatchEvent(size_t source_index, const UpdateEvent& event) {
       if (IsSourceFailure(status) ||
           (entry->gdn != nullptr && entry->gdn->poisoned())) {
         // Graceful degradation: the view keeps serving its last consistent
-        // state; the event replays after resync. A poisoned network (its
+        // state until the resync recompute. A poisoned network (its
         // propagation budget blew) takes the same road — the resync
         // recompute + Rebuild() restores it.
         Quarantine(*entry, status);
-        BufferStaleEvent(*entry, event);
+        SkipStaleEvents(*entry);
       } else {
         last_status_ = status;
       }
@@ -551,7 +559,7 @@ size_t Warehouse::stale_view_count() const {
 
 size_t Warehouse::buffered_stale_events() const {
   size_t count = 0;
-  for (const auto& entry : views_) count += entry->stale_events.size();
+  for (const auto& entry : views_) count += entry->skipped_events;
   return count;
 }
 
@@ -562,9 +570,9 @@ void Warehouse::Quarantine(ViewEntry& entry, const Status& cause) {
   ++costs_.views_quarantined;
 }
 
-void Warehouse::BufferStaleEvent(ViewEntry& entry, const UpdateEvent& event) {
-  entry.stale_events.push_back(event);
-  ++costs_.events_buffered_stale;
+void Warehouse::SkipStaleEvents(ViewEntry& entry, size_t count) {
+  entry.skipped_events += count;
+  costs_.events_buffered_stale += static_cast<int64_t>(count);
 }
 
 void Warehouse::QuarantineSourceViews(size_t source_index,
@@ -580,7 +588,7 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
 
   // The source answers again. Rebuild the view from its *current* state
   // (the §4.4 recompute path) — that state already reflects every missed
-  // and buffered update, so the rebuild subsumes whatever was lost.
+  // and skipped update, so the rebuild subsumes whatever was lost.
   RecomputeMaintainer recompute(entry.view.get(), source.store);
   Status status = recompute.Recompute();
   if (!status.ok()) {
@@ -588,7 +596,7 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
     return status;
   }
   // Sharded: the recompute derived the *whole* view. Keep the owned slice;
-  // export the rest as V_inserts so owners that missed the lost events
+  // export the rest as refreshes so owners that missed the lost events
   // converge too (their stale extras fall to their next sweep).
   PruneForeignMembers(entry, /*export_members=*/true);
   if (entry.cache != nullptr) {
@@ -601,8 +609,7 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
   }
   if (entry.gdn != nullptr) {
     // Rebuild the memo network from the same current state the recompute
-    // read (this also clears a poisoned engine); the buffered replay below
-    // is then a convergent no-op for it, like for Algorithm 1.
+    // read (this also clears a poisoned engine).
     status = entry.gdn->Rebuild();
     if (!status.ok()) {
       ++costs_.resync_failures;
@@ -611,43 +618,7 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
   }
   entry.stale = false;
   entry.stale_cause = Status::Ok();
-
-  // Replay the buffered events. Each one is already reflected in the
-  // rebuilt state, so replay is redundant — but it is convergent (the
-  // deferred-drain argument: raw edge ops are idempotent, candidate
-  // verification runs against current source state) and it exercises the
-  // same at-least-once path as any redelivery.
-  std::vector<UpdateEvent> replay;
-  replay.swap(entry.stale_events);
-  for (size_t i = 0; i < replay.size(); ++i) {
-    entry.accessor->ClearError();
-    Status replay_status = HandleEventForView(entry, replay[i]);
-    if (replay_status.ok()) replay_status = entry.accessor->last_error();
-    if (!replay_status.ok()) {
-      if (IsSourceFailure(replay_status)) {
-        // The source died again mid-replay: back to quarantine with the
-        // unreplayed tail (the next resync's rebuild subsumes it anyway).
-        Quarantine(entry, replay_status);
-        for (size_t j = i; j < replay.size(); ++j) {
-          BufferStaleEvent(entry, replay[j]);
-        }
-        ++costs_.resync_failures;
-        return replay_status;
-      }
-      last_status_ = replay_status;  // replay continues past local errors
-    }
-  }
-
-  // Deferred-drain epilogue for the replayed events.
-  status = VerifyMembers(entry);
-  if (!status.ok()) {
-    if (IsSourceFailure(status)) {
-      Quarantine(entry, status);
-      ++costs_.resync_failures;
-      return status;
-    }
-    last_status_ = status;
-  }
+  entry.skipped_events = 0;
   ++costs_.view_resyncs;
   return Status::Ok();
 }
@@ -665,52 +636,11 @@ Status Warehouse::ResyncStaleViews() {
     Status status = TryResyncView(*entry, /*force=*/true);
     if (!status.ok() && first_error.ok()) first_error = status;
   }
-  // Resync deltas (recompute + buffered replay) were logged via the sinks;
+  // Resync deltas (the recomputes) were logged via the sinks;
   // close their group when the warehouse is quiescent.
   if (pending_.empty()) LogCommit();
   StorageQuiescent();
   return first_error;
-}
-
-size_t Warehouse::CompactPending() {
-  std::vector<std::pair<size_t, UpdateEvent>> compacted;
-  compacted.reserve(pending_.size());
-  size_t removed = 0;
-  for (auto& item : pending_) {
-    if (!compacted.empty()) {
-      auto& [top_source, top] = compacted.back();
-      const auto& [source, event] = item;
-      if (top_source == source) {
-        bool same_edge = event.kind != UpdateKind::kModify &&
-                         top.kind != UpdateKind::kModify &&
-                         top.parent == event.parent &&
-                         top.child == event.child;
-        bool cancels =
-            same_edge &&
-            ((top.kind == UpdateKind::kInsert &&
-              event.kind == UpdateKind::kDelete) ||
-             (top.kind == UpdateKind::kDelete &&
-              event.kind == UpdateKind::kInsert));
-        if (cancels) {
-          compacted.pop_back();
-          removed += 2;
-          continue;
-        }
-        if (top.kind == UpdateKind::kModify &&
-            event.kind == UpdateKind::kModify &&
-            top.parent == event.parent) {
-          UpdateEvent merged = event;  // newer snapshot and new_value
-          if (top.old_value.has_value()) merged.old_value = top.old_value;
-          top = std::move(merged);
-          ++removed;
-          continue;
-        }
-      }
-    }
-    compacted.push_back(std::move(item));
-  }
-  pending_ = std::move(compacted);
-  return removed;
 }
 
 Status Warehouse::CollectUnderivable(ViewEntry& entry,
@@ -747,43 +677,6 @@ Status Warehouse::VerifyMembers(ViewEntry& entry) {
     GSV_RETURN_IF_ERROR(entry.view->VDelete(member));
   }
   return Status::Ok();
-}
-
-Status Warehouse::ProcessPending() {
-  // Recovery prologue: sources may have healed since the last drain.
-  TryResyncStaleViews();
-
-  Status first_error;
-  // Drain into a local list first: processing may enqueue nothing new (the
-  // warehouse never mutates sources), but keep the loop robust anyway.
-  std::vector<std::pair<size_t, UpdateEvent>> batch;
-  batch.swap(pending_);
-  std::vector<bool> touched(sources_.size(), false);
-  for (const auto& [source_index, event] : batch) {
-    touched[source_index] = true;
-    Status before = last_status_;
-    DispatchEvent(source_index, event);
-    if (first_error.ok() && !(last_status_ == before)) {
-      first_error = last_status_;
-    }
-  }
-  // Deferred-drain epilogue: see the header comment. Quarantined views are
-  // skipped — their members are verified by the post-resync sweep instead.
-  for (auto& entry : views_) {
-    if (!touched[entry->source_index] || entry->stale) continue;
-    Status status = VerifyMembers(*entry);
-    if (!status.ok()) {
-      if (IsSourceFailure(status)) {
-        Quarantine(*entry, status);
-        continue;
-      }
-      if (first_error.ok()) first_error = status;
-    }
-  }
-  if (!first_error.ok()) last_status_ = first_error;
-  LogCommit();  // the drain is quiescent here: one commit closes the group
-  StorageQuiescent();
-  return first_error;
 }
 
 Status Warehouse::ApplyGdnEvent(ViewEntry& entry, const UpdateEvent& event,

@@ -118,14 +118,13 @@ class Warehouse {
   }
   // Applies peer-produced ops for members this shard owns; ops targeting
   // other shards' members are skipped, so callers may pass whole producer
-  // outboxes unfiltered. Ops naming a quarantined view are buffered into
-  // its stale queue's blind spot — the post-resync recompute subsumes
-  // them — and ops for unknown views fail.
+  // outboxes unfiltered. Ops naming a quarantined view are skipped — the
+  // post-resync recompute subsumes them — and ops for unknown views fail.
   Status ApplyForeignOps(const std::vector<ForeignViewOp>& ops);
 
-  // The deferred-drain verification sweep (see ProcessPending), standalone:
-  // every fresh view re-verifies its members against current source state
-  // and drops the underivable. The coordinator runs this after foreign ops
+  // The deferred-drain verification sweep (ProcessPendingBatch step 4),
+  // standalone: every fresh view re-verifies its members against current
+  // source state and drops the underivable. The coordinator runs this after foreign ops
   // land, when a batch had run with BatchOptions::run_sweep = false.
   Status RunVerificationSweep();
 
@@ -155,48 +154,28 @@ class Warehouse {
   // Sources are autonomous (§5): in a real deployment events arrive and
   // are applied some time after the source committed the update, while the
   // source keeps changing. With deferral enabled, monitor events queue
-  // instead of being applied inline; ProcessPending() drains the queue in
-  // arrival order. Base accesses during the drain observe the source's
-  // *current* state — the §4.3 "right after the update" assumption is
-  // relaxed — and Algorithm 1's candidate verification plus condition
-  // rechecks make the outcome convergent: once the queue is drained, the
-  // view equals the view over the source's current state (asserted by the
-  // deferred-processing property tests).
+  // instead of being applied inline; a drain applies the queue. Base
+  // accesses during the drain observe the source's *current* state — the
+  // §4.3 "right after the update" assumption is relaxed — and Algorithm 1's
+  // candidate verification plus condition rechecks make the outcome
+  // convergent: once the queue is drained, the view equals the view over
+  // the source's current state (asserted by the deferred-processing
+  // property tests).
   void set_deferred(bool deferred) { deferred_ = deferred; }
   bool deferred() const { return deferred_; }
   size_t pending_events() const { return pending_.size(); }
-  // Applies every queued event; returns the first error (processing
-  // continues past errors so the queue always drains).
-  //
-  // Because every event is evaluated against the source's *current* state,
-  // an event can disclaim responsibility that another queued event also
-  // disclaims (e.g. a modify whose corridor path a later delete already
-  // broke, under a delete that no longer sees the object in its subtree).
-  // Such misses are always stale *extras*, never missing members — a
-  // member that should appear is found by whichever queued insert restored
-  // its derivation, which re-evaluates the attached subtree. The drain
-  // therefore ends with a verification sweep over the current members of
-  // each view whose source contributed events: members whose derivation or
-  // condition no longer holds are dropped. The sweep costs
-  // O(|view| · (climb + condition eval)) through the accessor — local when
-  // a full auxiliary cache is configured, metered query-backs otherwise.
-  Status ProcessPending();
+  // The one deferred drain, single-threaded (ProcessPendingBatch below).
+  Status ProcessPending() { return ProcessPendingBatch(); }
 
-  // Squashes the pending queue before a drain: adjacent same-source pairs
-  // that cancel (insert(P,C) followed by delete(P,C), or the reverse) are
-  // dropped, and adjacent modifies of the same object merge into the later
-  // one (its snapshot is newer; the merged old value is the earlier
-  // event's). Net effects are preserved — the convergence property tests
-  // cover compacted drains. Returns the number of events eliminated.
-  size_t CompactPending();
-
-  // ---- Batched, multi-threaded drains ----
+  // ---- The deferred drain (batched, optionally multi-threaded) ----
   //
-  // ProcessPendingBatch drains the pending queue through the batch engine
-  // instead of event-at-a-time dispatch:
+  // ProcessPendingBatch drains the pending queue through the batch engine;
+  // it returns the first error (processing continues past errors so the
+  // queue always drains):
   //
   //   1. the batch is coalesced (UpdateBatch: insert+delete of the same
-  //      edge cancel, modifies of one object merge last-writer-wins);
+  //      edge cancel unless an event between them names the parent,
+  //      modifies of one object merge last-writer-wins);
   //   2. per view, label/path screening (§5.1) is resolved once per
   //      *distinct label* in the batch rather than once per event, and the
   //      auxiliary cache absorbs the whole batch;
@@ -209,20 +188,29 @@ class Warehouse {
   //      the real views single-threaded, in a fixed order, and per-view
   //      stats merge — so the resulting views and counters are
   //      deterministic;
-  //   4. the deferred-drain verification sweep (see ProcessPending) runs
-  //      read-only in parallel per view, and its deletions apply after a
-  //      second barrier.
+  //   4. the verification sweep runs read-only in parallel per view, and
+  //      its deletions apply after a second barrier. Because every event
+  //      is evaluated against the source's *current* state, an event can
+  //      disclaim responsibility that another queued event also disclaims
+  //      (e.g. a modify whose corridor path a later delete already broke,
+  //      under a delete that no longer sees the object in its subtree).
+  //      Such misses are always stale *extras*, never missing members — a
+  //      member that should appear is found by whichever queued insert
+  //      restored its derivation, which re-evaluates the attached subtree.
+  //      So the sweep re-verifies the current members of each view whose
+  //      source contributed events and drops those whose derivation or
+  //      condition no longer holds. It costs O(|view| · (climb + condition
+  //      eval)) through the accessor — local when a full auxiliary cache
+  //      is configured, metered query-backs otherwise.
   //
   // Sources must not change during the call (the usual external
-  // synchronization for a deferred drain). The outcome is convergent
-  // exactly like ProcessPending: after the drain each view equals its
-  // query over the source's current state.
+  // synchronization for a deferred drain). After the drain each view
+  // equals its query over the source's current state.
   struct BatchOptions {
-    size_t threads = 1;   // worker pool size; <= 1 evaluates inline
-    bool coalesce = true; // cancel/merge redundant events first
-    // Fan out independent root subtrees within a view (sound on tree
-    // bases; disabled automatically for a view whose root is a member).
-    bool split_subtrees = true;
+    // Worker pool size; <= 1 evaluates inline. Above 1, independent root
+    // subtrees within a view fan out too (sound on tree bases; skipped for
+    // a view whose root is a member).
+    size_t threads = 1;
     // A sharded coordinator defers these two: the sweep must wait for the
     // foreign ops of every shard to land, and the commit must not certify
     // a batch whose cross-shard ops are still in flight.
@@ -239,11 +227,12 @@ class Warehouse {
   // gap (lost delivery) quarantines every view of that source. A view also
   // quarantines when a query-back fails after retries or hits an open
   // circuit breaker. Quarantined (kStale) views keep serving reads from
-  // their last consistent state; events for them are buffered. Each drain
-  // first attempts to resync stale views — probe the source, recompute the
-  // view from current source state (§4.4 path), rebuild the corridor
-  // cache, replay the buffered events, and run the verification sweep —
-  // so recovery is automatic once the source answers again.
+  // their last consistent state; events for them are skipped (and
+  // counted). Each drain first attempts to resync stale views — probe the
+  // source, recompute the view from current source state (§4.4 path),
+  // rebuild the corridor cache and the discrimination network — so
+  // recovery is automatic once the source answers again. The current state
+  // already reflects every skipped event, so nothing is replayed.
 
   // Installs a deterministic fault model on `source_name`'s channel and
   // wrapper (nullptr detaches). The injector must outlive its installation.
@@ -260,7 +249,8 @@ class Warehouse {
   };
   ViewHealth view_health(const std::string& name) const;
   size_t stale_view_count() const;
-  // Events buffered across all quarantined views, awaiting replay.
+  // Events the currently quarantined views skipped since they went stale
+  // (their resync recompute covers them).
   size_t buffered_stale_events() const;
 
   // Forces a resync attempt for every quarantined view now (probing past
@@ -403,10 +393,10 @@ class Warehouse {
       return scoped != nullptr ? static_cast<ViewStorage*>(scoped.get())
                                : view.get();
     }
-    // Quarantine state: a stale view serves its last consistent contents;
-    // events arriving while stale buffer here for post-resync replay.
+    // Quarantine state: a stale view serves its last consistent contents
+    // and counts the events it skips until the resync recompute.
     bool stale = false;
-    std::vector<UpdateEvent> stale_events;
+    size_t skipped_events = 0;
     Status stale_cause;  // why the view quarantined (Ok when fresh)
   };
 
@@ -417,7 +407,8 @@ class Warehouse {
   void DispatchEvent(size_t source_index, const UpdateEvent& event);
   // Quarantine entry points.
   void Quarantine(ViewEntry& entry, const Status& cause);
-  void BufferStaleEvent(ViewEntry& entry, const UpdateEvent& event);
+  // Counts events a quarantined view skips.
+  void SkipStaleEvents(ViewEntry& entry, size_t count = 1);
   void QuarantineSourceViews(size_t source_index, const Status& cause);
   // One resync attempt; leaves the view stale when the source still fails.
   Status TryResyncView(ViewEntry& entry, bool force);
@@ -439,7 +430,7 @@ class Warehouse {
   Status CollectUnderivable(ViewEntry& entry, RemoteAccessor* accessor,
                             std::vector<Oid>* doomed);
   // Drops members whose derivation/condition fails on the current source
-  // state (the deferred-drain epilogue).
+  // state (the verification sweep).
   Status VerifyMembers(ViewEntry& entry);
   // Level-1 modify handling over an arbitrary storage/accessor pair (the
   // batch engine passes a BufferedViewStorage and a per-task accessor).
@@ -461,9 +452,10 @@ class Warehouse {
   // full materialization — Initialize or a resync recompute — derives the
   // whole view; the foreign members belong to the peers. With
   // `export_members` set each pruned member is first exported as a foreign
-  // V_insert so owners that missed the underlying events converge (the
-  // resync path); DefineView prunes silently since every shard runs the
-  // same initialization.
+  // kRefresh (insert, or refresh the delegate value, at the owner) so
+  // owners that missed the underlying events converge in membership and in
+  // values (the resync path); DefineView prunes silently since every shard
+  // runs the same initialization.
   void PruneForeignMembers(ViewEntry& entry, bool export_members);
 
   // ---- Durability internals (warehouse_durability.cc) ----

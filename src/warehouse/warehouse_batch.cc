@@ -69,10 +69,13 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
     drained.swap(pending_);
     batch.Add(std::move(drained));
   }
-  if (batch.empty()) return Status::Ok();
-  if (options.coalesce) {
-    costs_.events_coalesced += batch.Coalesce();
+  if (batch.empty()) {
+    // Nothing queued; still close the group a prologue resync logged.
+    if (options.log_commit) LogCommit();
+    StorageQuiescent();
+    return Status::Ok();
   }
+  costs_.events_coalesced += batch.Coalesce();
   costs_.events_received += static_cast<int64_t>(batch.size());
 
   std::vector<bool> touched(sources_.size(), false);
@@ -83,7 +86,7 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
   // ---- Phase 1: absorb the batch into the auxiliary caches and plan the
   // evaluation tasks (screening once per distinct label, grouping by
   // independent root subtree). Sequential: caches are shared mutable state.
-  const bool split = options.split_subtrees && options.threads > 1;
+  const bool split = options.threads > 1;
   std::vector<EvalTask> eval_tasks;
   for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
     ViewEntry& entry = *views_[view_index];
@@ -108,12 +111,12 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
     for (const auto& [source_index, event] : batch.events()) {
       if (source_index != entry.source_index) continue;
 
-      // Quarantined views sit the batch out: their events buffer for the
-      // post-resync replay. A view can also quarantine mid-batch, when the
-      // cache's query-backs hit a down source — the resync rebuilds the
+      // Quarantined views sit the batch out; the resync recompute covers
+      // their skipped events. A view can also quarantine mid-batch, when
+      // the cache's query-backs hit a down source — the resync rebuilds the
       // corridor, so a partially absorbed batch cannot corrupt it.
       if (entry.stale) {
-        BufferStaleEvent(entry, event);
+        SkipStaleEvents(entry);
         continue;
       }
       if (entry.cache != nullptr) {
@@ -121,7 +124,7 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
         if (!status.ok()) {
           if (IsSourceFailure(status)) {
             Quarantine(entry, status);
-            BufferStaleEvent(entry, event);
+            SkipStaleEvents(entry);
             continue;
           }
           if (first_error.ok()) first_error = status;
@@ -217,8 +220,8 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
   //
   // All-or-nothing per view: when ANY of a view's tasks hit a down source,
   // none of its buffers replay — a half-applied batch would leave the view
-  // in a state no source history ever produced. The whole batch slice
-  // buffers for post-resync replay instead, and the view quarantines.
+  // in a state no source history ever produced. The view quarantines
+  // instead, and its resync recompute covers the whole batch slice.
   for (EvalTask& task : eval_tasks) {
     if (task.status.ok()) continue;
     ViewEntry& entry = *views_[task.view_index];
@@ -232,9 +235,7 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
   for (EvalTask& task : eval_tasks) {
     ViewEntry& entry = *views_[task.view_index];
     if (entry.stale) {
-      for (const auto& [event, relevant] : task.events) {
-        BufferStaleEvent(entry, *event);
-      }
+      SkipStaleEvents(entry, task.events.size());
       continue;
     }
     if (!task.status.ok() && first_error.ok()) first_error = task.status;
@@ -251,15 +252,15 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
     }
   }
 
-  // ---- Phase 4: the deferred-drain verification sweep (see
-  // ProcessPending), read-only in parallel, deletions after the barrier.
+  // ---- Phase 4: the verification sweep (see the header), read-only in
+  // parallel, deletions after the barrier.
   // A sharded coordinator runs the batch with run_sweep off and sweeps
   // (RunVerificationSweep) only after every shard's foreign ops landed.
   if (options.run_sweep) {
     std::vector<SweepTask> sweep_tasks;
     for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
       if (!touched[views_[view_index]->source_index]) continue;
-      if (views_[view_index]->stale) continue;  // swept after resync instead
+      if (views_[view_index]->stale) continue;  // its resync recomputes
       // The GDN keeps membership exact against final state; only
       // Algorithm 1 views need the disclaimed-responsibility sweep.
       if (views_[view_index]->engine != EngineKind::kAlgorithm1) continue;

@@ -218,6 +218,31 @@ TEST(UpdateBatchTest, ReinsertedEdgeCancelsPairwise) {
   EXPECT_EQ(batch.events()[0].second.kind, UpdateKind::kInsert);
 }
 
+TEST(UpdateBatchTest, PairAroundAnEventNamingTheParentSurvives) {
+  // The middle events name P (as parent, then as child) and may carry a
+  // snapshot of P holding the transient edge, so neither pair cancels.
+  UpdateBatch batch;
+  batch.Add(0, Insert("P", "N"));
+  batch.Add(0, Insert("P", "A"));
+  batch.Add(0, Delete("P", "N"));
+  batch.Add(0, Delete("Q", "C"));
+  batch.Add(0, Insert("R", "Q"));
+  batch.Add(0, Insert("Q", "C"));
+  EXPECT_EQ(batch.Coalesce(), 0u);
+  EXPECT_EQ(batch.size(), 6u);
+}
+
+TEST(UpdateBatchTest, EventsNamingOnlyTheChildDoNotBlockTheCancel) {
+  // No snapshot of C holds the edge (P,C): only P's children do.
+  UpdateBatch batch;
+  batch.Add(0, Insert("P", "C"));
+  batch.Add(0, Insert("C", "D"));
+  batch.Add(0, Delete("P", "C"));
+  EXPECT_EQ(batch.Coalesce(), 2u);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.events()[0].second.parent, Oid("C"));
+}
+
 // ------------------------------------------------- batched == sequential
 
 struct DeterminismConfig {
@@ -225,9 +250,47 @@ struct DeterminismConfig {
   ReportingLevel level = ReportingLevel::kWithValues;
   Warehouse::CacheMode cache = Warehouse::CacheMode::kNone;
   size_t threads = 4;
-  bool coalesce = true;
-  bool split_subtrees = true;
 };
+
+// The batch warehouse's view must be byte-identical to the inline one —
+// same members, same delegate labels and values, same view object value —
+// and equal the truth over the batch warehouse's current source.
+void ExpectBatchMatchesInline(Warehouse& inline_wh, Warehouse& batch_wh,
+                              const ObjectStore& source_b,
+                              const std::string& definition,
+                              const std::string& view_name) {
+  MaterializedView* view_a = inline_wh.view(view_name);
+  MaterializedView* view_b = batch_wh.view(view_name);
+  ASSERT_NE(view_a, nullptr);
+  ASSERT_NE(view_b, nullptr);
+  OidSet members_a = view_a->BaseMembers();
+  ASSERT_EQ(members_a, view_b->BaseMembers());
+
+  // Delegate-for-delegate equality of the two warehouse stores.
+  const Object* object_a = inline_wh.store().Get(view_a->view_oid());
+  const Object* object_b = batch_wh.store().Get(view_b->view_oid());
+  ASSERT_NE(object_a, nullptr);
+  ASSERT_NE(object_b, nullptr);
+  ASSERT_EQ(object_a->value(), object_b->value());
+  for (const Oid& member : members_a) {
+    Oid delegate = Oid::Delegate(view_a->view_oid(), member);
+    const Object* delegate_a = inline_wh.store().Get(delegate);
+    const Object* delegate_b = batch_wh.store().Get(delegate);
+    ASSERT_NE(delegate_a, nullptr) << delegate.str();
+    ASSERT_NE(delegate_b, nullptr) << delegate.str();
+    ASSERT_EQ(delegate_a->label(), delegate_b->label()) << delegate.str();
+    ASSERT_EQ(delegate_a->value(), delegate_b->value()) << delegate.str();
+  }
+
+  // Both must also equal the truth over the current source.
+  auto def = ViewDefinition::Parse(definition);
+  ASSERT_TRUE(def.ok());
+  auto truth = EvaluateView(source_b, *def);
+  ASSERT_TRUE(truth.ok());
+  ASSERT_EQ(view_b->BaseMembers(), *truth);
+  ConsistencyReport report = CheckViewConsistency(*view_b, source_b);
+  ASSERT_TRUE(report.consistent) << report.ToString();
+}
 
 // Drives two warehouses over identical sources with the identical update
 // stream: one inline (per-event Maintain, the §4.3 baseline), one deferred
@@ -267,8 +330,6 @@ void RunDeterminismCheck(const DeterminismConfig& config) {
 
   Warehouse::BatchOptions options;
   options.threads = config.threads;
-  options.coalesce = config.coalesce;
-  options.split_subtrees = config.split_subtrees;
 
   UpdateGenOptions gen_options;
   gen_options.seed = 211;
@@ -283,69 +344,128 @@ void RunDeterminismCheck(const DeterminismConfig& config) {
     ASSERT_TRUE(gen_b.Run(burst).ok());
     ASSERT_TRUE(batch_wh.ProcessPendingBatch(options).ok())
         << batch_wh.last_status().ToString();
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectBatchMatchesInline(inline_wh, batch_wh, source_b, definition,
+                                 "WV"))
+        << "after " << applied + burst;
+  }
+}
 
-    MaterializedView* view_a = inline_wh.view("WV");
-    MaterializedView* view_b = batch_wh.view("WV");
-    ASSERT_NE(view_a, nullptr);
-    ASSERT_NE(view_b, nullptr);
-    OidSet members_a = view_a->BaseMembers();
-    ASSERT_EQ(members_a, view_b->BaseMembers()) << "after " << applied + burst;
+// The 3-event straddle: insert(P,N), insert(P,A{age 30}), delete(P,N) in
+// one drain. The middle insert's snapshot of P still holds N, and P joins
+// the view through it; had the outer pair cancelled, P's delegate would
+// keep N with no sync left to take it out. Level 1 events carry no
+// snapshot (the warehouse fetches P), so the case matters at levels 2, 3.
+void RunTransientEdgeCheck(ReportingLevel level, const std::string& prefix) {
+  SCOPED_TRACE(ReportingLevelName(level));
+  const Oid root(prefix + "R");
+  const Oid p(prefix + "P");
+  const Oid n(prefix + "N");
+  const Oid a(prefix + "A");
+  const std::string definition = "define mview TV as: SELECT " + root.str() +
+                                 ".p X WHERE X.age <= 50";
+  ObjectStore source_a;
+  ObjectStore source_b;
+  for (ObjectStore* source : {&source_a, &source_b}) {
+    ASSERT_TRUE(source->PutSet(p, "p").ok());
+    ASSERT_TRUE(source->PutSet(root, "r", {p}).ok());
+  }
+  ObjectStore store_a;
+  Warehouse inline_wh(&store_a);
+  ASSERT_TRUE(inline_wh.ConnectSource(&source_a, root, level).ok());
+  ASSERT_TRUE(inline_wh.DefineView(definition).ok());
+  ObjectStore store_b;
+  Warehouse batch_wh(&store_b);
+  ASSERT_TRUE(batch_wh.ConnectSource(&source_b, root, level).ok());
+  ASSERT_TRUE(batch_wh.DefineView(definition).ok());
+  batch_wh.set_deferred(true);
 
-    // Delegate-for-delegate equality of the two warehouse stores.
-    const Object* object_a = store_a.Get(view_a->view_oid());
-    const Object* object_b = store_b.Get(view_b->view_oid());
-    ASSERT_NE(object_a, nullptr);
-    ASSERT_NE(object_b, nullptr);
-    ASSERT_EQ(object_a->value(), object_b->value());
-    for (const Oid& member : members_a) {
-      Oid delegate = Oid::Delegate(view_a->view_oid(), member);
-      const Object* delegate_a = store_a.Get(delegate);
-      const Object* delegate_b = store_b.Get(delegate);
-      ASSERT_NE(delegate_a, nullptr) << delegate.str();
-      ASSERT_NE(delegate_b, nullptr) << delegate.str();
-      ASSERT_EQ(delegate_a->label(), delegate_b->label()) << delegate.str();
-      ASSERT_EQ(delegate_a->value(), delegate_b->value()) << delegate.str();
-    }
+  for (ObjectStore* source : {&source_a, &source_b}) {
+    ASSERT_TRUE(source->PutAtomic(n, "note", Value::Str("n")).ok());
+    ASSERT_TRUE(source->PutAtomic(a, "age", Value::Int(30)).ok());
+    ASSERT_TRUE(source->Insert(p, n).ok());
+    ASSERT_TRUE(source->Insert(p, a).ok());
+    ASSERT_TRUE(source->Delete(p, n).ok());
+  }
+  ASSERT_TRUE(batch_wh.ProcessPendingBatch().ok())
+      << batch_wh.last_status().ToString();
+  EXPECT_EQ(batch_wh.view("TV")->BaseMembers(), OidSet({p}));
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectBatchMatchesInline(inline_wh, batch_wh, source_b, definition,
+                               "TV"));
+}
 
-    // Both must also equal the truth over the current source.
-    auto def = ViewDefinition::Parse(definition);
-    ASSERT_TRUE(def.ok());
-    auto truth = EvaluateView(source_b, *def);
-    ASSERT_TRUE(truth.ok());
-    ASSERT_EQ(view_b->BaseMembers(), *truth);
-    ConsistencyReport report = CheckViewConsistency(*view_b, source_b);
+TEST(BatchDeterminismTest, TransientEdgeAroundParentSnapshotLevel2) {
+  RunTransientEdgeCheck(ReportingLevel::kWithValues, "te2_");
+}
+
+TEST(BatchDeterminismTest, TransientEdgeAroundParentSnapshotLevel3) {
+  RunTransientEdgeCheck(ReportingLevel::kWithRootPath, "te3_");
+}
+
+// One drain over a whole default-mix stream must land on a consistent view
+// for every seed: delegate values included, not just membership.
+TEST(BatchDeterminismTest, SingleDrainStaysConsistentAcrossSeeds) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TreeGenOptions tree_options;
+    tree_options.levels = 3;
+    tree_options.fanout = 4;
+    tree_options.seed = 101;
+    ObjectStore source;
+    auto tree = GenerateTree(&source, tree_options);
+    ASSERT_TRUE(tree.ok());
+    ObjectStore store;
+    Warehouse warehouse(&store);
+    ASSERT_TRUE(warehouse
+                    .ConnectSource(&source, tree->root,
+                                   ReportingLevel::kWithValues)
+                    .ok());
+    ASSERT_TRUE(
+        warehouse.DefineView(TreeViewDefinition("WV", tree->root, 2, 3, 50))
+            .ok());
+    warehouse.set_deferred(true);
+    UpdateGenOptions gen_options;
+    gen_options.seed = seed;
+    UpdateGenerator generator(&source, tree->root, gen_options);
+    ASSERT_TRUE(generator.Run(256).ok());
+    ASSERT_TRUE(warehouse.ProcessPendingBatch().ok())
+        << warehouse.last_status().ToString();
+    ConsistencyReport report =
+        CheckViewConsistency(*warehouse.view("WV"), source);
     ASSERT_TRUE(report.consistent) << report.ToString();
   }
 }
 
 TEST(BatchDeterminismTest, Level2NoCache) {
   RunDeterminismCheck({"level2_nocache", ReportingLevel::kWithValues,
-                       Warehouse::CacheMode::kNone, 4, true, true});
+                       Warehouse::CacheMode::kNone, 4});
 }
 
 TEST(BatchDeterminismTest, Level2FullCache) {
   RunDeterminismCheck({"level2_full", ReportingLevel::kWithValues,
-                       Warehouse::CacheMode::kFull, 4, true, true});
+                       Warehouse::CacheMode::kFull, 4});
 }
 
 TEST(BatchDeterminismTest, Level3FullCache) {
   RunDeterminismCheck({"level3_full", ReportingLevel::kWithRootPath,
-                       Warehouse::CacheMode::kFull, 4, true, true});
+                       Warehouse::CacheMode::kFull, 4});
 }
 
 TEST(BatchDeterminismTest, Level1NoCache) {
   RunDeterminismCheck({"level1_nocache", ReportingLevel::kOidsOnly,
-                       Warehouse::CacheMode::kNone, 4, true, true});
+                       Warehouse::CacheMode::kNone, 4});
 }
 
-TEST(BatchDeterminismTest, SingleThreadNoCoalesceNoSplit) {
-  RunDeterminismCheck({"plain", ReportingLevel::kWithValues,
-                       Warehouse::CacheMode::kNone, 1, false, false});
+// One worker: no subtree split, the drain evaluates inline.
+TEST(BatchDeterminismTest, SingleThread) {
+  RunDeterminismCheck({"single_thread", ReportingLevel::kWithValues,
+                       Warehouse::CacheMode::kNone, 1});
 }
 
 TEST(BatchDeterminismTest, EightThreads) {
   RunDeterminismCheck({"threads8", ReportingLevel::kWithValues,
-                       Warehouse::CacheMode::kLabelsOnly, 8, true, true});
+                       Warehouse::CacheMode::kLabelsOnly, 8});
 }
 
 // Thread counts must not change the outcome: run the same stream at 1, 2

@@ -469,8 +469,7 @@ TEST(IntegrationTest, FullStackSoak) {
     }
     ASSERT_TRUE(relational.last_translation_status().ok());
 
-    // Compacted deferred drain, then both views must equal truth.
-    warehouse.CompactPending();
+    // Coalesced deferred drain, then both views must equal truth.
     ASSERT_TRUE(warehouse.ProcessPending().ok())
         << warehouse.last_status().ToString();
     auto tree_truth =

@@ -796,6 +796,16 @@ TEST(DurabilityHomeTest, FailedDefineViewKeepsTheHomeReopenable) {
          ASSERT_TRUE(
              w.DefineView(definition, Warehouse::CacheMode::kFull).ok());
        }},
+      // The member evaluation fails (no such WITHIN database) after the
+      // network initialized; nothing may be logged or bootstrapped, so the
+      // retry under the same name succeeds.
+      {"evaluation_fails",
+       [&](Warehouse& w, FaultInjector&) {
+         EXPECT_EQ(w.DefineView(definition + " WITHIN NOSUCH").code(),
+                   StatusCode::kNotFound);
+         EXPECT_TRUE(w.view_names().empty());
+         ASSERT_TRUE(w.DefineView(definition).ok());
+       }},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

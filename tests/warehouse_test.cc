@@ -617,9 +617,9 @@ TEST_F(WarehouseTest, DeferredProcessingConverges) {
   ExpectViewCorrect();
 }
 
-// Queue compaction: cancelling pairs vanish, modify chains merge, and the
-// compacted drain lands on the same view.
-TEST_F(WarehouseTest, CompactPendingPreservesNetEffect) {
+// Drain coalescing: cancelling pairs vanish, modify chains merge, and the
+// coalesced drain lands on the same view.
+TEST_F(WarehouseTest, DrainCoalescingPreservesNetEffect) {
   Connect(ReportingLevel::kWithValues);
   warehouse_->set_deferred(true);
 
@@ -633,17 +633,16 @@ TEST_F(WarehouseTest, CompactPendingPreservesNetEffect) {
   ASSERT_TRUE(source_.Insert(Root(), P4()).ok());      // ...cancelled
   EXPECT_EQ(warehouse_->pending_events(), 7u);
 
-  size_t removed = warehouse_->CompactPending();
-  EXPECT_EQ(removed, 6u);
-  EXPECT_EQ(warehouse_->pending_events(), 1u)
-      << "only the merged modify chain survives";
-
+  warehouse_->costs().Reset();
   ASSERT_TRUE(warehouse_->ProcessPending().ok());
+  EXPECT_EQ(warehouse_->costs().events_coalesced, 6);
+  EXPECT_EQ(warehouse_->costs().events_received, 1)
+      << "only the merged modify chain survives";
   EXPECT_EQ(warehouse_->view("YP")->BaseMembers(), OidSet({P1()}));
   ExpectViewCorrect();
 }
 
-// Compacted deferred drains converge on random streams.
+// Coalesced deferred drains converge on random streams.
 TEST_F(WarehouseTest, CompactedDeferredStreamsConverge) {
   ObjectStore source;
   TreeGenOptions tree_options;
@@ -670,10 +669,8 @@ TEST_F(WarehouseTest, CompactedDeferredStreamsConverge) {
   gen_options.p_insert = 0.2;
   gen_options.p_delete = 0.2;
   UpdateGenerator generator(&source, tree->root, gen_options);
-  size_t total_removed = 0;
   for (int batch = 0; batch < 10; ++batch) {
     ASSERT_TRUE(generator.Run(30).ok());
-    total_removed += warehouse.CompactPending();
     ASSERT_TRUE(warehouse.ProcessPending().ok());
     auto def = ViewDefinition::Parse(
         TreeViewDefinition("TV", tree->root, 2, 3, 50));
@@ -682,7 +679,8 @@ TEST_F(WarehouseTest, CompactedDeferredStreamsConverge) {
     ASSERT_EQ(warehouse.view("TV")->BaseMembers(), *truth)
         << "batch " << batch;
   }
-  EXPECT_GT(total_removed, 0u) << "the modify-heavy stream must compact";
+  EXPECT_GT(warehouse.costs().events_coalesced, 0)
+      << "the modify-heavy stream must coalesce";
   ConsistencyReport report =
       CheckViewConsistency(*warehouse.view("TV"), source);
   EXPECT_TRUE(report.consistent) << report.ToString();
