@@ -8,11 +8,13 @@
 // Workload: a personnel tree where most churn happens on salary fields
 // below secretaries; the maintained view watches students. Without
 // knowledge the salary events pass label screening (salary is on the
-// view's corridor); with knowledge they are dropped immediately.
+// view's corridor); with knowledge they are dropped immediately. Exits 1
+// when the maintained view differs from its query over the final source.
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "core/consistency.h"
 #include "oem/store.h"
 #include "util/random.h"
 #include "warehouse/warehouse.h"
@@ -103,6 +105,14 @@ int main() {
           source.Modify(salary, Value::Int(rng.UniformInt(1000, 9000))));
     }
     bench::Check(warehouse.last_status());
+
+    ConsistencyReport report =
+        CheckViewConsistency(*warehouse.view("ST"), source);
+    if (!report.consistent) {
+      std::fprintf(stderr, "INCONSISTENT with knowledge=%s: %s\n",
+                   with_knowledge ? "yes" : "no", report.ToString().c_str());
+      return 1;
+    }
 
     const WarehouseCosts& costs = warehouse.costs();
     table.Row({with_knowledge ? "yes" : "no", Num(costs.source_queries),

@@ -2,7 +2,9 @@
 # CI entry point: tier-1 verify (full build + test suite), then the §6
 # experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
 # recomputation) and E12 (exits 1 when an inline or deferred-drain view is
-# inconsistent with its source), then a smoke run of the six examples, then a quick
+# inconsistent with its source), then the paper's §5 shapes E3/E4/E7 (all
+# inline: every event a drain of one; each exits 1 on an inconsistent view),
+# then a smoke run of the six examples, then a quick
 # perf smoke of the label-index speedup experiment (catches silent index
 # regressions that correctness tests cannot see), then a release-build
 # stress stage that repeats the paged writeback hammer, the engine twins,
@@ -35,6 +37,12 @@ echo "=== §6 experiments on the GDN: E8 path expressions + E9 DAG bases (exit 1
 echo
 echo "=== E12: inline vs coalescing deferred drains (exit 1 on an inconsistent view) ==="
 ./build/bench/exp12_deferred_compaction
+
+echo
+echo "=== paper §5 shapes, inline: E3 reporting levels, E4 caching, E7 path knowledge (exit 1 on an inconsistent view) ==="
+./build/bench/exp3_reporting_levels
+./build/bench/exp4_aux_caching
+./build/bench/exp7_path_knowledge
 
 echo
 echo "=== examples smoke: every example runs to exit 0 (prints the cost sheets) ==="

@@ -27,8 +27,8 @@ namespace gsv {
 //     redo maintenance *without* re-running Algorithm 1 or querying any
 //     source;
 //   * commit records marking group boundaries. The warehouse appends one
-//     per drain (ProcessPending / ProcessPendingBatch slice) and per
-//     inline dispatch, carrying the per-source sequence watermarks as of
+//     per drain (a ProcessPendingBatch slice, or one inline event drained
+//     alone), carrying the per-source sequence watermarks as of
 //     that instant. Everything between two commits is one group: either
 //     all of a group's deltas are redone on recovery, or (for the
 //     uncommitted tail) the events are replayed through live maintenance

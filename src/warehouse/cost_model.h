@@ -22,6 +22,12 @@ namespace gsv {
 // warehouse keeps one sheet per shard; explain and the benches Merge them
 // so reported totals cover the whole warehouse, not shard 0.
 //
+// `events_local_only` is counted per drain: when a drain's evaluation (its
+// resync prologue and phases 1-3, not the batch-level sweep) sent the
+// sources no query, every event of the batch counts. That is exact for an
+// inline event, which is a drain of one, and a lower bound for a larger
+// batch, where one query-back voids the count for all its events.
+//
 // One row per counter: X(field, ToString key, print group, merge kind).
 #define GSV_WAREHOUSE_COSTS(X)                                                 \
   /* Event traffic. */                                                         \

@@ -166,30 +166,24 @@ Status ShardedWarehouse::EnsureCoordView(const std::string& name) {
   return Status::Ok();
 }
 
-void ShardedWarehouse::ApplyCoordEvent(size_t source_index,
-                                       const UpdateEvent& event) {
-  const Update update = event.ToUpdateAt(*sources_[source_index]->store);
-  for (auto& view : coord_views_) {
-    if (view->source_index != source_index) continue;
-    Status status = view->gdn->Apply(update, view->storage.get());
-    if (!status.ok() && view->gdn->poisoned()) {
-      // Self-heal in place: rebuild from the current base state, then emit
-      // whatever deltas the shard slices are missing. Duplicate ops are
-      // §4.3 no-ops at the owners, so healing mid-batch is safe.
-      status = view->gdn->Rebuild();
-      if (status.ok()) status = view->gdn->Reconcile(view->storage.get());
-    }
-    if (!status.ok() && coord_error_.ok()) coord_error_ = status;
-  }
-}
-
-Status ShardedWarehouse::ApplyCoordPending() {
+void ShardedWarehouse::ApplyCoordPending() {
   std::vector<std::pair<size_t, UpdateEvent>> pending;
   pending.swap(coord_pending_);
   for (const auto& [source_index, event] : pending) {
-    ApplyCoordEvent(source_index, event);
+    const Update update = event.ToUpdateAt(*sources_[source_index]->store);
+    for (auto& view : coord_views_) {
+      if (view->source_index != source_index) continue;
+      Status status = view->gdn->Apply(update, view->storage.get());
+      if (!status.ok() && view->gdn->poisoned()) {
+        // Self-heal in place: rebuild from the current base state, then
+        // emit whatever deltas the shard slices are missing. Duplicate ops
+        // are §4.3 no-ops at the owners, so healing mid-batch is safe.
+        status = view->gdn->Rebuild();
+        if (status.ok()) status = view->gdn->Reconcile(view->storage.get());
+      }
+      if (!status.ok() && coord_error_.ok()) coord_error_ = status;
+    }
   }
-  return std::exchange(coord_error_, Status::Ok());
 }
 
 // ---- Topology ----
@@ -259,50 +253,59 @@ void ShardedWarehouse::RouteEvent(size_t source_index,
   // exactly as an unsharded warehouse would on the monitor's numbering.
   stamped.sequence = ++route.next_out[target];
   shards_[target]->InjectRoutedEvent(source_index, stamped);
-  if (!coord_views_.empty()) {
-    // The coordinator engines see every routed event — ahead of the
-    // per-shard fault injectors, so a dropped delivery can stale a shard's
-    // slice (the resync path heals it) but never the network state.
-    if (deferred_) {
-      coord_pending_.emplace_back(source_index, event);
-    } else {
-      ApplyCoordEvent(source_index, event);
-    }
-  }
-  if (!deferred_) {
-    // Inline dispatch already applied the event at the owner; deliver its
-    // cross-shard effects (and commit the shards they landed on) now so
-    // every shard is consistent before the next event arrives.
-    FlushForeignOps(/*commit_targets=*/true);
+  // The coordinator engines see every routed event — ahead of the
+  // per-shard fault injectors, so a dropped delivery can stale a shard's
+  // slice (the resync path heals it) but never the network state.
+  if (!coord_views_.empty()) coord_pending_.emplace_back(source_index, event);
+  if (deferred_) return;
+  // Inline: the owner already drained the event alone. Settle now — the
+  // coordinator engines apply it, and every cross-shard effect lands and
+  // commits at its owner — so all shards agree before the next event.
+  ApplyCoordPending();
+  std::vector<bool> applied(shards_.size(), false);
+  DeliverForeignOps(&applied);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (applied[i]) shards_[i]->CommitDurable();
   }
 }
 
-Status ShardedWarehouse::FlushForeignOps(bool commit_targets,
-                                         std::vector<bool>* applied_out) {
+Status ShardedWarehouse::DeliverForeignOps(std::vector<bool>* applied,
+                                           DrainTiming* timing) {
+  const int64_t take_begin = NowMicros();
+  // The only serial work is taking the producer outboxes (K+1 vector moves)
+  // and marking owners; the ops themselves are never moved.
   std::vector<std::vector<ForeignViewOp>> taken;
   taken.reserve(shards_.size() + 1);
-  // The coordinator engines' outbox delivers first, then each producer
-  // shard's, in deterministic (producer, op) order.
-  taken.push_back(std::move(coord_outbox_));
-  coord_outbox_.clear();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    taken.push_back(shards_[i]->TakeForeignOps());
-  }
+  taken.push_back(std::exchange(coord_outbox_, {}));
+  for (auto& shard : shards_) taken.push_back(shard->TakeForeignOps());
   std::vector<bool> owes(shards_.size(), false);
   for (const std::vector<ForeignViewOp>& ops : taken) {
-    for (const ForeignViewOp& op : ops) {
-      owes[OwnerOfOp(op, mask_)] = true;
-    }
+    for (const ForeignViewOp& op : ops) owes[OwnerOfOp(op, mask_)] = true;
   }
-  Status first_error;
+  if (timing != nullptr) timing->serial_micros += NowMicros() - take_begin;
+
+  // Every owner scans all outboxes in (producer, op) order on the pool, and
+  // ApplyForeignOps keeps the ops it owns.
+  ThreadPool* pool = Pool(pool_threads_);
+  std::vector<Status> statuses(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (!owes[i]) continue;
-    for (const std::vector<ForeignViewOp>& ops : taken) {
-      Status status = shards_[i]->ApplyForeignOps(ops);
-      if (!status.ok() && first_error.ok()) first_error = status;
-    }
-    if (applied_out != nullptr) (*applied_out)[i] = true;
-    if (commit_targets) shards_[i]->CommitDurable();
+    if (applied != nullptr) (*applied)[i] = true;
+    pool->Submit([this, i, &taken, &statuses, timing] {
+      const int64_t start = ThreadCpuMicros();
+      for (const std::vector<ForeignViewOp>& ops : taken) {
+        Status status = shards_[i]->ApplyForeignOps(ops);
+        if (!status.ok() && statuses[i].ok()) statuses[i] = status;
+      }
+      if (timing != nullptr) {
+        timing->eval_micros[i] += ThreadCpuMicros() - start;
+      }
+    });
+  }
+  pool->Wait();
+  Status first_error;
+  for (const Status& status : statuses) {
+    if (!status.ok() && first_error.ok()) first_error = status;
   }
   return first_error;
 }
@@ -354,59 +357,28 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
     });
   }
   pool->Wait();
-  const int64_t par_end = NowMicros();
 
   Status first_error;
-  for (const Status& status : statuses) {
+  auto note = [&first_error](const Status& status) {
     if (!status.ok() && first_error.ok()) first_error = status;
-  }
+  };
+  for (const Status& status : statuses) note(status);
 
   // Phase B: deliver the outboxes — the per-batch barrier that makes
   // cross-shard edges land before anything downstream observes the batch.
-  // The only serial work is taking the producer outboxes (K vector moves)
-  // and counting ops per owner; the ops themselves are never moved. Every
-  // owner then scans all outboxes in deterministic (producer shard, op)
-  // order and ApplyForeignOps filters to the ops it owns, so delivery runs
-  // on the pool with its CPU time charged to the owner's eval share.
-  std::vector<std::vector<ForeignViewOp>> taken(shard_count);
+  // Delivery runs on the pool with each owner's CPU time charged to its
+  // eval share.
   std::vector<bool> applied(shard_count, false);
-  for (size_t i = 0; i < shard_count; ++i) {
-    taken[i] = shards_[i]->TakeForeignOps();
-    for (const ForeignViewOp& op : taken[i]) {
-      applied[OwnerOfOp(op, mask_)] = true;
-    }
-  }
-  const int64_t serial_end = NowMicros();
-
-  std::vector<Status> apply_statuses(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    if (!applied[i]) continue;
-    pool->Submit([this, i, &taken, &apply_statuses, &timing] {
-      const int64_t start = ThreadCpuMicros();
-      Status first;
-      for (const std::vector<ForeignViewOp>& ops : taken) {
-        Status status = shards_[i]->ApplyForeignOps(ops);
-        if (!status.ok() && first.ok()) first = status;
-      }
-      apply_statuses[i] = first;
-      timing.eval_micros[i] += ThreadCpuMicros() - start;
-    });
-  }
-  pool->Wait();
-  for (const Status& status : apply_statuses) {
-    if (!status.ok() && first_error.ok()) first_error = status;
-  }
+  note(DeliverForeignOps(&applied, &timing));
   directory_.Thaw();
 
   // Phase B2: the coordinator-owned engines for the generalized views apply
   // the batch against the final source state (each Apply re-reads store
   // truth, so interleaving across sources is immaterial) and queue their
-  // membership deltas; the flush below delivers them before commit. Runs on
-  // the coordinator thread — one engine per view, no shard writes.
-  if (!coord_pending_.empty()) {
-    Status coord_status = ApplyCoordPending();
-    if (!coord_status.ok() && first_error.ok()) first_error = coord_status;
-  }
+  // membership deltas; the delivery below lands them before commit. Runs
+  // on the coordinator thread — one engine per view, no shard writes.
+  ApplyCoordPending();
+  note(std::exchange(coord_error_, Status::Ok()));
 
   // Phase C: verification sweeps, parallel again. Only shards that saw
   // events, applied foreign ops, or resynced can hold stale extras; a sweep
@@ -423,25 +395,18 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
   }
   pool->Wait();
   const int64_t sweep_end = NowMicros();
-  for (const Status& status : sweep_statuses) {
-    if (!status.ok() && first_error.ok()) first_error = status;
-  }
+  for (const Status& status : sweep_statuses) note(status);
 
-  // A resync during the drain prologue exports recompute-derived members,
-  // and Phase B2 queued the coordinator engines' deltas; deliver both, then
+  // Phase B2 queued the coordinator engines' deltas; deliver them, then
   // close every participating shard's durability group — including shards
   // whose only change this batch was a coordinator delta landing on them.
-  std::vector<bool> flush_applied(shard_count, false);
-  Status flush_status = FlushForeignOps(/*commit_targets=*/false,
-                                        &flush_applied);
-  if (!flush_status.ok() && first_error.ok()) first_error = flush_status;
+  note(DeliverForeignOps(&applied));
   for (size_t i = 0; i < shard_count; ++i) {
-    if (active[i] || applied[i] || flush_applied[i]) shards_[i]->CommitDurable();
+    if (active[i] || applied[i]) shards_[i]->CommitDurable();
   }
 
   const int64_t end = NowMicros();
-  timing.serial_micros =
-      (par_begin - t0) + (serial_end - par_end) + (end - sweep_end);
+  timing.serial_micros += (par_begin - t0) + (end - sweep_end);
   timings_.push_back(std::move(timing));
   return first_error;
 }
@@ -472,7 +437,7 @@ Status ShardedWarehouse::ResyncStaleViews() {
   // The recomputes exported the foreign members they derived; deliver them,
   // then sweep everywhere — peers may hold stale extras from deletes the
   // lost events never propagated.
-  Status status = FlushForeignOps(/*commit_targets=*/false);
+  Status status = DeliverForeignOps();
   if (!status.ok() && first_error.ok()) first_error = status;
   for (auto& shard : shards_) {
     status = shard->RunVerificationSweep();
@@ -537,7 +502,7 @@ Status ShardedWarehouse::EnableDurability(const DurabilityOptions& options) {
     // been recovered yet; redistribute what they exported (plus the
     // coordinator reconcile fixes) and sweep so the fleet settles on the
     // current source state.
-    GSV_RETURN_IF_ERROR(FlushForeignOps(/*commit_targets=*/false));
+    GSV_RETURN_IF_ERROR(DeliverForeignOps());
     for (auto& shard : shards_) {
       GSV_RETURN_IF_ERROR(shard->RunVerificationSweep());
       shard->CommitDurable();

@@ -87,8 +87,8 @@ class ShardedWarehouse {
   void SetPathKnowledge(PathKnowledge knowledge);
 
   // Deferred mode queues routed events at their owning shards; a drain
-  // processes all shards concurrently. Inline mode dispatches on arrival
-  // and redistributes cross-shard ops after every event.
+  // processes all shards concurrently. Inline mode drains each event alone
+  // at its owner on arrival, then delivers its cross-shard ops at once.
   void set_deferred(bool deferred);
   bool deferred() const { return deferred_; }
   size_t pending_events() const;
@@ -139,10 +139,11 @@ class ShardedWarehouse {
   StoreMetrics MergedDelegateMetrics() const;
 
  private:
-  // The coordinator's cross-shard membership directory. Inline dispatch
-  // probes the owning shard live; a coordinated drain freezes a snapshot so
-  // every shard evaluates against the same pre-drain membership (workers on
-  // different shards must not observe each other's mid-batch writes).
+  // The coordinator's cross-shard membership directory. An inline drain of
+  // one event probes the owning shard live; a coordinated drain freezes a
+  // snapshot so every shard evaluates against the same pre-drain membership
+  // (workers on different shards must not observe each other's mid-batch
+  // writes).
   class Directory : public CrossShardResolver {
    public:
     explicit Directory(ShardedWarehouse* owner) : owner_(owner) {}
@@ -208,23 +209,23 @@ class ShardedWarehouse {
   };
 
   void RouteEvent(size_t source_index, const UpdateEvent& event);
-  // Drains the coordinator outbox and every shard's outbox, applying each
-  // op at its owner in deterministic (producer, op) order. With
-  // `commit_targets`, closes the durability group of every shard that
-  // applied something; `applied_out` (when non-null) is marked true for
-  // those shards instead.
-  Status FlushForeignOps(bool commit_targets,
-                         std::vector<bool>* applied_out = nullptr);
+  // The one cross-shard delivery (drain, inline routing, resync, recovery):
+  // takes the coordinator outbox, then each shard's outbox in shard order,
+  // and every owner applies its ops from them in that (producer, op) order,
+  // owners in parallel on the pool. Marks each owner in `applied` (when
+  // non-null); with `timing`, charges the take to serial_micros and each
+  // owner's apply CPU time to its eval_micros. Commits nothing.
+  Status DeliverForeignOps(std::vector<bool>* applied = nullptr,
+                           DrainTiming* timing = nullptr);
   // Builds the coordinator engine for a non-simple view (no-op when one
   // already exists, or when shard 0 maintains the view with Algorithm 1).
   Status EnsureCoordView(const std::string& name);
-  // Runs every coordinator engine bound to `source_index` over one routed
-  // event (re-stamping modify values from the source — the engines re-read
-  // store truth, so level 1 suffices). A poisoned network self-heals in
-  // place: Rebuild + Reconcile, whose duplicate deltas are §4.3 no-ops.
-  void ApplyCoordEvent(size_t source_index, const UpdateEvent& event);
-  // Drains the deferred coordinator event queue (deferred-mode Phase B2).
-  Status ApplyCoordPending();
+  // Runs the coordinator engines over the queued routed events, each
+  // against current store truth (re-stamping modify values from the source,
+  // so level 1 suffices); their deltas queue in coord_outbox_ and errors in
+  // coord_error_. A poisoned network self-heals in place: Rebuild +
+  // Reconcile, whose duplicate deltas are §4.3 no-ops.
+  void ApplyCoordPending();
   ThreadPool* Pool(size_t threads);
 
   uint32_t mask_ = 0;
@@ -237,8 +238,9 @@ class ShardedWarehouse {
   std::vector<std::unique_ptr<CoordView>> coord_views_;
   // Coordinator engine deltas awaiting delivery to their owning shards.
   std::vector<ForeignViewOp> coord_outbox_;
-  // Deferred mode queues (source, event) here; a drain's Phase B2 applies
-  // them against the final source state.
+  // Routed events the coordinator engines have yet to apply: inline routing
+  // applies each at once, a deferred drain's Phase B2 the whole queue
+  // against the final source state.
   std::vector<std::pair<size_t, UpdateEvent>> coord_pending_;
   // First engine failure not yet surfaced through a drain/resync return.
   Status coord_error_;

@@ -89,10 +89,10 @@ inline uint32_t OwnerOfOp(const ForeignViewOp& op, uint32_t mask) {
 // Answers cross-shard membership questions. Algorithm 1's delete cases
 // consult ContainsBase on members the evaluating shard may not own ("if Y
 // in MV"); the resolver is the cross-shard accessor stub that answers for
-// the whole warehouse. During a batch drain the coordinator freezes a
+// the whole warehouse. During a coordinated drain the coordinator freezes a
 // membership snapshot (evaluation reads a consistent pre-drain state, like
-// any two parallel batch workers); inline dispatch probes the owning shard
-// live.
+// any two parallel batch workers); an inline event, drained alone at its
+// owning shard, probes the owner live.
 class CrossShardResolver {
  public:
   virtual ~CrossShardResolver() = default;

@@ -26,6 +26,7 @@ void UpdateBatch::Add(std::vector<std::pair<size_t, UpdateEvent>> events) {
 }
 
 size_t UpdateBatch::Coalesce() {
+  if (events_.size() < 2) return 0;  // an inline drain's batch of one
   // index into events_ of the last surviving event for a key, per source.
   std::unordered_map<size_t, std::unordered_map<uint64_t, size_t>> last_edge;
   std::unordered_map<size_t, std::unordered_map<uint32_t, size_t>> last_modify;

@@ -137,24 +137,6 @@ Status Warehouse::ApplyForeignOps(const std::vector<ForeignViewOp>& ops) {
   return first_error;
 }
 
-Status Warehouse::RunVerificationSweep() {
-  Status first_error;
-  for (auto& entry : views_) {
-    if (entry->stale) continue;  // its resync recomputes
-    Status status = VerifyMembers(*entry);
-    if (!status.ok()) {
-      if (IsSourceFailure(status)) {
-        Quarantine(*entry, status);
-        continue;
-      }
-      if (first_error.ok()) first_error = status;
-    }
-  }
-  if (!first_error.ok()) last_status_ = first_error;
-  StorageQuiescent();
-  return first_error;
-}
-
 void Warehouse::PruneForeignMembers(ViewEntry& entry, bool export_members) {
   if (!binding_.has_value()) return;
   const SourceEntry& source = SourceOf(entry);
@@ -476,47 +458,14 @@ void Warehouse::Deliver(size_t source_index, const UpdateEvent& event) {
     pending_.emplace_back(source_index, event);
     return;
   }
-  DispatchEvent(source_index, event);
-  LogCommit();  // inline dispatch forms its own commit group
-  StorageQuiescent();
-}
-
-void Warehouse::DispatchEvent(size_t source_index, const UpdateEvent& event) {
-  ++costs_.events_received;
-  int64_t queries_before = costs_.source_queries;
-  for (auto& entry : views_) {
-    if (entry->source_index != source_index) continue;
-    if (entry->stale) {
-      // Opportunistic recovery: a new event is the inline dispatch's only
-      // chance to notice the source came back. The circuit breaker keeps
-      // the probe cheap while the source is still down.
-      TryResyncView(*entry, /*force=*/false);
-      if (entry->stale) {
-        SkipStaleEvents(*entry);
-        continue;
-      }
-      // Resynced just now from the current source state, which already
-      // includes this event's update; handling it below is redundant but
-      // convergent, as in a deferred drain.
-    }
-    entry->accessor->ClearError();
-    Status status = HandleEventForView(*entry, event);
-    if (status.ok()) status = entry->accessor->last_error();
-    if (!status.ok()) {
-      if (IsSourceFailure(status) ||
-          (entry->gdn != nullptr && entry->gdn->poisoned())) {
-        // Graceful degradation: the view keeps serving its last consistent
-        // state until the resync recompute. A poisoned network (its
-        // propagation budget blew) takes the same road — the resync
-        // recompute + Rebuild() restores it.
-        Quarantine(*entry, status);
-        SkipStaleEvents(*entry);
-      } else {
-        last_status_ = status;
-      }
-    }
-  }
-  if (costs_.source_queries == queries_before) ++costs_.events_local_only;
+  // Inline: the event is a drain of one, evaluated at its own source state
+  // without a sweep, and closes its own commit group. The drain records its
+  // error in last_status_.
+  UpdateBatch batch;
+  batch.Add(source_index, event);
+  BatchOptions options;
+  options.run_sweep = false;
+  DrainBatch(std::move(batch), options);
 }
 
 Status Warehouse::SetFaultInjector(const std::string& source_name,
@@ -646,10 +595,6 @@ Status Warehouse::ResyncStaleViews() {
 Status Warehouse::CollectUnderivable(ViewEntry& entry,
                                      RemoteAccessor* accessor,
                                      std::vector<Oid>* doomed) {
-  // The sweep re-derives members along the simple corridor; general views
-  // have none, and the GDN already keeps membership exact by reconciliation
-  // against final state.
-  if (entry.engine != EngineKind::kAlgorithm1) return Status::Ok();
   const SourceEntry& source = *sources_[entry.source_index];
   const OidSet members = entry.view->BaseMembers();
   for (const Oid& member : members) {
@@ -667,70 +612,6 @@ Status Warehouse::CollectUnderivable(ViewEntry& entry,
     if (!derivable) doomed->push_back(member);
   }
   return Status::Ok();
-}
-
-Status Warehouse::VerifyMembers(ViewEntry& entry) {
-  std::vector<Oid> doomed;
-  GSV_RETURN_IF_ERROR(
-      CollectUnderivable(entry, entry.accessor.get(), &doomed));
-  for (const Oid& member : doomed) {
-    GSV_RETURN_IF_ERROR(entry.view->VDelete(member));
-  }
-  return Status::Ok();
-}
-
-Status Warehouse::ApplyGdnEvent(ViewEntry& entry, const UpdateEvent& event,
-                                ViewStorage* out) {
-  const Update update = event.ToUpdateAt(*SourceOf(entry).store);
-  if (entry.gdn != nullptr) return entry.gdn->Apply(update, out);
-  // Shard-bound "external" entry: the coordinator's engine computes the
-  // membership deltas; only the delegate values track the base here.
-  return out->SyncUpdate(update);
-}
-
-Status Warehouse::HandleEventForView(ViewEntry& entry,
-                                     const UpdateEvent& event) {
-  if (entry.engine != EngineKind::kAlgorithm1) {
-    return ApplyGdnEvent(entry, event, entry.storage());
-  }
-  SourceEntry& source = SourceOf(entry);
-
-  // 1. Keep the auxiliary structure current (§5.2: "the auxiliary structure
-  //    itself needs to be maintained"). For deletes this updates corridor
-  //    membership but keeps the detached subtree readable until Prune()
-  //    below — Algorithm 1's delete case evaluates that subtree.
-  if (entry.cache != nullptr) {
-    GSV_RETURN_IF_ERROR(entry.cache->OnEvent(event, source.wrapper.get()));
-  }
-
-  // 2. Local screening (§5.1, reporting level >= 2).
-  if (event.level >= ReportingLevel::kWithValues) {
-    if (!EventRelevant(entry, event)) {
-      ++costs_.events_screened_out;
-      // Delegate values must still track the base (§3.2).
-      Status status = entry.storage()->SyncUpdate(event.ToUpdate());
-      if (entry.cache != nullptr && event.kind == UpdateKind::kDelete) {
-        entry.cache->Prune();
-      }
-      return status;
-    }
-  }
-
-  // 3. Maintain through Algorithm 1 over the remote accessor.
-  entry.accessor->set_current_event(&event);
-  Status status;
-  if (event.kind == UpdateKind::kModify &&
-      event.level == ReportingLevel::kOidsOnly) {
-    status = Level1ModifyRecheck(entry, event, entry.storage(),
-                                 entry.accessor.get());
-  } else {
-    status = entry.maintainer->Maintain(event.ToUpdate());
-  }
-  entry.accessor->set_current_event(nullptr);
-  if (entry.cache != nullptr && event.kind == UpdateKind::kDelete) {
-    entry.cache->Prune();
-  }
-  return status;
 }
 
 bool Warehouse::EventRelevant(const ViewEntry& entry,

@@ -39,8 +39,9 @@ struct WarehouseDurability;
 // and answer queries through their wrappers. Only the warehouse knows the
 // view definitions.
 //
-// Event handling per view (views are bound to the source their entry
-// belongs to):
+// One integrator handles every event, whether it arrives inline (a drain
+// over a batch of one) or from the deferred queue (ProcessPendingBatch).
+// Per view (views are bound to the source their entry belongs to):
 //   1. the auxiliary cache (if configured, §5.2) absorbs the update;
 //   2. local screening (§5.1): with level >= 2 events the affected label is
 //      checked against the view's sel/cond labels — pruned further by path
@@ -50,6 +51,7 @@ struct WarehouseDurability;
 //      cache content and falls back to metered source queries. Level-1
 //      modify events carry no values, so membership is re-derived by
 //      querying (the paper's "cannot do much other than sending queries").
+//      §6 views run their discrimination network instead of 2 and 3.
 class Warehouse {
  public:
   enum class CacheMode {
@@ -104,7 +106,8 @@ class Warehouse {
   // ConnectSource without a monitor: the coordinator routes events here by
   // owning shard (re-stamped into this warehouse's per-source sequence
   // domain) through InjectRoutedEvent, which runs the normal delivery path
-  // — fault injection, duplicate drop, gap detection — per shard.
+  // — fault injection, duplicate drop, gap detection, then queueing or the
+  // inline one-event drain — per shard.
   Status ConnectSourceRouted(ObjectStore* source, Oid source_root,
                              std::string name = "");
   void InjectRoutedEvent(size_t source_index, const UpdateEvent& event) {
@@ -122,10 +125,11 @@ class Warehouse {
   // post-resync recompute subsumes them — and ops for unknown views fail.
   Status ApplyForeignOps(const std::vector<ForeignViewOp>& ops);
 
-  // The deferred-drain verification sweep (ProcessPendingBatch step 4),
-  // standalone: every fresh view re-verifies its members against current
-  // source state and drops the underivable. The coordinator runs this after foreign ops
-  // land, when a batch had run with BatchOptions::run_sweep = false.
+  // The drain's verification sweep (ProcessPendingBatch step 4) over every
+  // fresh Algorithm 1 view: each re-verifies its members against current
+  // source state and drops the underivable. The coordinator runs this after
+  // foreign ops land, when a batch had run with BatchOptions::run_sweep =
+  // false.
   Status RunVerificationSweep();
 
   // Closes the current durability commit group (no-op when durability is
@@ -160,7 +164,8 @@ class Warehouse {
   // candidate verification plus condition rechecks make the outcome
   // convergent: once the queue is drained, the view equals the view over
   // the source's current state (asserted by the deferred-processing
-  // property tests).
+  // property tests). Inline mode runs the same drain at once over each
+  // accepted event alone, without the sweep; queued events stay queued.
   void set_deferred(bool deferred) { deferred_ = deferred; }
   bool deferred() const { return deferred_; }
   size_t pending_events() const { return pending_.size(); }
@@ -169,8 +174,9 @@ class Warehouse {
 
   // ---- The deferred drain (batched, optionally multi-threaded) ----
   //
-  // ProcessPendingBatch drains the pending queue through the batch engine;
-  // it returns the first error (processing continues past errors so the
+  // ProcessPendingBatch drains the pending queue through the batch engine —
+  // the one integrator; an inline event runs steps 1-3 as a batch of one.
+  // It returns the first error (processing continues past errors so the
   // queue always drains):
   //
   //   1. the batch is coalesced (UpdateBatch: insert+delete of the same
@@ -262,8 +268,9 @@ class Warehouse {
   // EnableDurability attaches a WAL + checkpoint directory to this
   // warehouse. Every accepted update event and every applied view delta is
   // logged; a commit record (carrying the per-source sequence watermarks)
-  // closes each group — one per inline dispatch, one per drain — and
-  // certifies that the warehouse was quiescent when it was written.
+  // closes each group — one per drain, an inline event being a drain of
+  // one — and certifies that the warehouse was quiescent when it was
+  // written.
   //
   // If `dir` already holds durable state, EnableDurability *recovers* it:
   // the latest valid checkpoint is loaded (delegate store, view
@@ -379,6 +386,8 @@ class Warehouse {
     // `view`, foreign ops queue in the warehouse outbox.
     std::unique_ptr<ShardScopedStorage> scoped;
     std::unique_ptr<AuxiliaryCache> cache;
+    // Drains evaluate with per-task maintainers and accessors; this pair
+    // holds the view's merged Algorithm 1 stats (maintainer(name)).
     std::unique_ptr<RemoteAccessor> accessor;
     // Exactly one engine drives membership. A shard-bound warehouse keeps
     // gdn null even when `engine` says otherwise: the coordinator
@@ -402,9 +411,16 @@ class Warehouse {
 
   void OnEvent(size_t source_index, const UpdateEvent& event);
   // Sequence accounting for one delivered event: drops duplicates, detects
-  // gaps (quarantining the source's views), then queues or dispatches.
+  // gaps (quarantining the source's views), logs it, then queues it
+  // (deferred) or drains it alone at once (inline).
   void Deliver(size_t source_index, const UpdateEvent& event);
-  void DispatchEvent(size_t source_index, const UpdateEvent& event);
+  // The drain body behind ProcessPendingBatch and inline delivery: resync
+  // prologue, then steps 1-4 of the header comment over `batch`.
+  Status DrainBatch(UpdateBatch batch, const BatchOptions& options);
+  // Step 4 over the fresh Algorithm 1 views of the sources marked in
+  // `sources`: members are collected read-only in parallel on `pool`, and
+  // deleted after the barrier. A view whose query-backs fail quarantines.
+  Status SweepViews(const std::vector<bool>& sources, ThreadPool* pool);
   // Quarantine entry points.
   void Quarantine(ViewEntry& entry, const Status& cause);
   // Counts events a quarantined view skips.
@@ -414,33 +430,23 @@ class Warehouse {
   Status TryResyncView(ViewEntry& entry, bool force);
   // Opportunistic resync of every stale view (drain prologue).
   void TryResyncStaleViews();
-  Status HandleEventForView(ViewEntry& entry, const UpdateEvent& event);
-  // A §6 view absorbs one event against the source's current state: its
-  // network emits into `out`, or a shard-bound external entry (no engine)
-  // only syncs delegate values. Skips §5.1 screening — the network must see
-  // every event to keep its memos aligned with the base.
-  Status ApplyGdnEvent(ViewEntry& entry, const UpdateEvent& event,
-                       ViewStorage* out);
   // The §5.1 local screening predicate (level >= 2 events only).
   bool EventRelevant(const ViewEntry& entry, const UpdateEvent& event) const;
-  // Collects current members whose derivation/condition fails on the
-  // current source state; read-only (usable from a worker thread). Aborts
+  // Collects current members of an Algorithm 1 view whose derivation or
+  // condition fails on the current source state, re-deriving them along
+  // the simple corridor; read-only (usable from a worker thread). Aborts
   // with the accessor's error when a query-back fails — an empty answer
   // from a down source is not evidence a member is underivable.
   Status CollectUnderivable(ViewEntry& entry, RemoteAccessor* accessor,
                             std::vector<Oid>* doomed);
-  // Drops members whose derivation/condition fails on the current source
-  // state (the verification sweep).
-  Status VerifyMembers(ViewEntry& entry);
-  // Level-1 modify handling over an arbitrary storage/accessor pair (the
-  // batch engine passes a BufferedViewStorage and a per-task accessor).
+  // Level-1 modify handling over a drain task's buffer and accessor.
   Status Level1ModifyRecheck(ViewEntry& entry, const UpdateEvent& event,
                              ViewStorage* storage, BaseAccessor* accessor);
   void RecomputeRelevantLabels(ViewEntry& entry);
   // Declares a storage quiescent point: no `const Object*` from the
   // delegate store or a corridor cache is live past this call, so a paged
   // engine may evict back down to its buffer-pool budget. Runs at the end
-  // of every drain / inline dispatch / resync / checkpoint.
+  // of every drain / resync / checkpoint.
   void StorageQuiescent();
   // Lazily builds/resizes the worker pool for `threads` workers.
   ThreadPool* Pool(size_t threads);

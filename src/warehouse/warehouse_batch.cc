@@ -59,16 +59,17 @@ static uint32_t SubtreeGroupKey(const ObjectStore& store, const Oid& root,
 }
 
 Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
+  UpdateBatch batch;
+  batch.Add(std::exchange(pending_, {}));
+  return DrainBatch(std::move(batch), options);
+}
+
+Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
+  const int64_t queries_before = costs_.source_queries;
   // Recovery prologue: resynced views take part in this batch normally.
   TryResyncStaleViews();
 
   Status first_error;
-  UpdateBatch batch;
-  {
-    std::vector<std::pair<size_t, UpdateEvent>> drained;
-    drained.swap(pending_);
-    batch.Add(std::move(drained));
-  }
   if (batch.empty()) {
     // Nothing queued; still close the group a prologue resync logged.
     if (options.log_commit) LogCommit();
@@ -178,9 +179,16 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
       if (entry.engine != EngineKind::kAlgorithm1) {
         // One task per general view (never subtree-split), so this worker
         // is the only one touching the view's engine; it reads the frozen
-        // final source state and buffers its deltas like any other task.
+        // final source state and buffers its deltas like any other task. A
+        // shard-bound "external" entry has no engine: the coordinator's
+        // computes the membership deltas, and only delegate values sync here.
+        // No §5.1 screening: the network must see every event to keep its
+        // memos aligned with the base.
         for (const auto& [event, relevant] : task.events) {
-          Status status = ApplyGdnEvent(entry, *event, task.buffer.get());
+          const Update update = event->ToUpdateAt(*source.store);
+          Status status = entry.gdn != nullptr
+                              ? entry.gdn->Apply(update, task.buffer.get())
+                              : task.buffer->SyncUpdate(update);
           if (!status.ok() && task.status.ok()) task.status = status;
         }
         return;
@@ -252,48 +260,18 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
     }
   }
 
-  // ---- Phase 4: the verification sweep (see the header), read-only in
-  // parallel, deletions after the barrier.
-  // A sharded coordinator runs the batch with run_sweep off and sweeps
+  // An evaluation that asked the sources nothing was local for every event
+  // in the batch (see cost_model.h).
+  if (costs_.source_queries == queries_before) {
+    costs_.events_local_only += static_cast<int64_t>(batch.size());
+  }
+
+  // ---- Phase 4: the verification sweep (see the header). A sharded
+  // coordinator runs the batch with run_sweep off and sweeps
   // (RunVerificationSweep) only after every shard's foreign ops landed.
   if (options.run_sweep) {
-    std::vector<SweepTask> sweep_tasks;
-    for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
-      if (!touched[views_[view_index]->source_index]) continue;
-      if (views_[view_index]->stale) continue;  // its resync recomputes
-      // The GDN keeps membership exact against final state; only
-      // Algorithm 1 views need the disclaimed-responsibility sweep.
-      if (views_[view_index]->engine != EngineKind::kAlgorithm1) continue;
-      SweepTask task;
-      task.view_index = view_index;
-      sweep_tasks.push_back(std::move(task));
-    }
-    for (SweepTask& task : sweep_tasks) {
-      pool->Submit([this, &task] {
-        ViewEntry& entry = *views_[task.view_index];
-        SourceEntry& source = *sources_[entry.source_index];
-        RemoteAccessor accessor(source.wrapper.get(), &costs_);
-        if (entry.cache != nullptr) accessor.set_cache(entry.cache.get());
-        task.status = CollectUnderivable(entry, &accessor, &task.doomed);
-      });
-    }
-    pool->Wait();
-    for (SweepTask& task : sweep_tasks) {
-      ViewEntry& entry = *views_[task.view_index];
-      if (!task.status.ok()) {
-        if (IsSourceFailure(task.status)) {
-          // The sweep could not verify membership against the source; the
-          // collected deletions are unreliable. Quarantine instead of acting.
-          Quarantine(entry, task.status);
-          continue;
-        }
-        if (first_error.ok()) first_error = task.status;
-      }
-      for (const Oid& member : task.doomed) {
-        Status status = entry.view->VDelete(member);
-        if (!status.ok() && first_error.ok()) first_error = status;
-      }
-    }
+    Status status = SweepViews(touched, pool);
+    if (!status.ok() && first_error.ok()) first_error = status;
   }
 
   if (!first_error.ok()) last_status_ = first_error;
@@ -303,6 +281,58 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
   if (options.log_commit) LogCommit();
   StorageQuiescent();
   return first_error;
+}
+
+Status Warehouse::SweepViews(const std::vector<bool>& sources,
+                             ThreadPool* pool) {
+  std::vector<SweepTask> tasks;
+  for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
+    const ViewEntry& entry = *views_[view_index];
+    if (!sources[entry.source_index]) continue;
+    if (entry.stale) continue;  // its resync recomputes
+    // The GDN keeps membership exact against final state; only Algorithm 1
+    // views need the disclaimed-responsibility sweep.
+    if (entry.engine != EngineKind::kAlgorithm1) continue;
+    SweepTask task;
+    task.view_index = view_index;
+    tasks.push_back(std::move(task));
+  }
+  for (SweepTask& task : tasks) {
+    pool->Submit([this, &task] {
+      ViewEntry& entry = *views_[task.view_index];
+      SourceEntry& source = *sources_[entry.source_index];
+      RemoteAccessor accessor(source.wrapper.get(), &costs_);
+      if (entry.cache != nullptr) accessor.set_cache(entry.cache.get());
+      task.status = CollectUnderivable(entry, &accessor, &task.doomed);
+    });
+  }
+  pool->Wait();
+  Status first_error;
+  for (SweepTask& task : tasks) {
+    ViewEntry& entry = *views_[task.view_index];
+    if (!task.status.ok()) {
+      if (IsSourceFailure(task.status)) {
+        // The sweep could not verify membership against the source; the
+        // collected deletions are unreliable. Quarantine instead of acting.
+        Quarantine(entry, task.status);
+        continue;
+      }
+      if (first_error.ok()) first_error = task.status;
+    }
+    for (const Oid& member : task.doomed) {
+      Status status = entry.view->VDelete(member);
+      if (!status.ok() && first_error.ok()) first_error = status;
+    }
+  }
+  return first_error;
+}
+
+Status Warehouse::RunVerificationSweep() {
+  Status status =
+      SweepViews(std::vector<bool>(sources_.size(), true), Pool(pool_threads_));
+  if (!status.ok()) last_status_ = status;
+  StorageQuiescent();
+  return status;
 }
 
 }  // namespace gsv

@@ -2,8 +2,9 @@
 // maintainer for the §6 view classes Algorithm 1 cannot handle. The
 // randomized twin property test drives one source through tree- and
 // DAG-preserving update streams, plus silently Put() subtrees linked by one
-// insert, and demands byte-identity between the GDN warehouse (K=1), the
-// sharded coordinator (K=4), and the §4.4 full-recompute oracle. Durability
+// insert, and demands byte-identity between the GDN warehouse (K=1) and the
+// sharded coordinator (K=4), each deferred and inline, and the §4.4
+// full-recompute oracle. Durability
 // tests kill the warehouse mid-batch and check that recovery rebuilds every
 // network from the restored base; the concurrency test drains many networks
 // in parallel. This binary carries the `gdn-paged` ctest label: ci.sh
@@ -135,9 +136,10 @@ const GdnParam kGdnParams[] = {
 
 class GdnPropertyTest : public ::testing::TestWithParam<GdnParam> {};
 
-// One source, three maintainers: the GDN warehouse (level-1 events — the
-// network re-reads store truth, so OIDs suffice), the 4-shard coordinator,
-// and the §4.4 recompute oracle. All three must agree at every batch
+// One source, five maintainers: the GDN warehouse (level-1 events — the
+// network re-reads store truth, so OIDs suffice) and the 4-shard
+// coordinator, each once deferred and once inline (every event a drain of
+// one), and the §4.4 recompute oracle. All must agree at every batch
 // boundary, byte for byte. Every other batch the test links a silently Put
 // subtree with one insert; in DAG streams it also points at a known object.
 TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
@@ -163,19 +165,24 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
 
   ObjectStore w_store(DelegateStoreOptions());
   Warehouse warehouse(&w_store);
-  ASSERT_TRUE(warehouse
-                  .ConnectSource(&source, tree->root, ReportingLevel::kOidsOnly)
-                  .ok());
-  ASSERT_TRUE(warehouse.DefineView(definition).ok());
-  ASSERT_EQ(warehouse.view_engine("GV"), Warehouse::EngineKind::kGdn);
+  ObjectStore inline_store(DelegateStoreOptions());
+  Warehouse inline_warehouse(&inline_store);
+  for (Warehouse* w : {&warehouse, &inline_warehouse}) {
+    ASSERT_TRUE(
+        w->ConnectSource(&source, tree->root, ReportingLevel::kOidsOnly).ok());
+    ASSERT_TRUE(w->DefineView(definition).ok());
+    ASSERT_EQ(w->view_engine("GV"), Warehouse::EngineKind::kGdn);
+  }
   warehouse.set_deferred(true);
 
   ShardedWarehouse sharded(4, ShardedDelegateOptions());
-  ASSERT_TRUE(sharded.init_status().ok());
-  ASSERT_TRUE(sharded
-                  .ConnectSource(&source, tree->root, ReportingLevel::kOidsOnly)
-                  .ok());
-  ASSERT_TRUE(sharded.DefineView(definition).ok());
+  ShardedWarehouse inline_sharded(4, ShardedDelegateOptions());
+  for (ShardedWarehouse* w : {&sharded, &inline_sharded}) {
+    ASSERT_TRUE(w->init_status().ok());
+    ASSERT_TRUE(
+        w->ConnectSource(&source, tree->root, ReportingLevel::kOidsOnly).ok());
+    ASSERT_TRUE(w->DefineView(definition).ok());
+  }
   sharded.set_deferred(true);
 
   ObjectStore r_store;
@@ -205,18 +212,25 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
     ASSERT_TRUE(sharded.ProcessPendingBatch(4).ok());
     ASSERT_TRUE(recompute.Recompute().ok());
 
+    ASSERT_TRUE(inline_warehouse.last_status().ok())
+        << inline_warehouse.last_status().ToString();
+
     MaterializedView* w_view = warehouse.view("GV");
     ASSERT_NE(w_view, nullptr);
     const auto expected = ViewContentLines(r_view);
     EXPECT_EQ(ViewContentLines(*w_view), expected);
+    EXPECT_EQ(ViewContentLines(*inline_warehouse.view("GV")), expected);
     EXPECT_EQ(sharded.ViewContents("GV"), expected);
+    EXPECT_EQ(inline_sharded.ViewContents("GV"), expected);
   }
 
   // The network actually propagated (no silent recompute fallback), on the
   // 1-shard engine and on the sharded coordinator's.
   ASSERT_NE(warehouse.gdn_engine("GV"), nullptr);
   EXPECT_GT(warehouse.gdn_engine("GV")->stats().propagations, 0);
+  EXPECT_GT(inline_warehouse.gdn_engine("GV")->stats().propagations, 0);
   EXPECT_GT(sharded.ExplainView("GV").gdn_propagations, 0);
+  EXPECT_GT(inline_sharded.ExplainView("GV").gdn_propagations, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Randomized, GdnPropertyTest,

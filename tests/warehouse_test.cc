@@ -482,6 +482,17 @@ TEST_F(WarehouseTest, ScreeningCountsIrrelevantEvents) {
   EXPECT_EQ(warehouse_->costs().source_queries, 0);
   EXPECT_EQ(warehouse_->costs().events_local_only, 2);
   ExpectViewCorrect();
+
+  // Deferred: one drain of two screened modifies asks the source nothing
+  // while it evaluates, so both of its events are local too.
+  warehouse_->costs().Reset();
+  warehouse_->set_deferred(true);
+  ASSERT_TRUE(source_.Modify(N1(), Value::Str("Jo")).ok());
+  ASSERT_TRUE(source_.Modify(M3(), Value::Str("art")).ok());
+  ASSERT_TRUE(warehouse_->ProcessPendingBatch().ok());
+  EXPECT_EQ(warehouse_->costs().events_screened_out, 2);
+  EXPECT_EQ(warehouse_->costs().events_local_only, 2);
+  ExpectViewCorrect();
 }
 
 TEST_F(WarehouseTest, FullCacheMakesMaintenanceLocal) {
