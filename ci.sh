@@ -6,7 +6,8 @@
 # inline: every event a drain of one; each exits 1 on an inconsistent view),
 # then a smoke run of the six examples, then a quick
 # perf smoke of the label-index speedup experiment (catches silent index
-# regressions that correctness tests cannot see), then a release-build
+# regressions that correctness tests cannot see), then a short run of each
+# perfbench workload (exits non-zero on a gate mismatch), then a release-build
 # stress stage that repeats the paged writeback hammer, the engine twins,
 # the replication suite, the kill-mid-batch crash test and the sharded
 # warehouse and fault-convergence suites 20 times (rare interleavings), then an Address+UB-Sanitizer build of the robustness and
@@ -14,9 +15,10 @@
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
 # replication suite's kill-mid-ship twin test with them), then a
-# ThreadSanitizer build of the batch-engine, index-concurrency and
-# paged-writeback tests to prove the parallel drain, the lock-free snapshot
-# publication and the background writeback thread are race-free. The
+# ThreadSanitizer build of the batch-engine, index-concurrency,
+# paged-writeback and OID-interner tests to prove the parallel drain, the
+# lock-free snapshot publication, the background writeback thread and the
+# interner's growth under readers are race-free. The
 # discrimination-network (gdn) suite rides along in BOTH sanitizer stages.
 # Run from the repo root.
 set -euo pipefail
@@ -87,6 +89,17 @@ echo "=== perf-smoke: discrimination-network floor (E21 --smoke, 1.5x bar) ==="
 ./build/bench/exp21_gdn --smoke
 
 echo
+echo "=== pipeline smoke: every perfbench workload, 6 s each (exit non-zero on a gate mismatch) ==="
+# The only check that drives the whole pipeline (ingest, drains, WAL,
+# checkpoints, restarts, a polled follower) on the memory engine at K=1 and
+# K=4; each run checks its views against the recompute, the follower
+# against the primary, and every restart.
+for workload in tree-alg1 dag-gdn-paged serve-k4-replica; do
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 6 \
+    --trace 0 >/dev/null
+done
+
+echo
 echo "=== paged: recovery + replication + engine suites on the PagedEngine ==="
 # The same durability and replication properties, with every warehouse
 # delegate store and follower re-pointed at the on-disk paged engine
@@ -136,11 +149,11 @@ cmake --build build-asan -j "${JOBS}" --target gsv_robustness_test \
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L 'asan|gdn'
 
 echo
-echo "=== tsan: batch-engine + index-concurrency + paged-writeback tests under -fsanitize=thread ==="
+echo "=== tsan: batch-engine + index-concurrency + paged-writeback + OID-interner tests under -fsanitize=thread ==="
 cmake -B build-tsan -S . -DGSV_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" --target gsv_batch_test \
   --target gsv_index_concurrency_test --target gsv_paged_concurrency_test \
-  --target gsv_ivm_test
+  --target gsv_oid_table_test --target gsv_ivm_test
 # The gdn suite runs under TSan too: a parallel drain propagates many
 # networks concurrently against one frozen source.
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L 'tsan|gdn'

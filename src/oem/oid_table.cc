@@ -6,6 +6,21 @@
 
 namespace gsv {
 
+namespace {
+
+constexpr size_t kInitialSlots = 1024;
+
+uint32_t HashSpelling(std::string_view text) {
+  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a, 64-bit
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+}  // namespace
+
 OidTable& OidTable::Global() {
   static OidTable table;
   return table;
@@ -15,20 +30,35 @@ OidTable::OidTable() {
   // Reserve id 0 for the empty (invalid) OID.
   auto* block = new std::string[kBlockSize];
   blocks_[0].store(block, std::memory_order_release);
-  ids_.emplace(std::string_view(block[0]), 0);
+  slots_.resize(kInitialSlots);
   size_ = 1;
+}
+
+uint32_t OidTable::Find(std::string_view text, uint32_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == 0) return 0;
+    if (slot.hash == hash && String(slot.id) == text) return slot.id;
+  }
+}
+
+void OidTable::Place(std::vector<Slot>* slots, Slot entry) {
+  const size_t mask = slots->size() - 1;
+  size_t i = entry.hash & mask;
+  while ((*slots)[i].id != 0) i = (i + 1) & mask;
+  (*slots)[i] = entry;
 }
 
 uint32_t OidTable::Intern(std::string_view text) {
   if (text.empty()) return 0;
+  const uint32_t hash = HashSpelling(text);
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = ids_.find(text);
-    if (it != ids_.end()) return it->second;
+    if (const uint32_t id = Find(text, hash)) return id;
   }
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = ids_.find(text);
-  if (it != ids_.end()) return it->second;
+  if (const uint32_t id = Find(text, hash)) return id;
   const uint32_t id = size_;
   if ((id >> kBlockBits) >= kMaxBlocks) {
     std::fprintf(stderr, "OidTable: interned-OID capacity exhausted\n");
@@ -39,10 +69,18 @@ uint32_t OidTable::Intern(std::string_view text) {
     block = new std::string[kBlockSize];
     blocks_[id >> kBlockBits].store(block, std::memory_order_release);
   }
-  std::string& slot = block[id & (kBlockSize - 1)];
-  slot.assign(text.data(), text.size());
-  ids_.emplace(std::string_view(slot), id);
+  std::string& spelling = block[id & (kBlockSize - 1)];
+  spelling.assign(text.data(), text.size());
   ++size_;
+  // size_ - 1 spellings are in the table (id 0 is never probed).
+  if (2 * static_cast<size_t>(size_ - 1) > slots_.size()) {
+    std::vector<Slot> grown(2 * slots_.size());
+    for (const Slot& entry : slots_) {
+      if (entry.id != 0) Place(&grown, entry);
+    }
+    slots_.swap(grown);
+  }
+  Place(&slots_, Slot{hash, id});
   return id;
 }
 

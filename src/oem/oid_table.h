@@ -6,7 +6,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace gsv {
 
@@ -14,6 +14,11 @@ namespace gsv {
 // once and mapped to a dense uint32_t id; Oid holds the id and all equality
 // and hashing throughout the library become integer operations. Id 0 is
 // reserved for the empty (invalid) OID.
+//
+// Lookup is a flat, power-of-two, linear-probing array of {hash, id} slots
+// (FNV-1a folded to 32 bits; grown at load factor 1/2). A probe compares a
+// spelling only when the stored hash matches. Ids are assigned in
+// first-sight order, which ShardOfOid and every on-disk byte depend on.
 //
 // Thread-safe: Intern takes a shared lock on the hit path and an exclusive
 // lock only when a new string is added; String() is lock-free. Interned
@@ -49,12 +54,23 @@ class OidTable {
   static constexpr uint32_t kBlockSize = 1u << kBlockBits;
   static constexpr uint32_t kMaxBlocks = 1u << 15;  // ~134M distinct OIDs
 
+  // A lookup slot; id 0 marks an empty slot (the empty OID is never probed).
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t id = 0;
+  };
+
   OidTable();
 
+  // The id of `text` (whose hash is `hash`), or 0 when absent. Requires
+  // mutex_ held in either mode.
+  uint32_t Find(std::string_view text, uint32_t hash) const;
+  // Stores `entry` in the first free slot of its probe sequence.
+  static void Place(std::vector<Slot>* slots, Slot entry);
+
   mutable std::shared_mutex mutex_;
-  // Views point into block storage; guarded by mutex_.
-  std::unordered_map<std::string_view, uint32_t> ids_;
-  uint32_t size_ = 0;  // guarded by mutex_
+  std::vector<Slot> slots_;  // guarded by mutex_; size is a power of two
+  uint32_t size_ = 0;        // guarded by mutex_
   std::atomic<std::string*> blocks_[kMaxBlocks] = {};
 };
 

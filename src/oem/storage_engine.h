@@ -18,10 +18,11 @@ struct StoreMetrics;
 // above the store — Warehouse, MaterializedView delegates, auxiliary
 // caches, the label/path index base layers — is engine-agnostic.
 //
-// Two engines ship: InMemoryEngine (the original memory-resident hash
-// table; the default) and PagedEngine (oem/paged_engine.h: fixed-size
-// on-disk pages in the checkpoint text encoding behind a bounded buffer
-// pool), which takes a warehouse beyond RAM.
+// Two engines ship: InMemoryEngine (memory-resident, a table indexed by
+// the dense interned OID id; the default) and PagedEngine
+// (oem/paged_engine.h: fixed-size on-disk pages in the checkpoint text
+// encoding behind a bounded buffer pool), which takes a warehouse beyond
+// RAM.
 //
 // ## Pointer contract
 //
@@ -30,8 +31,8 @@ struct StoreMetrics;
 //   (a) that object is erased or re-put, or
 //   (b) the next SafePoint() on this engine,
 // whichever comes first. InMemoryEngine pointers additionally survive safe
-// points (hash-table nodes are stable), but callers must not rely on that:
-// code written against the seam treats SafePoint() as invalidating. The
+// points (each object is its own allocation), but callers must not rely on
+// that: code written against the seam treats SafePoint() as invalidating. The
 // ObjectStore documents the same contract to its own callers.
 //
 // ## Thread compatibility
@@ -74,7 +75,7 @@ class StorageEngine {
   virtual void ScanInOrder(const std::function<void(const Object&)>& fn) = 0;
 
   // Visits every object in unspecified order. Default: the ordered scan;
-  // InMemoryEngine overrides with a raw hash-table walk (no sort).
+  // InMemoryEngine overrides with a walk in id order (no sort).
   virtual void ScanUnordered(const std::function<void(const Object&)>& fn) {
     ScanInOrder(fn);
   }
@@ -104,7 +105,7 @@ class StorageEngine {
 // independent engine.
 using StorageEngineFactory = std::function<std::unique_ptr<StorageEngine>()>;
 
-// The default memory-resident engine (the pre-seam ObjectStore backing).
+// The default memory-resident engine.
 std::unique_ptr<StorageEngine> MakeInMemoryEngine();
 
 }  // namespace gsv

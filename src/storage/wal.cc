@@ -36,19 +36,36 @@ std::string SegmentName(uint64_t first_lsn) {
   return name;
 }
 
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+// Slicing-by-8 tables: t[0] is the bytewise table of the reflected
+// polynomial 0xEDB88320; t[k][i] is the CRC of byte i followed by k zero
+// bytes, so eight lookups advance the CRC by eight bytes.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables x;
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      x.t[0][i] = c;
     }
-    return t;
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        x.t[k][i] = (x.t[k - 1][i] >> 8) ^ x.t[0][x.t[k - 1][i] & 0xff];
+      }
+    }
+    return x;
   }();
-  return table;
+  return tables;
+}
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 // ---- Little-endian encoder ----
@@ -287,11 +304,18 @@ Status ErrnoStatus(const std::string& what) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
+  const auto& t = Crc32Table().t;
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ bytes[i]) & 0xff] ^ (c >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = c ^ LoadLe32(bytes);
+    const uint32_t hi = LoadLe32(bytes + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    c = t[0][(c ^ *bytes) & 0xff] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

@@ -9,7 +9,6 @@
 #include "core/buffered_view.h"
 #include "core/consistency.h"
 #include "core/virtual_view.h"
-#include "oem/oid_table.h"
 #include "oem/store.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -24,61 +23,6 @@
 
 namespace gsv {
 namespace {
-
-// ------------------------------------------------------------ OID interning
-
-TEST(OidInterningTest, SameSpellingSameId) {
-  Oid a("batch_intern_x");
-  Oid b(std::string("batch_intern_x"));
-  EXPECT_EQ(a.id(), b.id());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.str(), "batch_intern_x");
-}
-
-TEST(OidInterningTest, OrderingIsLexicographic) {
-  // Intern deliberately out of order: ids ascend, spellings do not.
-  Oid z("batch_order_z");
-  Oid a("batch_order_a");
-  EXPECT_LT(a, z);
-  EXPECT_FALSE(z < a);
-  EXPECT_FALSE(a < a);
-}
-
-TEST(OidInterningTest, DelegateAndBaseView) {
-  Oid view("MV_intern");
-  Oid base("B_intern7");
-  Oid delegate = Oid::Delegate(view, base);
-  EXPECT_EQ(delegate.str(), "MV_intern.B_intern7");
-  EXPECT_TRUE(delegate.IsDelegateOf(view));
-  EXPECT_EQ(delegate.BaseView(view), "B_intern7");
-  EXPECT_EQ(delegate.BaseIn(view), base);
-  EXPECT_FALSE(base.IsDelegateOf(view));
-}
-
-TEST(OidInterningTest, ConcurrentInterningIsConsistent) {
-  constexpr int kThreads = 8;
-  constexpr int kStrings = 500;
-  std::vector<std::vector<uint32_t>> ids(kThreads,
-                                         std::vector<uint32_t>(kStrings));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &ids] {
-      for (int i = 0; i < kStrings; ++i) {
-        // Every thread interns the same kStrings spellings.
-        Oid oid("batch_conc_" + std::to_string(i));
-        ids[t][i] = oid.id();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(ids[t], ids[0]) << "thread " << t;
-  }
-  for (int i = 0; i < kStrings; ++i) {
-    EXPECT_EQ(OidTable::Global().String(ids[0][i]),
-              "batch_conc_" + std::to_string(i));
-  }
-}
 
 // -------------------------------------------------------------- ThreadPool
 

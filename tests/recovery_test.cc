@@ -224,6 +224,59 @@ TEST(WalTest, CrashInjectionTearsTheTailAndSticks) {
   EXPECT_EQ(static_cast<int64_t>(scan.value().torn_offset), clean_bytes);
 }
 
+// Crc32 advances eight bytes per step (slicing-by-8). Every WAL frame,
+// checkpoint file and page image carries it, so it must agree bit for bit
+// with the bytewise definition it replaced.
+uint32_t BytewiseCrc32(const unsigned char* bytes, size_t size,
+                       uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= bytes[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buffer(1024 + 8);
+  uint32_t state = 12345;
+  for (unsigned char& byte : buffer) {
+    state = state * 1103515245u + 12345u;
+    byte = static_cast<unsigned char>(state >> 16);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const unsigned char* start = buffer.data() + offset;
+      ASSERT_EQ(Crc32(start, length), BytewiseCrc32(start, length, 0))
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(Crc32(start, length, 0xdeadbeefu),
+                BytewiseCrc32(start, length, 0xdeadbeefu))
+          << "seeded, offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainsIncrementalComputations) {
+  const std::string a = "graph structured views ";
+  const std::string b = "and their incremental maintenance, 1998";
+  const std::string ab = a + b;
+  EXPECT_EQ(Crc32(b.data(), b.size(), Crc32(a.data(), a.size())),
+            Crc32(ab.data(), ab.size()));
+  // Every split point, including the empty halves.
+  for (size_t cut = 0; cut <= ab.size(); ++cut) {
+    EXPECT_EQ(Crc32(ab.data() + cut, ab.size() - cut, Crc32(ab.data(), cut)),
+              Crc32(ab.data(), ab.size()))
+        << "cut " << cut;
+  }
+}
+
 // One frame decoder serves crash recovery (which treats kIncomplete and
 // kCorrupt alike, as a tear) and the follower (which waits on kIncomplete
 // and refetches on kCorrupt), so each case pins the exact result.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -139,6 +140,105 @@ TEST(StorageEngineContractTest, StoreReportsItsEngine) {
   EXPECT_STREQ(memory_store.engine_name(), "memory");
   ObjectStore paged_store(PagedStoreOptions(TinyPagedOptions("report")));
   EXPECT_STREQ(paged_store.engine_name(), "paged");
+}
+
+// ------------------------------------------- dense in-memory engine
+
+// The memory engine indexes objects by their interned OID id in a table
+// that grows as higher ids arrive. These pin the contract across growth.
+
+TEST(InMemoryEngineTest, GetPointerSurvivesGrowth) {
+  auto engine = MakeInMemoryEngine();
+  ASSERT_TRUE(
+      engine->Put(Object(Oid("dense_anchor"), "a", Value::Int(1))).ok());
+  const Object* anchor = engine->Get(Oid("dense_anchor"));
+  ASSERT_NE(anchor, nullptr);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(engine
+                    ->Put(Object(Oid("dense_grow_" + std::to_string(i)), "g",
+                                 Value::Int(i)))
+                    .ok());
+  }
+  EXPECT_EQ(engine->Get(Oid("dense_anchor")), anchor);
+  EXPECT_EQ(anchor->value().AsInt(), 1);
+  EXPECT_EQ(anchor->oid(), Oid("dense_anchor"));
+  EXPECT_EQ(engine->Size(), 10001u);
+}
+
+TEST(InMemoryEngineTest, ScansAreCanonicalAndVisitEachObjectOnce) {
+  auto engine = MakeInMemoryEngine();
+  // Interned in an order unrelated to the lexicographic one, so id order
+  // and canonical order differ.
+  std::vector<std::string> spellings;
+  for (int i = 0; i < 300; ++i) {
+    spellings.push_back("dense_scan_" + std::to_string((i * 7919) % 1000));
+  }
+  for (const std::string& spelling : spellings) {
+    ASSERT_TRUE(engine->Put(Object(Oid(spelling), "s", Value::Int(0))).ok());
+  }
+  // Erase every third object, then re-put every sixth: holes and refilled
+  // slots inside touched leaves.
+  for (size_t i = 0; i < spellings.size(); i += 3) {
+    ASSERT_TRUE(engine->Erase(Oid(spellings[i])).ok());
+    EXPECT_EQ(engine->Get(Oid(spellings[i])), nullptr);
+    EXPECT_EQ(engine->Erase(Oid(spellings[i])).code(), StatusCode::kNotFound);
+  }
+  for (size_t i = 0; i < spellings.size(); i += 6) {
+    ASSERT_TRUE(
+        engine->Put(Object(Oid(spellings[i]), "r", Value::Int(1))).ok());
+    EXPECT_EQ(engine->Put(Object(Oid(spellings[i]), "r", Value::Int(2)))
+                  .code(),
+              StatusCode::kAlreadyExists);
+    EXPECT_EQ(engine->Get(Oid(spellings[i]))->value().AsInt(), 1);
+  }
+  std::vector<std::string> live;
+  for (size_t i = 0; i < spellings.size(); ++i) {
+    if (i % 3 != 0 || i % 6 == 0) live.push_back(spellings[i]);
+  }
+  std::sort(live.begin(), live.end());
+  EXPECT_EQ(engine->Size(), live.size());
+
+  std::vector<std::string> ordered;
+  engine->ScanInOrder(
+      [&](const Object& object) { ordered.push_back(object.oid().str()); });
+  EXPECT_EQ(ordered, live);
+
+  std::vector<std::string> unordered;
+  engine->ScanUnordered(
+      [&](const Object& object) { unordered.push_back(object.oid().str()); });
+  std::sort(unordered.begin(), unordered.end());
+  EXPECT_EQ(unordered, live);  // each live object exactly once
+}
+
+TEST(InMemoryEngineTest, SparseStoreOverFarApartIds) {
+  // Push the global id counter forward between puts, as the shard and
+  // cache stores see it: a handful of objects thousands of ids apart.
+  auto engine = MakeInMemoryEngine();
+  std::vector<Oid> oids;
+  for (int i = 0; i < 5; ++i) {
+    oids.emplace_back("dense_sparse_" + std::to_string(i));
+    ASSERT_TRUE(engine->Put(Object(oids.back(), "s", Value::Int(i))).ok());
+    for (int filler = 0; filler < 3000; ++filler) {
+      OidTable::Global().Intern("dense_sparse_gap_" + std::to_string(i) +
+                                "_" + std::to_string(filler));
+    }
+  }
+  ASSERT_GT(oids.back().id() - oids.front().id(), 12000u);
+  EXPECT_EQ(engine->Size(), oids.size());
+  for (int i = 0; i < 5; ++i) {
+    const Object* object = engine->Get(oids[i]);
+    ASSERT_NE(object, nullptr);
+    EXPECT_EQ(object->value().AsInt(), i);
+  }
+  // Ids inside a touched leaf and beyond every touched leaf are absent.
+  EXPECT_EQ(engine->Get(Oid("dense_sparse_gap_2_7")), nullptr);
+  const Oid beyond("dense_sparse_beyond");
+  EXPECT_EQ(engine->Get(beyond), nullptr);
+  EXPECT_EQ(engine->GetMutable(beyond), nullptr);
+  EXPECT_EQ(engine->Erase(beyond).code(), StatusCode::kNotFound);
+  size_t visited = 0;
+  engine->ScanUnordered([&](const Object&) { ++visited; });
+  EXPECT_EQ(visited, oids.size());
 }
 
 // --------------------------------------------------- residency / bounds
