@@ -9,8 +9,10 @@
 # regressions that correctness tests cannot see), then a short run of each
 # perfbench workload (exits non-zero on a gate mismatch), then a release-build
 # stress stage that repeats the paged writeback hammer, the engine twins,
-# the replication suite, the kill-mid-batch crash test and the sharded
-# warehouse and fault-convergence suites 20 times (rare interleavings), then an Address+UB-Sanitizer build of the robustness and
+# the replication suite, the kill-mid-batch crash test, the sharded
+# warehouse and fault-convergence suites and the GDN twins (a §6 network
+# runs on its host shard in parallel with the peer shards) 20 times (rare
+# interleavings), then an Address+UB-Sanitizer build of the robustness and
 # fault-injection tests
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
@@ -116,7 +118,7 @@ GSV_STORAGE_ENGINE=paged:8:4096:compressed \
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L paged
 
 echo
-echo "=== stress: paged writeback, replication, kill-mid-batch, sharded resync: 20 repetitions (release build) ==="
+echo "=== stress: paged writeback, replication, kill-mid-batch, sharded resync, hosted GDN networks: 20 repetitions (release build) ==="
 # The writeback thread races the mutator on every eviction, steal and
 # flush; an interleaving that rolls a page back shows up only now and
 # then, so the hammer and the engine twins run many times over.
@@ -136,6 +138,11 @@ echo "=== stress: paged writeback, replication, kill-mid-batch, sharded resync: 
   --gtest_repeat=20 --gtest_brief=1
 ./build/tests/gsv_fault_tolerance_test \
   --gtest_filter='FaultConvergenceTest.*' --gtest_repeat=20 --gtest_brief=1
+# A §6 view's network runs on its host shard during phase A, in parallel
+# with the peer shards' drains: the K=4 GDN twins and the sharded restart.
+./build/tests/gsv_ivm_test \
+  --gtest_filter='*GdnPropertyTest.*:GdnDurabilityTest.Sharded*' \
+  --gtest_repeat=20 --gtest_brief=1
 
 echo
 echo "=== asan: robustness + fault-injection + durability + replication tests under address;undefined ==="

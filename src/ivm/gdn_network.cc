@@ -448,8 +448,16 @@ Status GdnEngine::Apply(const Update& update, ViewStorage* out) {
              members_.Contains(update.parent)) {
     // Insert/delete under a continuing member: the delegate's child set
     // must track the base (§3.2). A member VInserted above already copied
-    // its full current value, so only was-and-still members sync here.
-    GSV_RETURN_IF_ERROR(out->SyncUpdate(update));
+    // its full current value, so only was-and-still members sync here. The
+    // sync carries the edge's truth in the store, not the event's kind, as
+    // the network does: an event applied late (a drain re-applying its
+    // batch after a resync) must not put back an edge the base has lost.
+    const Object* parent = base_->Get(update.parent);
+    const bool edge = parent != nullptr && parent->IsSet() &&
+                      parent->children().Contains(update.child);
+    GSV_RETURN_IF_ERROR(
+        out->SyncUpdate(edge ? Update::Insert(update.parent, update.child)
+                             : Update::Delete(update.parent, update.child)));
   }
   return Status::Ok();
 }

@@ -79,6 +79,25 @@ bool ShardedWarehouse::Directory::ViewContains(const std::string& view,
   return slice != nullptr && slice->ContainsBase(base);
 }
 
+OidSet ShardedWarehouse::Directory::ViewMembers(const std::string& view) const {
+  OidSet members;
+  if (frozen_) {
+    auto it = snapshot_.find(view);
+    if (it == snapshot_.end()) return members;
+    for (const OidSet& slice : it->second) {
+      members = OidSet::Union(members, slice);
+    }
+    return members;
+  }
+  for (auto& shard : owner_->shards_) {
+    MaterializedView* slice = shard->view(view);
+    if (slice != nullptr) {
+      members = OidSet::Union(members, slice->BaseMembers());
+    }
+  }
+  return members;
+}
+
 void ShardedWarehouse::Directory::Freeze() {
   snapshot_.clear();
   for (const std::string& name : owner_->view_names_) {
@@ -90,100 +109,6 @@ void ShardedWarehouse::Directory::Freeze() {
     snapshot_[name] = std::move(slices);
   }
   frozen_ = true;
-}
-
-// ---- Coordinator-owned networks for the general views ----
-
-bool ShardedWarehouse::CoordStorage::ContainsBase(const Oid& base_oid) const {
-  Warehouse& owner = *owner_->shards_[ShardOfOid(base_oid, owner_->mask_)];
-  MaterializedView* slice = owner.view(view_);
-  return slice != nullptr && slice->ContainsBase(base_oid);
-}
-
-Status ShardedWarehouse::CoordStorage::VInsert(const Object& base_object) {
-  ForeignViewOp op;
-  op.kind = ForeignViewOp::Kind::kVInsert;
-  op.view = view_;
-  op.object = base_object;
-  owner_->coord_outbox_.push_back(std::move(op));
-  return Status::Ok();
-}
-
-Status ShardedWarehouse::CoordStorage::VDelete(const Oid& base_oid) {
-  ForeignViewOp op;
-  op.kind = ForeignViewOp::Kind::kVDelete;
-  op.view = view_;
-  op.base_oid = base_oid;
-  owner_->coord_outbox_.push_back(std::move(op));
-  return Status::Ok();
-}
-
-OidSet ShardedWarehouse::CoordStorage::BaseMembers() const {
-  OidSet members;
-  for (auto& shard : owner_->shards_) {
-    MaterializedView* slice = shard->view(view_);
-    if (slice != nullptr) members = OidSet::Union(members, slice->BaseMembers());
-  }
-  return members;
-}
-
-Status ShardedWarehouse::EnsureCoordView(const std::string& name) {
-  Warehouse& shard0 = *shards_[0];
-  if (shard0.view_engine(name) == Warehouse::EngineKind::kAlgorithm1) {
-    return Status::Ok();
-  }
-  for (const auto& view : coord_views_) {
-    if (view->name == name) return Status::Ok();
-  }
-  GSV_ASSIGN_OR_RETURN(ViewDefinition def,
-                       ViewDefinition::Parse(shard0.view_definition_text(name)));
-  const std::string source_name = shard0.view_source(name);
-  size_t source_index = sources_.size();
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    if (sources_[i]->name == source_name) {
-      source_index = i;
-      break;
-    }
-  }
-  if (source_index == sources_.size()) {
-    return Status::NotFound("source '" + source_name +
-                            "' of coordinator view " + name +
-                            " is not connected");
-  }
-  MaterializedView* slice = shard0.view(name);
-  if (slice == nullptr) {
-    return Status::NotFound("view " + name + " missing from shard 0");
-  }
-  SourceRoute& route = *sources_[source_index];
-  auto view = std::make_unique<CoordView>();
-  view->name = name;
-  view->source_index = source_index;
-  view->def = std::make_unique<ViewDefinition>(std::move(def));
-  view->storage = std::make_unique<CoordStorage>(this, name, slice->view_oid());
-  view->gdn = std::make_unique<GdnEngine>(route.store, *view->def, route.root);
-  GSV_RETURN_IF_ERROR(view->gdn->Initialize());
-  coord_views_.push_back(std::move(view));
-  return Status::Ok();
-}
-
-void ShardedWarehouse::ApplyCoordPending() {
-  std::vector<std::pair<size_t, UpdateEvent>> pending;
-  pending.swap(coord_pending_);
-  for (const auto& [source_index, event] : pending) {
-    const Update update = event.ToUpdateAt(*sources_[source_index]->store);
-    for (auto& view : coord_views_) {
-      if (view->source_index != source_index) continue;
-      Status status = view->gdn->Apply(update, view->storage.get());
-      if (!status.ok() && view->gdn->poisoned()) {
-        // Self-heal in place: rebuild from the current base state, then
-        // emit whatever deltas the shard slices are missing. Duplicate ops
-        // are §4.3 no-ops at the owners, so healing mid-batch is safe.
-        status = view->gdn->Rebuild();
-        if (status.ok()) status = view->gdn->Reconcile(view->storage.get());
-      }
-      if (!status.ok() && coord_error_.ok()) coord_error_ = status;
-    }
-  }
 }
 
 // ---- Topology ----
@@ -199,7 +124,6 @@ Status ShardedWarehouse::ConnectSource(ObjectStore* source, Oid source_root,
   auto route = std::make_unique<SourceRoute>();
   route->name = name;
   route->store = source;
-  route->root = source_root;  // before the move below consumes it
   route->next_out.assign(shards_.size(), 0);
   size_t index = sources_.size();
   route->monitor = std::make_unique<SourceMonitor>(
@@ -220,10 +144,23 @@ Status ShardedWarehouse::DefineView(std::string_view definition,
                           source_name));
   }
   view_names_.push_back(def.name());
-  // Non-simple views get a coordinator-owned engine; the per-shard entries
-  // above are "external" (delegate slices + value sync only).
-  GSV_RETURN_IF_ERROR(EnsureCoordView(def.name()));
+  RefreshHosts();
   return Status::Ok();
+}
+
+void ShardedWarehouse::RefreshHosts() {
+  for (auto& route : sources_) {
+    route->hosts.clear();
+    for (uint32_t i = 0; i < shards_.size(); ++i) {
+      for (const std::string& name : view_names_) {
+        if (shards_[i]->gdn_engine(name) != nullptr &&
+            shards_[i]->view_source(name) == route->name) {
+          route->hosts.push_back(i);
+          break;
+        }
+      }
+    }
+  }
 }
 
 void ShardedWarehouse::SetPathKnowledge(PathKnowledge knowledge) {
@@ -253,15 +190,23 @@ void ShardedWarehouse::RouteEvent(size_t source_index,
   // exactly as an unsharded warehouse would on the monitor's numbering.
   stamped.sequence = ++route.next_out[target];
   shards_[target]->InjectRoutedEvent(source_index, stamped);
-  // The coordinator engines see every routed event — ahead of the
-  // per-shard fault injectors, so a dropped delivery can stale a shard's
-  // slice (the resync path heals it) but never the network state.
-  if (!coord_views_.empty()) coord_pending_.emplace_back(source_index, event);
+  // Every host of a §6 network over this source sees every event, in its
+  // own sequence domain and through its own channel, so a lost forward
+  // quarantines the host's views. Level 1 suffices: the network re-reads
+  // the store. The host's Algorithm 1 views skip the forwarded event.
+  for (uint32_t host : route.hosts) {
+    if (host == target) continue;
+    UpdateEvent forwarded;
+    forwarded.kind = event.kind;
+    forwarded.parent = event.parent;
+    forwarded.child = event.child;
+    forwarded.sequence = ++route.next_out[host];
+    shards_[host]->InjectRoutedEvent(source_index, forwarded);
+  }
   if (deferred_) return;
-  // Inline: the owner already drained the event alone. Settle now — the
-  // coordinator engines apply it, and every cross-shard effect lands and
-  // commits at its owner — so all shards agree before the next event.
-  ApplyCoordPending();
+  // Inline: each receiving shard already drained the event alone. Settle
+  // now — every cross-shard effect lands and commits at its owner — so all
+  // shards agree before the next event.
   std::vector<bool> applied(shards_.size(), false);
   DeliverForeignOps(&applied);
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -272,11 +217,10 @@ void ShardedWarehouse::RouteEvent(size_t source_index,
 Status ShardedWarehouse::DeliverForeignOps(std::vector<bool>* applied,
                                            DrainTiming* timing) {
   const int64_t take_begin = NowMicros();
-  // The only serial work is taking the producer outboxes (K+1 vector moves)
+  // The only serial work is taking the producer outboxes (K vector moves)
   // and marking owners; the ops themselves are never moved.
   std::vector<std::vector<ForeignViewOp>> taken;
-  taken.reserve(shards_.size() + 1);
-  taken.push_back(std::exchange(coord_outbox_, {}));
+  taken.reserve(shards_.size());
   for (auto& shard : shards_) taken.push_back(shard->TakeForeignOps());
   std::vector<bool> owes(shards_.size(), false);
   for (const std::vector<ForeignViewOp>& ops : taken) {
@@ -338,9 +282,10 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
                 shards_[i]->stale_view_count() > 0;
   }
 
-  // Phase A: per-shard drains in parallel. Concurrency comes from the shard
-  // fan-out; inside each shard the batch engine runs single-threaded
-  // (threads=1), with its sweep and commit deferred to the coordinator.
+  // Phase A: per-shard drains in parallel — Algorithm 1 and the hosted
+  // networks alike. Concurrency comes from the shard fan-out; inside each
+  // shard the batch engine runs single-threaded (threads=1), with its
+  // sweep and commit deferred to the coordinator.
   ThreadPool* pool = Pool(std::min(threads, shard_count));
   std::vector<Status> statuses(shard_count);
   const int64_t par_begin = NowMicros();
@@ -372,14 +317,6 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
   note(DeliverForeignOps(&applied, &timing));
   directory_.Thaw();
 
-  // Phase B2: the coordinator-owned engines for the generalized views apply
-  // the batch against the final source state (each Apply re-reads store
-  // truth, so interleaving across sources is immaterial) and queue their
-  // membership deltas; the delivery below lands them before commit. Runs
-  // on the coordinator thread — one engine per view, no shard writes.
-  ApplyCoordPending();
-  note(std::exchange(coord_error_, Status::Ok()));
-
   // Phase C: verification sweeps, parallel again. Only shards that saw
   // events, applied foreign ops, or resynced can hold stale extras; a sweep
   // of a consistent view is a no-op, so skipping the rest preserves
@@ -397,10 +334,8 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
   const int64_t sweep_end = NowMicros();
   for (const Status& status : sweep_statuses) note(status);
 
-  // Phase B2 queued the coordinator engines' deltas; deliver them, then
-  // close every participating shard's durability group — including shards
-  // whose only change this batch was a coordinator delta landing on them.
-  note(DeliverForeignOps(&applied));
+  // Close every participating shard's durability group — including shards
+  // whose only change this batch was a peer's op landing on them.
   for (size_t i = 0; i < shard_count; ++i) {
     if (active[i] || applied[i]) shards_[i]->CommitDurable();
   }
@@ -429,7 +364,7 @@ size_t ShardedWarehouse::stale_view_count() const {
 }
 
 Status ShardedWarehouse::ResyncStaleViews() {
-  Status first_error = std::exchange(coord_error_, Status::Ok());
+  Status first_error;
   for (auto& shard : shards_) {
     Status status = shard->ResyncStaleViews();
     if (!status.ok() && first_error.ok()) first_error = status;
@@ -481,26 +416,17 @@ Status ShardedWarehouse::EnableDurability(const DurabilityOptions& options) {
   if (recovered) {
     // Recovered shards can have restored views the coordinator has not
     // seen (DefineView was never called on this instance); learn them.
-    view_names_.clear();
     // Shard 0 has every view: all shards define the same set.
-    for (const std::string& name : shards_[0]->view_names()) {
-      view_names_.push_back(name);
-    }
-    // Rebuild the coordinator-owned engines for the generalized views.
-    // Their network state is not checkpointed at the shard level, so they
-    // re-derive it from the current source; Reconcile then queues whatever
-    // deltas the recovered slices are missing (WAL tail events the shards
-    // replayed only as value syncs).
-    coord_views_.clear();
-    for (const std::string& name : view_names_) {
-      GSV_RETURN_IF_ERROR(EnsureCoordView(name));
-    }
-    for (auto& view : coord_views_) {
-      GSV_RETURN_IF_ERROR(view->gdn->Reconcile(view->storage.get()));
+    view_names_ = shards_[0]->view_names();
+    RefreshHosts();
+    // Each host reconciled its networks while its peers were still empty;
+    // now that every slice is loaded, reconcile against the whole view.
+    for (auto& shard : shards_) {
+      GSV_RETURN_IF_ERROR(shard->RebuildNetworks());
     }
     // Per-shard recovery replays ran against live peers that may not have
     // been recovered yet; redistribute what they exported (plus the
-    // coordinator reconcile fixes) and sweep so the fleet settles on the
+    // hosts' reconcile fixes) and sweep so the fleet settles on the
     // current source state.
     GSV_RETURN_IF_ERROR(DeliverForeignOps());
     for (auto& shard : shards_) {
@@ -551,13 +477,14 @@ ShardedViewExplanation ShardedWarehouse::ExplainView(const std::string& name) {
     explanation.members_per_shard.push_back(size);
     explanation.total_members += size;
   }
-  for (const auto& view : coord_views_) {
-    if (view->name != name) continue;
+  for (auto& shard : shards_) {
+    const GdnEngine* gdn = shard->gdn_engine(name);
+    if (gdn == nullptr) continue;
     explanation.engine = "gdn";
-    explanation.gdn_nodes = view->gdn->node_count();
-    explanation.gdn_matches = view->gdn->match_count();
-    explanation.gdn_propagations = view->gdn->stats().propagations;
-    explanation.gdn_rebuilds = view->gdn->stats().rebuilds;
+    explanation.gdn_nodes = gdn->node_count();
+    explanation.gdn_matches = gdn->match_count();
+    explanation.gdn_propagations = gdn->stats().propagations;
+    explanation.gdn_rebuilds = gdn->stats().rebuilds;
     break;
   }
   if (explanation.engine.empty() && shards_[0]->view(name) != nullptr) {

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/view_storage.h"
 #include "query/explain.h"
 #include "warehouse/sharding.h"
 #include "warehouse/warehouse.h"
@@ -22,14 +21,17 @@ namespace gsv {
 // disjoint slices of every view, split by `oid.id() & (K-1)` over the
 // interned 4-byte OID space. A router re-stamps each source's events into
 // per-shard sequence domains (duplicate-drop and gap-detection intact per
-// shard) and delivers them to the owning shard; drains run Algorithm 1 on
-// all shards concurrently. Cross-shard edges are first class: a shard that
-// derives a member it doesn't own exports the op to the owner, and
-// membership questions about foreign members resolve through a coordinator
-// directory (frozen per batch so every shard evaluates one consistent
-// pre-drain state — the §6 DAG-delivery discipline generalized across
-// shards). Reads fan out and K-way merge in lexicographic OID order, so
-// results are byte-identical to a 1-shard warehouse over the same events.
+// shard) and delivers them to the owning shard; drains run on all shards
+// concurrently. A §6 view's discrimination network runs on one shard, the
+// view's host (HostShardOf), inside that shard's ordinary drain: the router
+// also forwards every event of the view's source to the host, at level 1.
+// Cross-shard edges are first class: a shard that derives a member it
+// doesn't own exports the op to the owner, and membership questions about
+// foreign members resolve through a coordinator directory (frozen per batch
+// so every shard evaluates one consistent pre-drain state — the §6
+// DAG-delivery discipline generalized across shards). Reads fan out and
+// K-way merge in lexicographic OID order, so results are byte-identical to
+// a 1-shard warehouse over the same events.
 class ShardedWarehouse {
  public:
   // Wall-clock decomposition of one coordinated drain. `eval_micros` /
@@ -79,25 +81,28 @@ class ShardedWarehouse {
                        ReportingLevel level, std::string name = "");
 
   // Defines the view on every shard; each initializes from current source
-  // state and keeps only its owned slice. Sharded warehouses are cache-less
-  // (CacheMode::kNone) — the §5.2 corridor cuts across the partition.
+  // state and keeps only its owned slice, and a §6 view's host also builds
+  // its network. Sharded warehouses are cache-less (CacheMode::kNone) — the
+  // §5.2 corridor cuts across the partition.
   Status DefineView(std::string_view definition,
                     const std::string& source_name = "");
 
   void SetPathKnowledge(PathKnowledge knowledge);
 
-  // Deferred mode queues routed events at their owning shards; a drain
-  // processes all shards concurrently. Inline mode drains each event alone
-  // at its owner on arrival, then delivers its cross-shard ops at once.
+  // Deferred mode queues routed events at their owning shards (and at the
+  // hosts they are forwarded to); a drain processes all shards
+  // concurrently. Inline mode drains each event alone at each shard it
+  // reaches on arrival, then delivers its cross-shard ops at once.
   void set_deferred(bool deferred);
   bool deferred() const { return deferred_; }
   size_t pending_events() const;
 
   // Coordinated drain: freeze the membership directory; run each
-  // participating shard's batch drain (Algorithm 1, threads=1 inside the
-  // shard — concurrency comes from the shard fan-out) in parallel;
-  // redistribute the foreign-op outboxes in deterministic shard order;
-  // sweep; commit per-shard durability. Appends one DrainTiming.
+  // participating shard's batch drain (Algorithm 1 and the hosted networks,
+  // threads=1 inside the shard — concurrency comes from the shard fan-out)
+  // in parallel; redistribute the foreign-op outboxes in deterministic
+  // shard order; sweep; commit per-shard durability. Appends one
+  // DrainTiming.
   Status ProcessPendingBatch(size_t threads);
   Status ProcessPending() { return ProcessPendingBatch(1); }
 
@@ -119,8 +124,9 @@ class ShardedWarehouse {
   // ---- Durability ----
   // Enables (or recovers) per-shard WAL + checkpoints under
   // options.dir/shard-<i>, then restores the router's per-shard sequence
-  // counters from the recovered watermarks and settles cross-shard effects
-  // of the replay. Call after ConnectSource, before DefineView when
+  // counters from the recovered watermarks, reconciles each host's networks
+  // against the whole recovered view, and settles cross-shard effects of
+  // the replay. Call after ConnectSource, before DefineView when
   // recovering.
   Status EnableDurability(const DurabilityOptions& options);
   Status WriteCheckpoint();
@@ -148,6 +154,7 @@ class ShardedWarehouse {
    public:
     explicit Directory(ShardedWarehouse* owner) : owner_(owner) {}
     bool ViewContains(const std::string& view, const Oid& base) const override;
+    OidSet ViewMembers(const std::string& view) const override;
     void Freeze();
     void Thaw() { frozen_ = false; }
 
@@ -164,68 +171,27 @@ class ShardedWarehouse {
   struct SourceRoute {
     std::string name;
     ObjectStore* store = nullptr;
-    Oid root;  // resolved entry object; coordinator engines anchor here
     std::unique_ptr<SourceMonitor> monitor;
     // Next sequence to hand out per shard (the router owns the per-shard
     // sequence domains; shard i's events are numbered 1.. independently).
     std::vector<uint64_t> next_out;
-  };
-
-  // ViewStorage adapter the coordinator-owned engines emit into: membership
-  // deltas become foreign-view ops in the coordinator outbox (delivered to
-  // their owning shards through the existing ApplyForeignOps channel, which
-  // filters by owner), and membership probes resolve against the owning
-  // shard's live slice. Value sync is a no-op here — each shard's external
-  // entry syncs its own delegates from the routed events it owns.
-  class CoordStorage : public ViewStorage {
-   public:
-    CoordStorage(ShardedWarehouse* owner, std::string view, Oid view_oid)
-        : owner_(owner), view_(std::move(view)), view_oid_(view_oid) {}
-    const Oid& view_oid() const override { return view_oid_; }
-    bool ContainsBase(const Oid& base_oid) const override;
-    Status VInsert(const Object& base_object) override;
-    Status VDelete(const Oid& base_oid) override;
-    OidSet BaseMembers() const override;
-
-   private:
-    ShardedWarehouse* owner_;
-    std::string view_;
-    Oid view_oid_;
-  };
-
-  // One coordinator-owned network per non-simple view (DESIGN.md
-  // §4j). The shards keep "external" entries for these views (delegate
-  // slices + value sync only); the coordinator runs the single network over
-  // the shared source store — it sees every routed event before the
-  // per-shard fault injectors, so engine state never diverges on a dropped
-  // delivery — and its deltas fan out through the foreign-op channel.
-  struct CoordView {
-    std::string name;
-    size_t source_index = 0;
-    // Engines hold references into this copy; unique_ptr keeps it stable.
-    std::unique_ptr<ViewDefinition> def;
-    std::unique_ptr<CoordStorage> storage;
-    std::unique_ptr<GdnEngine> gdn;
+    // Shards hosting a network for a §6 view of this source; each gets
+    // every event (RefreshHosts derives the list from the shards).
+    std::vector<uint32_t> hosts;
   };
 
   void RouteEvent(size_t source_index, const UpdateEvent& event);
+  // Rederives every route's `hosts` from the shards' view entries.
+  void RefreshHosts();
   // The one cross-shard delivery (drain, inline routing, resync, recovery):
-  // takes the coordinator outbox, then each shard's outbox in shard order,
-  // and every owner applies its ops from them in that (producer, op) order,
-  // owners in parallel on the pool. Marks each owner in `applied` (when
+  // takes each shard's outbox in shard order, and every owner applies its
+  // ops from them in that (producer, op) order, owners in parallel on the
+  // pool. A view's ops thus land in its producer's order: one producer per
+  // §6 view (its host), as at K=1. Marks each owner in `applied` (when
   // non-null); with `timing`, charges the take to serial_micros and each
   // owner's apply CPU time to its eval_micros. Commits nothing.
   Status DeliverForeignOps(std::vector<bool>* applied = nullptr,
                            DrainTiming* timing = nullptr);
-  // Builds the coordinator engine for a non-simple view (no-op when one
-  // already exists, or when shard 0 maintains the view with Algorithm 1).
-  Status EnsureCoordView(const std::string& name);
-  // Runs the coordinator engines over the queued routed events, each
-  // against current store truth (re-stamping modify values from the source,
-  // so level 1 suffices); their deltas queue in coord_outbox_ and errors in
-  // coord_error_. A poisoned network self-heals in place: Rebuild +
-  // Reconcile, whose duplicate deltas are §4.3 no-ops.
-  void ApplyCoordPending();
   ThreadPool* Pool(size_t threads);
 
   uint32_t mask_ = 0;
@@ -235,15 +201,6 @@ class ShardedWarehouse {
   std::vector<std::unique_ptr<Warehouse>> shards_;
   std::vector<std::unique_ptr<SourceRoute>> sources_;
   std::vector<std::string> view_names_;
-  std::vector<std::unique_ptr<CoordView>> coord_views_;
-  // Coordinator engine deltas awaiting delivery to their owning shards.
-  std::vector<ForeignViewOp> coord_outbox_;
-  // Routed events the coordinator engines have yet to apply: inline routing
-  // applies each at once, a deferred drain's Phase B2 the whole queue
-  // against the final source state.
-  std::vector<std::pair<size_t, UpdateEvent>> coord_pending_;
-  // First engine failure not yet surfaced through a drain/resync return.
-  Status coord_error_;
   Directory directory_{this};
   std::vector<DrainTiming> timings_;
   std::unique_ptr<ThreadPool> pool_;

@@ -52,6 +52,14 @@ inline uint32_t RouteShardOf(const UpdateEvent& event, uint32_t shard_mask) {
   return ShardOfOid(anchor, shard_mask);
 }
 
+// The shard that runs a §6 view's discrimination network (its host): the
+// owner of the view object. Derived, never stored, so recovery recomputes
+// it. The router forwards every event of the view's source to the host,
+// and the host's network is the view's one producer of ops.
+inline uint32_t HostShardOf(const ViewDefinition& def, uint32_t shard_mask) {
+  return ShardOfOid(def.view_oid(), shard_mask);
+}
+
 // A view operation produced at one shard for a member another shard owns.
 // Maintenance evaluates against the frozen final source state, so the op is
 // correct wherever it lands; the coordinator redistributes outboxes to the
@@ -98,6 +106,9 @@ class CrossShardResolver {
   virtual ~CrossShardResolver() = default;
   // True when `base` is currently a member of `view` in any shard.
   virtual bool ViewContains(const std::string& view, const Oid& base) const = 0;
+  // The members of `view` across all shards. A §6 host reconciles its
+  // network against the whole view, so peers' stale members get deleted.
+  virtual OidSet ViewMembers(const std::string& view) const = 0;
 };
 
 // ViewStorage decorator that scopes one shard's slice of a view: owned
@@ -143,7 +154,16 @@ class ShardScopedStorage : public ViewStorage {
     return Status::Ok();
   }
 
-  OidSet BaseMembers() const override { return inner_->BaseMembers(); }
+  // The whole view: the owned slice, plus the foreign members the resolver
+  // knows. Only GdnEngine::Reconcile reads it, on the view's host shard.
+  OidSet BaseMembers() const override {
+    if (resolver_ == nullptr) return inner_->BaseMembers();
+    std::vector<Oid> foreign;
+    for (const Oid& member : resolver_->ViewMembers(inner_->def().name())) {
+      if (!Owns(member)) foreign.push_back(member);
+    }
+    return OidSet::Union(inner_->BaseMembers(), OidSet(std::move(foreign)));
+  }
 
   Status SyncUpdate(const Update& update) override {
     if (Owns(update.parent)) return inner_->SyncUpdate(update);

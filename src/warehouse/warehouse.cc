@@ -271,11 +271,13 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
   if (entry->engine == EngineKind::kAlgorithm1) {
     entry->maintainer = std::make_unique<Algorithm1Maintainer>(
         entry->storage(), entry->accessor.get(), def, source.root);
-  } else if (!binding_.has_value()) {
+  } else if (!binding_.has_value() ||
+             HostShardOf(def, binding_->shard_mask) ==
+                 binding_->shard_index) {
     // The network reads the base store directly (centralized setting;
-    // query-backs are not metered for it — see DESIGN.md §4j). A
-    // shard-bound warehouse constructs none: the coordinator owns one
-    // engine per general view and redistributes its deltas.
+    // query-backs are not metered for it — see DESIGN.md §4j). Of a
+    // sharded warehouse only the view's host builds one; its scoped
+    // storage exports the ops for members the host does not own.
     entry->gdn = std::make_unique<GdnEngine>(source.store, def, source.root);
   }
   return entry;
@@ -374,13 +376,6 @@ const GdnEngine* Warehouse::gdn_engine(const std::string& name) const {
     if (entry->def.name() == name) return entry->gdn.get();
   }
   return nullptr;
-}
-
-std::string Warehouse::view_definition_text(const std::string& name) const {
-  for (const auto& entry : views_) {
-    if (entry->def.name() == name) return entry->definition_text;
-  }
-  return std::string();
 }
 
 std::string Warehouse::view_source(const std::string& name) const {
@@ -558,8 +553,12 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
   }
   if (entry.gdn != nullptr) {
     // Rebuild the memo network from the same current state the recompute
-    // read (this also clears a poisoned engine).
+    // read (this also clears a poisoned engine), then Reconcile: a no-op
+    // after the recompute, except on a sharded host, whose Reconcile sees
+    // the whole view and deletes the stale members peers still hold (the
+    // sweep skips §6 views).
     status = entry.gdn->Rebuild();
+    if (status.ok()) status = entry.gdn->Reconcile(entry.storage());
     if (!status.ok()) {
       ++costs_.resync_failures;
       return status;

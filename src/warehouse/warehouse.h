@@ -97,11 +97,13 @@ class Warehouse {
   // the object. A bound warehouse materializes only the view members it
   // owns; maintenance ops for foreign members queue in the outbox for the
   // coordinator to redistribute, and foreign membership reads go through
-  // the coordinator's resolver. Must be called before any DefineView;
-  // `resolver` must outlive the warehouse.
+  // the coordinator's resolver. A §6 view's discrimination network runs on
+  // one shard only, its host (HostShardOf); the other shards keep plain
+  // slices. Algorithm 1 views skip events routed to another shard, so a
+  // host ignores the events forwarded to it for its networks. Must be
+  // called before any DefineView; `resolver` must outlive the warehouse.
   Status BindShard(uint32_t shard_index, uint32_t shard_mask,
                    const CrossShardResolver* resolver);
-  bool sharded() const { return binding_.has_value(); }
 
   // ConnectSource without a monitor: the coordinator routes events here by
   // owning shard (re-stamped into this warehouse's per-source sequence
@@ -263,6 +265,13 @@ class Warehouse {
   // an open breaker). Returns Ok when no views remain stale.
   Status ResyncStaleViews();
 
+  // Recovery step 6a: rebuilds every discrimination network from the live
+  // base and Reconciles it against its view. On a host shard the view is
+  // the whole view (the resolver supplies the peers' members), so the fixes
+  // for foreign members queue in the outbox. A sharded coordinator runs
+  // this again once every shard has loaded; Reconcile is idempotent.
+  Status RebuildNetworks();
+
   // ---- Durability (write-ahead log, checkpoints, crash recovery) ----
   //
   // EnableDurability attaches a WAL + checkpoint directory to this
@@ -340,9 +349,7 @@ class Warehouse {
   // Engine introspection (kAlgorithm1 for unknown names).
   EngineKind view_engine(const std::string& name) const;
   const GdnEngine* gdn_engine(const std::string& name) const;
-  // Checkpoint-manifest plumbing a coordinator uses to rebuild its own
-  // engines after recovery: the original definition text and source name.
-  std::string view_definition_text(const std::string& name) const;
+  // The name of the source a view is defined over.
   std::string view_source(const std::string& name) const;
   // Per-view maintenance explanation (engine kind, GDN network size and
   // propagation counters); shards = 1.
@@ -389,10 +396,10 @@ class Warehouse {
     // Drains evaluate with per-task maintainers and accessors; this pair
     // holds the view's merged Algorithm 1 stats (maintainer(name)).
     std::unique_ptr<RemoteAccessor> accessor;
-    // Exactly one engine drives membership. A shard-bound warehouse keeps
-    // gdn null even when `engine` says otherwise: the coordinator
-    // owns one engine over the whole source and redistributes the deltas,
-    // so the shard entry only syncs delegate values ("external" entry).
+    // Exactly one engine drives membership. A shard-bound warehouse builds
+    // `gdn` only when it hosts the view (HostShardOf); elsewhere the entry
+    // is a plain delegate slice that ignores events, and the host's network
+    // exports every op for it — membership and value syncs alike.
     EngineKind engine = EngineKind::kAlgorithm1;
     std::unique_ptr<Algorithm1Maintainer> maintainer;
     std::unique_ptr<GdnEngine> gdn;

@@ -92,6 +92,9 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
   for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
     ViewEntry& entry = *views_[view_index];
     if (!touched[entry.source_index]) continue;
+    // A shard's slice of a §6 view it does not host ignores events: the
+    // host's network exports every op the slice needs.
+    if (entry.engine == EngineKind::kGdn && entry.gdn == nullptr) continue;
     SourceEntry& source = *sources_[entry.source_index];
 
     // §5.1 screening memoized per distinct label. Deletes keep their
@@ -111,6 +114,12 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
 
     for (const auto& [source_index, event] : batch.events()) {
       if (source_index != entry.source_index) continue;
+      // The skip rule: on a shard, Algorithm 1 views maintain only the
+      // events routed here; the rest were forwarded for a hosted network.
+      if (binding_.has_value() && entry.engine == EngineKind::kAlgorithm1 &&
+          RouteShardOf(event, binding_->shard_mask) != binding_->shard_index) {
+        continue;
+      }
 
       // Quarantined views sit the batch out; the resync recompute covers
       // their skipped events. A view can also quarantine mid-batch, when
@@ -179,16 +188,13 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
       if (entry.engine != EngineKind::kAlgorithm1) {
         // One task per general view (never subtree-split), so this worker
         // is the only one touching the view's engine; it reads the frozen
-        // final source state and buffers its deltas like any other task. A
-        // shard-bound "external" entry has no engine: the coordinator's
-        // computes the membership deltas, and only delegate values sync here.
+        // final source state and buffers its deltas like any other task.
         // No §5.1 screening: the network must see every event to keep its
         // memos aligned with the base.
         for (const auto& [event, relevant] : task.events) {
-          const Update update = event->ToUpdateAt(*source.store);
-          Status status = entry.gdn != nullptr
-                              ? entry.gdn->Apply(update, task.buffer.get())
-                              : task.buffer->SyncUpdate(update);
+          Status status =
+              entry.gdn->Apply(event->ToUpdateAt(*source.store),
+                               task.buffer.get());
           if (!status.ok() && task.status.ok()) task.status = status;
         }
         return;

@@ -322,18 +322,11 @@ Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
   for (auto& entry : views_) entry->view->set_delta_sink(durability_.get());
   bool saved_deferred = deferred_;
   deferred_ = true;
-  Status first_error;
   // 6a. Discrimination networks are derived state: Rebuild() each from the
-  //     live base, as the sharded coordinator does, then Reconcile — with
-  //     the sinks attached, so every divergence fix is itself logged — which
-  //     makes the tail replay below a convergent no-op for these views.
-  for (auto& entry : views_) {
-    if (entry->gdn == nullptr) continue;
-    Status status = entry->gdn->Rebuild();
-    if (!status.ok() && first_error.ok()) first_error = status;
-    status = entry->gdn->Reconcile(entry->storage());
-    if (!status.ok() && first_error.ok()) first_error = status;
-  }
+  //     live base, then Reconcile — with the sinks attached, so every
+  //     divergence fix is itself logged — which makes the tail replay below
+  //     a convergent no-op for these views.
+  Status first_error = RebuildNetworks();
   for (const WalRecord& record : plan.tail) {
     if (record.type == WalRecordType::kViewDef) {
       // The definition's group never committed; run the full DefineView
@@ -366,6 +359,17 @@ Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
     if (source->monitor != nullptr) {
       source->monitor->set_last_sequence(source->next_sequence - 1);
     }
+  }
+  return first_error;
+}
+
+Status Warehouse::RebuildNetworks() {
+  Status first_error;
+  for (auto& entry : views_) {
+    if (entry->gdn == nullptr) continue;
+    Status status = entry->gdn->Rebuild();
+    if (status.ok()) status = entry->gdn->Reconcile(entry->storage());
+    if (!status.ok() && first_error.ok()) first_error = status;
   }
   return first_error;
 }

@@ -203,11 +203,17 @@ TEST_F(WrapperFaultTest, OpenBreakerHalfOpensAfterEnoughRejections) {
 // ResyncStaleViews() or through the drains that follow — the faulty
 // warehouse's content lines (members, delegate labels and values) must
 // equal a recompute: the view defined from scratch over the final source
-// state. At K=1 they must also equal the fault-free twin's. (A fault-free
+// state. At K=1 they must also equal the fault-free twin's. So must a §6
+// view at K=4, against both the fault-free K=4 and K=1 twins: its one
+// producer is the host's network. (For an Algorithm 1 view a fault-free
 // K=4 twin is no reference: its coordinated drain can apply a peer's
 // snapshot V_insert after a sync the same batch produced later — see
 // CHANGES.md.)
 enum class Heal { kResync, kNextDrain };
+
+// ConvergenceConfig::fault_shard values relative to the view's host shard.
+constexpr int kHostShard = -1;
+constexpr int kBesideHost = -2;  // the shard after the host
 
 struct ConvergenceConfig {
   std::string name;
@@ -215,10 +221,14 @@ struct ConvergenceConfig {
   Warehouse::CacheMode cache = Warehouse::CacheMode::kNone;
   bool batched = false;
   Heal heal = Heal::kResync;
+  // The view "WV": its definition with ROOT for the source root, or empty
+  // for the §4 tree view; and the shard whose channel (at K>1) the fault
+  // injector sits on — an index, kHostShard or kBesideHost.
+  std::string definition;
+  int fault_shard = 1;
 };
 
-// One warehouse of either shape behind the calls the check needs. At K>1
-// the fault injector sits on shard 1's channel.
+// One warehouse of either shape behind the calls the check needs.
 class Deployment {
  public:
   explicit Deployment(uint32_t shards) {
@@ -240,9 +250,9 @@ class Deployment {
     return sharded_ != nullptr ? sharded_->DefineView(definition)
                                : plain_->DefineView(definition, cache);
   }
-  Status SetFaultInjector(FaultInjector* injector) {
+  Status SetFaultInjector(FaultInjector* injector, uint32_t shard) {
     return sharded_ != nullptr
-               ? sharded_->SetFaultInjector("source1", 1, injector)
+               ? sharded_->SetFaultInjector("source1", shard, injector)
                : plain_->SetFaultInjector("source1", injector);
   }
   void set_deferred(bool deferred) {
@@ -316,12 +326,33 @@ void RunConvergenceCheck(const ConvergenceConfig& config,
   ASSERT_TRUE(tree_a.ok());
   ASSERT_TRUE(tree_b.ok());
   ASSERT_EQ(tree_a->root, tree_b->root);
-  const std::string definition =
-      TreeViewDefinition("WV", tree_a->root, 2, 3, 50);
+  const bool general = !config.definition.empty();
+  std::string definition = TreeViewDefinition("WV", tree_a->root, 2, 3, 50);
+  if (general) {
+    definition = config.definition;
+    definition.replace(definition.find("ROOT"), 4, tree_a->root.str());
+  }
+  uint32_t fault_shard = static_cast<uint32_t>(config.fault_shard);
+  if (config.fault_shard < 0) {
+    auto def = ViewDefinition::Parse(definition);
+    ASSERT_TRUE(def.ok()) << def.status().ToString();
+    const uint32_t host = HostShardOf(*def, config.shards - 1);
+    fault_shard = config.fault_shard == kHostShard
+                      ? host
+                      : (host + 1) % config.shards;
+  }
 
-  Deployment clean(config.shards);
-  ASSERT_TRUE(clean.Connect(&source_a, tree_a->root).ok());
-  ASSERT_TRUE(clean.Define(definition, config.cache).ok());
+  // Fault-free twins: one of the same shape, plus a K=1 one for a §6 view.
+  std::vector<std::unique_ptr<Deployment>> clean;
+  clean.push_back(std::make_unique<Deployment>(config.shards));
+  if (general && config.shards > 1) {
+    clean.push_back(std::make_unique<Deployment>(1));
+  }
+  for (auto& twin : clean) {
+    ASSERT_TRUE(twin->Connect(&source_a, tree_a->root).ok());
+    ASSERT_TRUE(twin->Define(definition, config.cache).ok());
+    twin->set_deferred(config.batched);
+  }
 
   Deployment faulty(config.shards);
   ASSERT_TRUE(faulty.Connect(&source_b, tree_b->root).ok());
@@ -334,9 +365,7 @@ void RunConvergenceCheck(const ConvergenceConfig& config,
   profile.event_drop_rate = 0.05;
   profile.event_duplicate_rate = 0.05;
   FaultInjector injector(profile);
-  ASSERT_TRUE(faulty.SetFaultInjector(&injector).ok());
-
-  clean.set_deferred(config.batched);
+  ASSERT_TRUE(faulty.SetFaultInjector(&injector, fault_shard).ok());
   faulty.set_deferred(config.batched);
 
   UpdateGenOptions gen_options;
@@ -347,7 +376,7 @@ void RunConvergenceCheck(const ConvergenceConfig& config,
     ASSERT_TRUE(gen_a.Run(updates).ok());
     ASSERT_TRUE(gen_b.Run(updates).ok());
     if (config.batched) {
-      ASSERT_TRUE(clean.Drain().ok());
+      for (auto& twin : clean) ASSERT_TRUE(twin->Drain().ok());
       ASSERT_TRUE(faulty.Drain().ok()) << faulty.last_status().ToString();
     }
     // Faults never abort maintenance — they quarantine.
@@ -381,9 +410,11 @@ void RunConvergenceCheck(const ConvergenceConfig& config,
   EXPECT_EQ(faulty.buffered_stale_events(), 0u);
 
   // Byte-identical convergence with a recompute over the final source
-  // state (and, at K=1, with the fault-free warehouse).
+  // state (and, at K=1 or for a §6 view, with the fault-free twins).
   const auto lines = faulty.Lines("WV");
-  if (config.shards == 1) EXPECT_EQ(lines, clean.Lines("WV"));
+  if (config.shards == 1 || general) {
+    for (auto& twin : clean) EXPECT_EQ(lines, twin->Lines("WV"));
+  }
   ObjectStore recompute_store;
   Warehouse recompute(&recompute_store);
   ASSERT_TRUE(recompute
@@ -431,8 +462,9 @@ TEST(FaultConvergenceTest, BatchedFullCacheHealsOnNextDrain) {
 
 // At K=4 one fault schedule heals cleanly more often than not, so each
 // case runs a fixed set of seeded trials; a shard heal that misses updates
-// its peers' delegates never saw shows up in a few of them.
-void RunShardedTrials(const ConvergenceConfig& config) {
+// its peers' delegates never saw shows up in a few of them. So does, at
+// any K, a §6 drain that re-applies its batch after a prologue resync.
+void RunSeededTrials(const ConvergenceConfig& config) {
   for (uint64_t trial = 1; trial <= 20; ++trial) {
     RunConvergenceCheck(config, trial, 300 + trial);
     if (::testing::Test::HasFailure()) return;
@@ -440,18 +472,86 @@ void RunShardedTrials(const ConvergenceConfig& config) {
 }
 
 TEST(FaultConvergenceTest, FourShardsPerEvent) {
-  RunShardedTrials({"k4/per-event", 4, Warehouse::CacheMode::kNone,
-                    /*batched=*/false});
+  RunSeededTrials({"k4/per-event", 4, Warehouse::CacheMode::kNone,
+                   /*batched=*/false});
 }
 
 TEST(FaultConvergenceTest, FourShardsBatched) {
-  RunShardedTrials({"k4/batched", 4, Warehouse::CacheMode::kNone,
-                    /*batched=*/true});
+  RunSeededTrials({"k4/batched", 4, Warehouse::CacheMode::kNone,
+                   /*batched=*/true});
 }
 
 TEST(FaultConvergenceTest, FourShardsBatchedHealsOnNextDrain) {
-  RunShardedTrials({"k4/batched/next-drain", 4, Warehouse::CacheMode::kNone,
-                    /*batched=*/true, Heal::kNextDrain});
+  RunSeededTrials({"k4/batched/next-drain", 4, Warehouse::CacheMode::kNone,
+                   /*batched=*/true, Heal::kNextDrain});
+}
+
+// A §6 view: its discrimination network sees every event. At K=4 it runs
+// on the view's host, which gets its own events plus the ones forwarded to
+// it. A fault on the host's channel loses or repeats events the network
+// needs; one beside the host stales a plain slice the host's ops maintain.
+const char kGeneralView[] =
+    "define mview WV as: SELECT ROOT.* X WHERE X.age <= 50";
+
+TEST(FaultConvergenceTest, GeneralViewPerEvent) {
+  RunSeededTrials({"gdn/per-event", 1, Warehouse::CacheMode::kNone,
+                   /*batched=*/false, Heal::kResync, kGeneralView});
+}
+
+TEST(FaultConvergenceTest, GeneralViewBatched) {
+  RunSeededTrials({"gdn/batched", 1, Warehouse::CacheMode::kNone,
+                   /*batched=*/true, Heal::kResync, kGeneralView});
+}
+
+TEST(FaultConvergenceTest, FourShardsGeneralViewHostPerEvent) {
+  RunSeededTrials({"k4/gdn/host/per-event", 4, Warehouse::CacheMode::kNone,
+                   /*batched=*/false, Heal::kResync, kGeneralView,
+                   kHostShard});
+}
+
+TEST(FaultConvergenceTest,
+     FourShardsGeneralViewHostPerEventHealsOnNextEvents) {
+  RunSeededTrials({"k4/gdn/host/per-event/next-drain", 4,
+                   Warehouse::CacheMode::kNone, /*batched=*/false,
+                   Heal::kNextDrain, kGeneralView, kHostShard});
+}
+
+TEST(FaultConvergenceTest, FourShardsGeneralViewHostBatched) {
+  RunSeededTrials({"k4/gdn/host/batched", 4, Warehouse::CacheMode::kNone,
+                   /*batched=*/true, Heal::kResync, kGeneralView,
+                   kHostShard});
+}
+
+TEST(FaultConvergenceTest, FourShardsGeneralViewHostBatchedHealsOnNextDrain) {
+  RunSeededTrials({"k4/gdn/host/batched/next-drain", 4,
+                   Warehouse::CacheMode::kNone, /*batched=*/true,
+                   Heal::kNextDrain, kGeneralView, kHostShard});
+}
+
+TEST(FaultConvergenceTest, FourShardsGeneralViewBesideHostPerEvent) {
+  RunSeededTrials({"k4/gdn/beside-host/per-event", 4,
+                   Warehouse::CacheMode::kNone, /*batched=*/false,
+                   Heal::kResync, kGeneralView, kBesideHost});
+}
+
+TEST(FaultConvergenceTest,
+     FourShardsGeneralViewBesideHostPerEventHealsOnNextEvents) {
+  RunSeededTrials({"k4/gdn/beside-host/per-event/next-drain", 4,
+                   Warehouse::CacheMode::kNone, /*batched=*/false,
+                   Heal::kNextDrain, kGeneralView, kBesideHost});
+}
+
+TEST(FaultConvergenceTest, FourShardsGeneralViewBesideHostBatched) {
+  RunSeededTrials({"k4/gdn/beside-host/batched", 4,
+                   Warehouse::CacheMode::kNone, /*batched=*/true,
+                   Heal::kResync, kGeneralView, kBesideHost});
+}
+
+TEST(FaultConvergenceTest,
+     FourShardsGeneralViewBesideHostBatchedHealsOnNextDrain) {
+  RunSeededTrials({"k4/gdn/beside-host/batched/next-drain", 4,
+                   Warehouse::CacheMode::kNone, /*batched=*/true,
+                   Heal::kNextDrain, kGeneralView, kBesideHost});
 }
 
 }  // namespace

@@ -3,11 +3,12 @@
 // randomized twin property test drives one source through tree- and
 // DAG-preserving update streams, plus silently Put() subtrees linked by one
 // insert, and demands byte-identity between the GDN warehouse (K=1) and the
-// sharded coordinator (K=4), each deferred and inline, and the §4.4
-// full-recompute oracle. Durability
+// 4-shard warehouse, whose network runs on the view's host shard, each
+// deferred and inline, and the §4.4 full-recompute oracle. Durability
 // tests kill the warehouse mid-batch and check that recovery rebuilds every
-// network from the restored base; the concurrency test drains many networks
-// in parallel. This binary carries the `gdn-paged` ctest label: ci.sh
+// network from the restored base — at K=4 on the host, reconciled against
+// every recovered slice; the concurrency test drains many networks in
+// parallel. This binary carries the `gdn-paged` ctest label: ci.sh
 // re-runs it under ASan, TSan, and the paged-engine stages.
 
 #include <gtest/gtest.h>
@@ -106,6 +107,15 @@ void PutFreshSubtree(ObjectStore* source, const std::string& prefix,
   ASSERT_TRUE(source->PutSet(*top, "person", {a0, m1, m2}).ok());
 }
 
+// Shards of `warehouse` that run a network for `view`: its host alone.
+size_t NetworkShards(ShardedWarehouse& warehouse, const std::string& view) {
+  size_t count = 0;
+  for (uint32_t i = 0; i < warehouse.shard_count(); ++i) {
+    count += warehouse.shard(i).gdn_engine(view) != nullptr;
+  }
+  return count;
+}
+
 // ------------------------------------------------- randomized twin suite
 
 struct GdnParam {
@@ -138,10 +148,12 @@ class GdnPropertyTest : public ::testing::TestWithParam<GdnParam> {};
 
 // One source, five maintainers: the GDN warehouse (level-1 events — the
 // network re-reads store truth, so OIDs suffice) and the 4-shard
-// coordinator, each once deferred and once inline (every event a drain of
+// warehouse, each once deferred and once inline (every event a drain of
 // one), and the §4.4 recompute oracle. All must agree at every batch
 // boundary, byte for byte. Every other batch the test links a silently Put
 // subtree with one insert; in DAG streams it also points at a known object.
+// At K=4 exactly one shard (the host) runs the network, over the same
+// coalesced batches as K=1, so its propagation count matches K=1's.
 TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
   const GdnParam& p = GetParam();
   ObjectStore source;
@@ -182,6 +194,7 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
     ASSERT_TRUE(
         w->ConnectSource(&source, tree->root, ReportingLevel::kOidsOnly).ok());
     ASSERT_TRUE(w->DefineView(definition).ok());
+    ASSERT_EQ(NetworkShards(*w, "GV"), 1u);
   }
   sharded.set_deferred(true);
 
@@ -214,6 +227,12 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
 
     ASSERT_TRUE(inline_warehouse.last_status().ok())
         << inline_warehouse.last_status().ToString();
+    // An inline network error surfaces on its host's last_status().
+    for (uint32_t i = 0; i < inline_sharded.shard_count(); ++i) {
+      ASSERT_TRUE(inline_sharded.shard(i).last_status().ok())
+          << "shard " << i << ": "
+          << inline_sharded.shard(i).last_status().ToString();
+    }
 
     MaterializedView* w_view = warehouse.view("GV");
     ASSERT_NE(w_view, nullptr);
@@ -225,12 +244,18 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
   }
 
   // The network actually propagated (no silent recompute fallback), on the
-  // 1-shard engine and on the sharded coordinator's.
+  // 1-shard engine and on the host's, and the host did exactly K=1's work.
   ASSERT_NE(warehouse.gdn_engine("GV"), nullptr);
-  EXPECT_GT(warehouse.gdn_engine("GV")->stats().propagations, 0);
-  EXPECT_GT(inline_warehouse.gdn_engine("GV")->stats().propagations, 0);
-  EXPECT_GT(sharded.ExplainView("GV").gdn_propagations, 0);
-  EXPECT_GT(inline_sharded.ExplainView("GV").gdn_propagations, 0);
+  const int64_t propagations = warehouse.gdn_engine("GV")->stats().propagations;
+  const int64_t inline_propagations =
+      inline_warehouse.gdn_engine("GV")->stats().propagations;
+  EXPECT_GT(propagations, 0);
+  EXPECT_GT(inline_propagations, 0);
+  EXPECT_EQ(sharded.ExplainView("GV").gdn_propagations, propagations);
+  EXPECT_EQ(inline_sharded.ExplainView("GV").gdn_propagations,
+            inline_propagations);
+  EXPECT_EQ(NetworkShards(sharded, "GV"), 1u);
+  EXPECT_EQ(NetworkShards(inline_sharded, "GV"), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Randomized, GdnPropertyTest,
@@ -824,9 +849,9 @@ TEST(GdnDurabilityTest, LegacyHomeWithNetworkImageRecovers) {
             ViewContentLines(*rig.twin->view("GV")));
 }
 
-// Sharded durability with a coordinator-owned network: restart rebuilds
-// the coordinator engine from the recovered shard metadata, reconciles the
-// slices, and the fleet keeps converging with a live 1-shard twin.
+// Sharded durability with a hosted network: restart rebuilds the network
+// on the view's host shard alone, reconciles it against every recovered
+// slice, and the fleet keeps converging with a live 1-shard twin.
 TEST(GdnDurabilityTest, ShardedRestartRebuildsCoordinatorEngine) {
   const std::string dir = TempDir("sharded");
   constexpr uint32_t kShards = 4;
@@ -867,6 +892,7 @@ TEST(GdnDurabilityTest, ShardedRestartRebuildsCoordinatorEngine) {
     ASSERT_TRUE(durable.EnableDurability(options).ok());
     ASSERT_TRUE(durable.DefineView(definition).ok());
     EXPECT_EQ(durable.ExplainView("GV").engine, "gdn");
+    EXPECT_EQ(NetworkShards(durable, "GV"), 1u);
 
     for (int burst = 0; burst < 3; ++burst) {
       ASSERT_TRUE(gen.Run(25).ok());
@@ -888,6 +914,7 @@ TEST(GdnDurabilityTest, ShardedRestartRebuildsCoordinatorEngine) {
   options.dir = dir;
   ASSERT_TRUE(recovered.EnableDurability(options).ok());
   EXPECT_EQ(recovered.ExplainView("GV").engine, "gdn");
+  EXPECT_EQ(NetworkShards(recovered, "GV"), 1u);
   EXPECT_EQ(recovered.ViewContents("GV"), ViewContentLines(*twin.view("GV")));
 
   ASSERT_TRUE(gen.Run(30).ok());

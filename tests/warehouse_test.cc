@@ -1208,6 +1208,57 @@ TEST(ShardedWarehouseTest, DrainTimingsDecomposeTheCriticalPath) {
   EXPECT_TRUE(rig.sharded->drain_timings().empty());
 }
 
+// One delivery per event: with only Algorithm 1 views the router forwards
+// nothing, so the shards' sequence domains together number exactly the
+// source's events — the traffic serve-k4-replica sees. A §6 view adds its
+// host, the one shard that runs a network, and the router forwards it
+// every later event; the host's Algorithm 1 slices ignore the forwards.
+TEST(ShardedWarehouseTest, RouterForwardsEveryEventOnlyToANetworkHost) {
+  ShardedRig rig;
+  ASSERT_NO_FATAL_FAILURE(rig.Build(4, "shf_", /*deferred=*/true));
+  ShardedWarehouse& sharded = *rig.sharded;
+  auto delivered = [&sharded](uint32_t shard) {
+    return sharded.shard(shard).last_delivered_sequence("source1");
+  };
+  auto drain = [&rig] {
+    ASSERT_TRUE(rig.plain->ProcessPendingBatch().ok());
+    ASSERT_TRUE(rig.sharded->ProcessPendingBatch(4).ok());
+  };
+
+  ASSERT_TRUE(rig.gen->Run(80).ok());
+  ASSERT_NO_FATAL_FAILURE(drain());
+  const uint64_t events = rig.plain->last_delivered_sequence("source1");
+  ASSERT_GT(events, 0u);
+  uint64_t sum = 0;
+  for (uint32_t i = 0; i < sharded.shard_count(); ++i) sum += delivered(i);
+  EXPECT_EQ(sum, events);
+
+  const std::string general = "define mview SGV as: SELECT " +
+                              rig.root.str() + ".* X WHERE X.age <= 50";
+  ASSERT_TRUE(sharded.DefineView(general).ok());
+  ASSERT_TRUE(rig.plain->DefineView(general).ok());
+  std::vector<uint32_t> hosts;
+  for (uint32_t i = 0; i < sharded.shard_count(); ++i) {
+    if (sharded.shard(i).gdn_engine("SGV") != nullptr) hosts.push_back(i);
+  }
+  ASSERT_EQ(hosts.size(), 1u);
+  const uint64_t host_before = delivered(hosts[0]);
+
+  ASSERT_TRUE(rig.gen->Run(60).ok());
+  ASSERT_NO_FATAL_FAILURE(drain());
+  const uint64_t later = rig.plain->last_delivered_sequence("source1") - events;
+  ASSERT_GT(later, 0u);
+  EXPECT_EQ(delivered(hosts[0]) - host_before, later);
+  ASSERT_NO_FATAL_FAILURE(rig.ExpectTwinsIdentical());
+  EXPECT_EQ(sharded.ViewContents("SGV"),
+            ViewContentLines(*rig.plain->view("SGV")));
+  auto def = ViewDefinition::Parse(general);
+  ASSERT_TRUE(def.ok());
+  auto truth = EvaluateView(rig.source, *def);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_EQ(sharded.ViewMembers("SGV"), truth->elements());
+}
+
 TEST(WarehouseCostsTest, MergeAddsEveryCounterIntoTheTarget) {
   WarehouseCosts a;
   WarehouseCosts b;
