@@ -50,15 +50,7 @@ void OidTable::Place(std::vector<Slot>* slots, Slot entry) {
   (*slots)[i] = entry;
 }
 
-uint32_t OidTable::Intern(std::string_view text) {
-  if (text.empty()) return 0;
-  const uint32_t hash = HashSpelling(text);
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (const uint32_t id = Find(text, hash)) return id;
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (const uint32_t id = Find(text, hash)) return id;
+uint32_t OidTable::InsertLocked(std::string_view text, uint32_t hash) {
   const uint32_t id = size_;
   if ((id >> kBlockBits) >= kMaxBlocks) {
     std::fprintf(stderr, "OidTable: interned-OID capacity exhausted\n");
@@ -82,6 +74,49 @@ uint32_t OidTable::Intern(std::string_view text) {
   }
   Place(&slots_, Slot{hash, id});
   return id;
+}
+
+uint32_t OidTable::Intern(std::string_view text) {
+  if (text.empty()) return 0;
+  const uint32_t hash = HashSpelling(text);
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    if (const uint32_t id = Find(text, hash)) return id;
+  }
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (const uint32_t id = Find(text, hash)) return id;
+  return InsertLocked(text, hash);
+}
+
+void OidTable::InternMany(std::span<const std::string_view> texts,
+                          std::span<uint32_t> ids) {
+  // How many spellings ahead a probe's first slot is prefetched: far
+  // enough for the line to arrive, near enough to stay cached.
+  constexpr size_t kPrefetchAhead = 8;
+  const size_t n = texts.size();
+  std::vector<uint32_t> hashes(n);
+  for (size_t i = 0; i < n; ++i) hashes[i] = HashSpelling(texts[i]);
+  bool missed = false;
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchAhead < n) {
+        __builtin_prefetch(&slots_[hashes[i + kPrefetchAhead] & mask]);
+      }
+      ids[i] = texts[i].empty() ? 0 : Find(texts[i], hashes[i]);
+      missed |= ids[i] == 0 && !texts[i].empty();
+    }
+  }
+  if (!missed) return;
+  // Misses in spelling order; a repeat of an earlier miss, or a spelling
+  // another thread added since the shared pass, is found by the re-probe.
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  for (size_t i = 0; i < n; ++i) {
+    if (ids[i] != 0 || texts[i].empty()) continue;
+    ids[i] = Find(texts[i], hashes[i]);
+    if (ids[i] == 0) ids[i] = InsertLocked(texts[i], hashes[i]);
+  }
 }
 
 uint32_t OidTable::InternDelegate(uint32_t view_id, uint32_t base_id) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,7 +22,8 @@ namespace gsv {
 // first-sight order, which ShardOfOid and every on-disk byte depend on.
 //
 // Thread-safe: Intern takes a shared lock on the hit path and an exclusive
-// lock only when a new string is added; String() is lock-free. Interned
+// lock only when a new string is added; InternMany does the same once for
+// a whole batch of spellings; String() is lock-free. Interned
 // strings are immortal and never move, so references returned by String()
 // remain valid for the life of the process (string_views into them are safe
 // to hand out — see Oid::BaseView).
@@ -34,6 +36,15 @@ class OidTable {
 
   // Returns the id of `text`, interning it on first sight. "" -> 0.
   uint32_t Intern(std::string_view text);
+
+  // Interns every spelling of `texts` into the matching slot of `ids`, as
+  // if by one Intern call per spelling in order: a spelling not yet in the
+  // table gets the next id at its first position in `texts`, so batching
+  // leaves first-sight id order unchanged. One shared lock covers the
+  // probes (each prefetches a later spelling's slot), and one exclusive
+  // lock the misses. `ids` must hold texts.size() entries.
+  void InternMany(std::span<const std::string_view> texts,
+                  std::span<uint32_t> ids);
 
   // Interns the delegate form "<view>.<base>" with a single allocation.
   uint32_t InternDelegate(uint32_t view_id, uint32_t base_id);
@@ -65,6 +76,9 @@ class OidTable {
   // The id of `text` (whose hash is `hash`), or 0 when absent. Requires
   // mutex_ held in either mode.
   uint32_t Find(std::string_view text, uint32_t hash) const;
+  // Adds `text` (absent, hash `hash`) under the next id, growing the
+  // table at load factor 1/2. Requires mutex_ held exclusively.
+  uint32_t InsertLocked(std::string_view text, uint32_t hash);
   // Stores `entry` in the first free slot of its probe sequence.
   static void Place(std::vector<Slot>* slots, Slot entry);
 

@@ -163,39 +163,53 @@ class GsvzCodec final : public PageCodec {
     if (!GetVarint(stored, &pos, &raw_size)) {
       return Status::DataLoss("gsvz: truncated size header");
     }
-    std::string out;
-    out.reserve(raw_size);
-    while (out.size() < raw_size) {
+    // Every item costs at least one stored byte plus a control-bit share
+    // and yields at most kMaxMatch bytes per 2-byte match, so no valid
+    // stream expands past kMaxMatch / 2 times its stored size. Checked
+    // before the output is allocated: a corrupt header must not size it.
+    if (raw_size > (kMaxMatch / 2) * static_cast<uint64_t>(stored.size())) {
+      return Status::DataLoss("gsvz: declared size " +
+                              std::to_string(raw_size) +
+                              " exceeds what the stream can hold");
+    }
+    std::string out(raw_size, '\0');
+    char* const dst = out.data();
+    size_t n = 0;  // bytes produced
+    while (n < raw_size) {
       if (pos >= stored.size()) {
         return Status::DataLoss("gsvz: truncated stream");
       }
       uint8_t control = static_cast<uint8_t>(stored[pos++]);
-      for (int item = 0; item < 8 && out.size() < raw_size; ++item) {
+      for (int item = 0; item < 8 && n < raw_size; ++item) {
         if (control & (1u << item)) {
           if (pos >= stored.size()) {
             return Status::DataLoss("gsvz: truncated literal");
           }
-          out.push_back(stored[pos++]);
-        } else {
-          if (pos + 1 >= stored.size()) {
-            return Status::DataLoss("gsvz: truncated match");
-          }
-          const uint8_t b0 = static_cast<uint8_t>(stored[pos]);
-          const uint8_t b1 = static_cast<uint8_t>(stored[pos + 1]);
-          pos += 2;
-          const size_t offset =
-              (static_cast<size_t>(b0) << 4) | (b1 >> 4);
-          const size_t len = (b1 & 0xF) + kMinMatch;
-          if (offset == 0 || offset > out.size()) {
-            return Status::DataLoss("gsvz: match offset outside window");
-          }
-          if (out.size() + len > raw_size) {
-            return Status::DataLoss("gsvz: match overruns declared size");
-          }
-          // Byte-by-byte: matches may self-overlap.
-          size_t src = out.size() - offset;
-          for (size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+          dst[n++] = stored[pos++];
+          continue;
         }
+        if (pos + 1 >= stored.size()) {
+          return Status::DataLoss("gsvz: truncated match");
+        }
+        const uint8_t b0 = static_cast<uint8_t>(stored[pos]);
+        const uint8_t b1 = static_cast<uint8_t>(stored[pos + 1]);
+        pos += 2;
+        const size_t offset = (static_cast<size_t>(b0) << 4) | (b1 >> 4);
+        const size_t len = (b1 & 0xF) + kMinMatch;
+        if (offset == 0 || offset > n) {
+          return Status::DataLoss("gsvz: match offset outside window");
+        }
+        if (n + len > raw_size) {
+          return Status::DataLoss("gsvz: match overruns declared size");
+        }
+        const char* src = dst + n - offset;
+        if (offset >= len) {
+          std::memcpy(dst + n, src, len);
+        } else {
+          // Self-overlapping (RLE): each byte may be one this match wrote.
+          for (size_t i = 0; i < len; ++i) dst[n + i] = src[i];
+        }
+        n += len;
       }
     }
     if (pos != stored.size()) {

@@ -37,7 +37,8 @@ class PageCodec {
   virtual std::string Encode(std::string_view raw) const = 0;
 
   // Decodes a stored payload back to the raw text. kDataLoss on a
-  // malformed stream (truncated, out-of-window match, size mismatch).
+  // malformed stream (truncated, out-of-window match, size mismatch, or a
+  // declared size the stream's length cannot hold).
   virtual Result<std::string> Decode(std::string_view stored) const = 0;
 };
 

@@ -446,27 +446,22 @@ class PagedEngine final : public StorageEngine {
     for (const auto& [oid, object] : frame.objects) swizzle_.erase(oid);
   }
 
-  // Parses checkpoint record lines into the frame's object map. False (and
+  // Parses a page payload into the frame's object map (one in-place pass
+  // with one batched intern, serialize.h DecodeObjectRecords). False (and
   // sticky io_error_) on a malformed record.
-  bool LoadFromTextLocked(Frame* frame, const std::string& text) {
-    size_t start = 0;
-    while (start < text.size()) {
-      size_t end = text.find('\n', start);
-      if (end == std::string::npos) end = text.size();
-      std::string line = text.substr(start, end - start);
-      start = end + 1;
-      if (line.empty()) continue;
-      Result<Object> object = DecodeObjectRecord(line);
-      if (!object.ok()) {
-        NoteIoErrorLocked(Status::DataLoss(
-            "paged engine: bad record on page " +
-            std::to_string(frame->page_id) + ": " +
-            object.status().message()));
-        frame->objects.clear();
-        return false;
-      }
-      Oid oid = object.value().oid();
-      frame->objects.emplace(oid, std::move(object).value());
+  bool LoadFromTextLocked(Frame* frame, std::string_view text) {
+    std::vector<Object> objects;
+    Status decoded = DecodeObjectRecords(text, &objects);
+    if (!decoded.ok()) {
+      NoteIoErrorLocked(Status::DataLoss(
+          "paged engine: bad record on page " +
+          std::to_string(frame->page_id) + ": " + decoded.message()));
+      return false;
+    }
+    frame->objects.reserve(objects.size());
+    for (Object& object : objects) {
+      const Oid oid = object.oid();
+      frame->objects.emplace(oid, std::move(object));
     }
     return true;
   }
@@ -1047,6 +1042,27 @@ std::vector<std::string_view> SplitFields(std::string_view line) {
   return fields;
 }
 
+// Parses a decoded page's records (the engine's own fault-path decoder)
+// and checks them against the page's directory line: record count and
+// first/last OID.
+Status AuditPageRecords(std::string_view raw, const PageDirEntry& entry) {
+  std::vector<Object> objects;
+  GSV_RETURN_IF_ERROR(DecodeObjectRecords(raw, &objects));
+  const std::string first = objects.empty() ? "" : objects.front().oid().str();
+  const std::string last = objects.empty() ? "" : objects.back().oid().str();
+  if (objects.size() != entry.objects) {
+    return Status::DataLoss("holds " + std::to_string(objects.size()) +
+                            " records, directory says " +
+                            std::to_string(entry.objects));
+  }
+  if (first != entry.first_oid || last != entry.last_oid) {
+    return Status::DataLoss("records span [" + first + " .. " + last +
+                            "], directory says [" + entry.first_oid +
+                            " .. " + entry.last_oid + "]");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<PageDirectory> ReadPageDirectory(const std::string& dir) {
@@ -1154,6 +1170,7 @@ Status VerifyPagedImage(const std::string& dir, std::ostream* out) {
         PageCodecById(static_cast<uint8_t>(entry.codec_id));
     const char* codec_name = codec != nullptr ? codec->name() : "?";
     bool decode_ok = codec != nullptr;
+    bool records_ok = true;
     if (codec == nullptr) {
       note(Status::DataLoss("page " + std::to_string(entry.page_id) +
                             ": unrecognized codec id " +
@@ -1166,6 +1183,13 @@ Status VerifyPagedImage(const std::string& dir, std::ostream* out) {
             "page " + std::to_string(entry.page_id) + ": " +
             (raw.ok() ? "decoded size disagrees with directory"
                       : raw.status().message())));
+      } else {
+        Status records = AuditPageRecords(raw.value(), entry);
+        records_ok = records.ok();
+        if (!records_ok) {
+          note(Status::DataLoss("page " + std::to_string(entry.page_id) +
+                                ": " + records.message()));
+        }
       }
     }
     stored_total += entry.payload_bytes;
@@ -1185,7 +1209,8 @@ Status VerifyPagedImage(const std::string& dir, std::ostream* out) {
            << ratio_text << " lsn " << entry.lsn << ' '
            << (entry.resident ? "resident" : "evicted") << " crc "
            << (crc_ok ? "ok" : "MISMATCH")
-           << (decode_ok ? "" : " decode FAILED") << "\n";
+           << (decode_ok ? "" : " decode FAILED")
+           << (records_ok ? "" : " records MISMATCH") << "\n";
     }
   }
   if (out != nullptr) {

@@ -22,18 +22,20 @@ namespace gsv {
 //
 // A page's logical payload is a run of canonical checkpoint record lines
 // (serialize.h EncodeObjectRecord, '\n'-terminated) for a contiguous
-// lexicographic OID range — the PR 4 checkpoint encoding IS the page
-// image, so an in-order page walk reproduces the checkpoint
-// byte-for-byte. Before a payload reaches disk it passes through the
-// engine's PageCodec (oem/page_codec.h): identity stores the text
-// verbatim; the "gsvz" codec LZSS-compresses it to well under 0.6x. The
-// per-page CRC is always computed over the *stored* bytes, so cold files
-// audit without decoding. All pages live in one file (`pages.gsp`) carved
-// into `page_bytes` slots; a page whose stored payload outgrows one slot
-// occupies a multi-slot extent. Freed extents return to an
-// address-ordered, coalescing first-fit free list: adjacent extents merge
-// on free, and runs that reach the file tail shrink it, so long-lived
-// homes stop fragmenting.
+// lexicographic OID range — the checkpoint encoding IS the page image,
+// so an in-order page walk reproduces the checkpoint's object lines
+// byte-for-byte. A fault parses the payload in place with the same
+// codec's DecodeObjectRecords, interning the page's OID spellings in one
+// batch; checkpoint import shares that decoder. Before a payload reaches
+// disk it passes through the engine's PageCodec (oem/page_codec.h):
+// identity stores the text verbatim; the "gsvz" codec LZSS-compresses it
+// to well under 0.6x. The per-page CRC is always computed over the
+// *stored* bytes, so cold files audit without decoding. All pages live in
+// one file (`pages.gsp`) carved into `page_bytes` slots; a page whose
+// stored payload outgrows one slot occupies a multi-slot extent. Freed
+// extents return to an address-ordered, coalescing first-fit free list:
+// adjacent extents merge on free, and runs that reach the file tail
+// shrink it, so long-lived homes stop fragmenting.
 //
 // ## Background writeback (§4i)
 //
@@ -190,10 +192,13 @@ Result<PageDirectory> ReadPageDirectory(const std::string& dir);
 
 // Dumps the page directory to `out` (when non-null) and audits every page
 // against pages.gsp: CRC over the stored bytes, then — when the codec is
-// known — a decode check that the payload expands to exactly `raw_bytes`.
-// Per-page lines include the codec id and the stored/raw ratio. kDataLoss
-// on any CRC or decode mismatch, and on a codec id this build does not
-// recognize (a cold file must never be silently misread).
+// known — a decode check that the payload expands to exactly `raw_bytes`,
+// then a parse of the page's records through the fault path's decoder
+// (serialize.h DecodeObjectRecords) that must match the directory's
+// `objects` count and first/last OID. Per-page lines include the codec id
+// and the stored/raw ratio. kDataLoss naming the page on any CRC, decode
+// or record mismatch, and on a codec id this build does not recognize (a
+// cold file must never be silently misread).
 Status VerifyPagedImage(const std::string& dir, std::ostream* out);
 
 }  // namespace gsv

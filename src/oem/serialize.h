@@ -3,6 +3,8 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "oem/store.h"
 #include "util/status.h"
@@ -24,14 +26,23 @@ namespace gsv {
 // backslash escapes for '"', '\' and newline. Lines starting with '#' and
 // blank lines are ignored on load.
 
+// The record codec. The record line is both the checkpoint line format
+// and the unit the paged storage engine packs into pages, so a page image
+// is a byte slice of the store's serialized form (DESIGN.md §4h).
+
 // One object as its canonical record line ("obj ...", no trailing
-// newline). This is both the checkpoint line format and the unit the paged
-// storage engine packs into pages, so a page image is a byte slice of the
-// store's serialized form.
+// newline).
 std::string EncodeObjectRecord(const Object& object);
 
-// Parses one record produced by EncodeObjectRecord.
-Result<Object> DecodeObjectRecord(const std::string& line);
+// Decodes a run of '\n'-separated object records (a page payload, or the
+// object section of a store image) and appends them to *objects in text
+// order. Blank lines and '#' comments are skipped; any other line must be
+// an "obj " record. The fields are parsed in place, and every OID spelling
+// of the run (each record's OID, then its children) is interned by one
+// OidTable::InternMany call in text order, so ids are handed out exactly
+// as a record-at-a-time decode would. kInvalidArgument ("line N: ...") on
+// a malformed record; the records before it are still appended.
+Status DecodeObjectRecords(std::string_view text, std::vector<Object>* objects);
 
 // Writes every object (streamed in OID order — a paged store is captured
 // without materializing it) and every database registration.
@@ -39,15 +50,19 @@ Status WriteStore(const ObjectStore& store, std::ostream& out);
 
 // Parses records into `store` (which may already hold objects; duplicate
 // OIDs fail with kAlreadyExists). Children may be forward references.
+// Reads `in` one stride of lines at a time and parses each as
+// StoreFromString does, so only a stride of the text is held at once.
 Status ReadStore(std::istream& in, ObjectStore* store);
 
 // Convenience: file round trips.
 Status SaveStoreToFile(const ObjectStore& store, const std::string& path);
 Status LoadStoreFromFile(const std::string& path, ObjectStore* store);
 
-// String round trips (testing, tooling).
+// String round trips (checkpoint export/import, testing, tooling).
+// StoreFromString parses the text in place with DecodeObjectRecords, one
+// stride of records at a time, safe-pointing the store between strides.
 std::string StoreToString(const ObjectStore& store);
-Status StoreFromString(const std::string& text, ObjectStore* store);
+Status StoreFromString(std::string_view text, ObjectStore* store);
 
 }  // namespace gsv
 

@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 
 namespace gsv {
@@ -41,6 +42,14 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 
 std::optional<int64_t> ParseInt64(std::string_view text) {
   if (text.empty()) return std::nullopt;
+  int64_t parsed = 0;
+  const auto [stop, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error == std::errc() && stop == text.data() + text.size()) {
+    return parsed;
+  }
+  if (error == std::errc::result_out_of_range) return std::nullopt;
+  // Spellings from_chars refuses but strtoll takes ("+5", leading blanks).
   std::string buffer(text);
   errno = 0;
   char* end = nullptr;

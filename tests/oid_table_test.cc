@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -134,6 +135,102 @@ TEST(OidInterningTest, SingleThreadAssignsIdsInFirstSightOrder) {
   }
   EXPECT_EQ(table.Intern(""), 0u);
   EXPECT_EQ(table.String(0), "");
+}
+
+// InternMany is a batch of Intern calls: fresh spellings get consecutive
+// ids at their first position, repeats and known spellings their
+// existing id, "" the reserved 0.
+TEST(OidInterningTest, InternManyMatchesSequentialIntern) {
+  OidTable& table = OidTable::Global();
+  const uint32_t known = table.Intern("oidtab_many_known");
+  const uint32_t first = static_cast<uint32_t>(table.size());
+  const std::vector<std::string_view> texts = {
+      "oidtab_many_z", "oidtab_many_known", "oidtab_many_a", "",
+      "oidtab_many_z", "oidtab_many_m",     "oidtab_many_a"};
+  std::vector<uint32_t> ids(texts.size(), 99);
+  table.InternMany(texts, ids);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{first, known, first + 1, 0, first,
+                                        first + 2, first + 1}));
+  EXPECT_EQ(table.size(), first + 3u);
+  EXPECT_EQ(table.String(first + 2), "oidtab_many_m");
+  table.InternMany({}, {});  // an empty batch is a no-op
+  EXPECT_EQ(table.size(), first + 3u);
+}
+
+// Four threads mix InternMany batches and single Interns over overlapping
+// spelling ranges while the table grows. Each batch also carries spellings
+// private to its thread, so they are certain misses of that call: their
+// ids must ascend in spelling order, and a repeat within the batch must
+// get its first occurrence's id.
+TEST(OidInterningTest, ConcurrentInternManyKeepsOneIdPerSpelling) {
+  constexpr int kThreads = 4;
+  constexpr int kSpan = 8000;
+  constexpr int kStride = 4000;
+  constexpr int kBatch = 48;
+  auto shared = [](int i) { return "oidtab_many_shared_" + std::to_string(i); };
+  std::vector<std::unordered_map<std::string, uint32_t>> seen(kThreads);
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &seen, &failures, &shared] {
+      OidTable& table = OidTable::Global();
+      int k = 0;
+      int batch_number = 0;
+      while (k < kSpan) {
+        std::vector<std::string> owned;
+        std::vector<size_t> private_at;
+        for (int j = 0; j < kBatch && k < kSpan; ++j, ++k) {
+          const int i = t * kStride + (t % 2 == 0 ? k : kSpan - 1 - k);
+          owned.push_back(shared(i));
+          if (j % 6 == 0) {
+            private_at.push_back(owned.size());
+            owned.push_back("oidtab_many_private_" + std::to_string(t) + "_" +
+                            std::to_string(k));
+          }
+          if (j % 10 == 3) owned.push_back(owned[owned.size() / 2]);
+        }
+        if (t % 2 == 1 && batch_number++ % 2 == 1) {
+          // Odd threads alternate batches with one Intern per spelling.
+          for (const std::string& text : owned) {
+            const uint32_t id = table.Intern(text);
+            if (id == 0 || table.String(id) != text) ++failures[t];
+            seen[t].emplace(text, id);
+          }
+          continue;
+        }
+        std::vector<std::string_view> texts(owned.begin(), owned.end());
+        std::vector<uint32_t> ids(texts.size());
+        table.InternMany(texts, ids);
+        std::unordered_map<std::string_view, uint32_t> in_batch;
+        for (size_t x = 0; x < texts.size(); ++x) {
+          if (ids[x] == 0 || table.String(ids[x]) != texts[x]) ++failures[t];
+          auto [it, inserted] = in_batch.emplace(texts[x], ids[x]);
+          if (!inserted && it->second != ids[x]) ++failures[t];
+          seen[t].emplace(owned[x], ids[x]);
+        }
+        for (size_t p = 1; p < private_at.size(); ++p) {
+          if (ids[private_at[p]] <= ids[private_at[p - 1]]) ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::unordered_map<std::string, uint32_t> ids;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+    for (const auto& [text, id] : seen[t]) {
+      auto [it, inserted] = ids.emplace(text, id);
+      if (!inserted) EXPECT_EQ(it->second, id) << text;
+    }
+  }
+  std::unordered_set<uint32_t> unique_ids;
+  for (const auto& [text, id] : ids) {
+    unique_ids.insert(id);
+    EXPECT_EQ(OidTable::Global().String(id), text);
+    EXPECT_EQ(OidTable::Global().Intern(text), id);
+  }
+  EXPECT_EQ(unique_ids.size(), ids.size());  // no two spellings share an id
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "oem/serialize.h"
 #include "oem/store.h"
 #include "workload/person_db.h"
@@ -156,6 +160,106 @@ TEST(SerializeTest, FileRoundTrip) {
   ASSERT_TRUE(LoadStoreFromFile(path, &loaded).ok());
   EXPECT_EQ(loaded.size(), store.size());
   EXPECT_FALSE(LoadStoreFromFile("/nonexistent/nope", &loaded).ok());
+}
+
+TEST(SerializeTest, ReadStoreStreamsAcrossStrides) {
+  // More lines than one read stride, plus the header comment and a
+  // database line: the stream load must reproduce the store.
+  ObjectStore store;
+  TreeGenOptions options;
+  options.levels = 4;
+  options.fanout = 8;
+  options.seed = 3;
+  Result<GeneratedTree> tree = GenerateTree(&store, options);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(store.RegisterDatabase("T", tree.value().root).ok());
+  ASSERT_GT(store.size(), 4096u);
+  const std::string text = StoreToString(store);
+  ASSERT_NE(text.find("\ndb T "), std::string::npos);
+  std::istringstream in(text);
+  ObjectStore streamed;
+  ASSERT_TRUE(ReadStore(in, &streamed).ok());
+  EXPECT_EQ(StoreToString(streamed), text);
+
+  // A bad line past the first stride is reported by its line number in
+  // the whole stream.
+  std::string bad;
+  for (int i = 0; i < 5000; ++i) {
+    bad += "obj rs:" + std::to_string(i) + " lbl int " + std::to_string(i) +
+           "\n";
+    if (i == 3000) bad += "# note\n";
+  }
+  bad += "obj rs:bad lbl int x\n";
+  std::istringstream bad_in(bad);
+  ObjectStore partial;
+  Status status = ReadStore(bad_in, &partial);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("line 5002: bad integer 'x'"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(partial.size(), 5000u);
+}
+
+TEST(SerializeTest, DecodeObjectRecordsRoundTripsAndInternsInTextOrder) {
+  // Spellings never seen before: the decoder must intern them in text
+  // order (record OID, then its children), as a line-by-line decode did.
+  const std::string text =
+      "obj dec:z lbl set dec:m dec:a\n"
+      "\n"
+      "# comment\n"
+      "obj dec:m lbl string \"x \\\"y\\\" \\\\ \\n\"\n"
+      "obj dec:a lbl int -9\n"
+      "obj dec:b lbl real 1e-07\n"
+      "obj dec:c lbl bool false";
+  std::vector<Object> objects;
+  ASSERT_TRUE(DecodeObjectRecords(text, &objects).ok());
+  ASSERT_EQ(objects.size(), 5u);
+  EXPECT_LT(Oid("dec:z").id(), Oid("dec:m").id());
+  EXPECT_LT(Oid("dec:m").id(), Oid("dec:a").id());
+  EXPECT_LT(Oid("dec:a").id(), Oid("dec:b").id());
+  EXPECT_LT(Oid("dec:b").id(), Oid("dec:c").id());
+  EXPECT_EQ(objects[0].children(), OidSet({Oid("dec:a"), Oid("dec:m")}));
+  // Children out of canonical order or repeated are sorted and
+  // deduplicated.
+  for (const char* record : {"obj dec:d lbl set dec:m dec:a dec:m\n",
+                             "obj dec:d lbl set dec:a dec:a dec:m\n",
+                             "obj dec:d lbl set dec:a dec:m\n"}) {
+    std::vector<Object> one;
+    ASSERT_TRUE(DecodeObjectRecords(record, &one).ok());
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].children().elements(),
+              (std::vector<Oid>{Oid("dec:a"), Oid("dec:m")}))
+        << record;
+  }
+  EXPECT_EQ(objects[1].value().AsString(), "x \"y\" \\ \n");
+  EXPECT_EQ(objects[2].value().AsInt(), -9);
+  EXPECT_DOUBLE_EQ(objects[3].value().AsReal(), 1e-7);
+  EXPECT_FALSE(objects[4].value().AsBool());
+  std::string reencoded;
+  for (const Object& object : objects) {
+    reencoded += EncodeObjectRecord(object) + '\n';
+  }
+  EXPECT_EQ(reencoded,
+            "obj dec:z lbl set dec:a dec:m\n"
+            "obj dec:m lbl string \"x \\\"y\\\" \\\\ \\n\"\n"
+            "obj dec:a lbl int -9\nobj dec:b lbl real 1e-07\n"
+            "obj dec:c lbl bool false\n");
+}
+
+TEST(SerializeTest, DecodeObjectRecordsNamesTheBadLine) {
+  std::vector<Object> objects;
+  Status status = DecodeObjectRecords(
+      "obj bad:1 lbl int 1\nobj bad:2 lbl int x\nobj bad:3 lbl int 3\n",
+      &objects);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("line 2: bad integer 'x'"),
+            std::string::npos)
+      << status.ToString();
+  ASSERT_EQ(objects.size(), 1u) << "records before the bad line are kept";
+  EXPECT_EQ(objects[0].oid(), Oid("bad:1"));
+  EXPECT_FALSE(DecodeObjectRecords("db X Y\n", &objects).ok());
+  EXPECT_TRUE(DecodeObjectRecords("obj bad:4 lbl int +5\r\n", &objects).ok());
+  EXPECT_EQ(objects.back().value().AsInt(), 5);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/random.h"
 #include "util/retry.h"
 #include "util/status.h"
@@ -175,6 +177,15 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("12x").has_value());
   EXPECT_FALSE(ParseInt64("1.5").has_value());
   EXPECT_FALSE(ParseInt64("99999999999999999999").has_value()) << "overflow";
+  EXPECT_FALSE(ParseInt64("-99999999999999999999").has_value());
+  EXPECT_EQ(ParseInt64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseInt64("-9223372036854775808"), INT64_MIN);
+  // Spellings strtoll accepts and std::from_chars does not.
+  EXPECT_EQ(ParseInt64("+5"), 5);
+  EXPECT_EQ(ParseInt64(" 12"), 12);
+  EXPECT_FALSE(ParseInt64("+").has_value());
+  EXPECT_FALSE(ParseInt64("-").has_value());
+  EXPECT_FALSE(ParseInt64("12 ").has_value());
 }
 
 TEST(StringUtilTest, ParseDouble) {

@@ -15,7 +15,9 @@
 //                                   stored/raw compression ratio included —
 //                                   and audit every on-disk page: CRC over
 //                                   the stored bytes, then a decode check
-//                                   for known codecs; <dir> is an engine
+//                                   for known codecs, then a record parse
+//                                   that must match the directory's object
+//                                   count and first/last OID; <dir> is an engine
 //                                   home (holds PAGEDIR) or a parent whose
 //                                   subdirectories are engine homes
 //
@@ -295,9 +297,11 @@ int Diff(const std::string& dir_a, const std::string& dir_b) {
 // Dumps and audits a paged storage engine image (oem/paged_engine.h):
 // every PAGEDIR entry is printed (with its codec and stored/raw ratio),
 // each page's extent is read back from pages.gsp, CRC-checked against the
-// directory, and decode-checked when the codec is known. Exit 1 on
-// corruption (trailer/page CRC mismatch, failed decode) or a codec id this
-// build does not recognize; 2 when no image exists at all.
+// directory, decode-checked when the codec is known, and its records
+// parsed and matched against the directory's object count and first/last
+// OID. Exit 1 on corruption (trailer/page CRC mismatch, failed decode,
+// record mismatch) or a codec id this build does not recognize; 2 when no
+// image exists at all.
 int PagesOne(const std::string& home) {
   std::ostringstream out;
   gsv::Status status = gsv::VerifyPagedImage(home, &out);
