@@ -10,10 +10,10 @@
 # perfbench workload (exits non-zero on a gate mismatch), then a release-build
 # stress stage that repeats the paged writeback hammer, the engine twins,
 # the replication suite, the kill-mid-batch crash test, the sharded
-# warehouse and fault-convergence suites and the GDN twins (a §6 network
-# runs on its host shard in parallel with the peer shards) 20 times (rare
-# interleavings), then an Address+UB-Sanitizer build of the robustness and
-# fault-injection tests
+# warehouse, sharded twin and fault-convergence suites and the GDN twins (a
+# §6 network runs on its host shard in parallel with the peer shards) 20
+# times (rare interleavings), then an Address+UB-Sanitizer build of the
+# robustness and fault-injection tests
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
 # replication suite's kill-mid-ship twin test with them), then a
@@ -118,7 +118,7 @@ GSV_STORAGE_ENGINE=paged:8:4096:compressed \
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L paged
 
 echo
-echo "=== stress: paged writeback, replication, kill-mid-batch, sharded resync, hosted GDN networks: 20 repetitions (release build) ==="
+echo "=== stress: paged writeback, replication, kill-mid-batch, sharded twins and resync, hosted GDN networks: 20 repetitions (release build) ==="
 # The writeback thread races the mutator on every eviction, steal and
 # flush; an interleaving that rolls a page back shows up only now and
 # then, so the hammer and the engine twins run many times over.
@@ -133,8 +133,12 @@ echo "=== stress: paged writeback, replication, kill-mid-batch, sharded resync, 
   --gtest_filter='WarehouseDurabilityTest.RandomizedKillMidBatchConvergesByteIdentical' \
   --gtest_repeat=20 --gtest_brief=1
 # Quarantine and resync at K=1 and K=4: the resync recompute is the only
-# heal, and at K=4 its refresh exports carry peers' missed updates.
+# heal, and at K=4 its refresh exports carry peers' missed updates. The
+# fault-free K=4 twins must match K=1 and the recompute at every drain,
+# whichever order the pool lands the cross-shard ops in.
 ./build/tests/gsv_warehouse_test --gtest_filter='ShardedWarehouseTest.*' \
+  --gtest_repeat=20 --gtest_brief=1
+./build/tests/gsv_batch_test --gtest_filter='ShardedTwinTest.*' \
   --gtest_repeat=20 --gtest_brief=1
 ./build/tests/gsv_fault_tolerance_test \
   --gtest_filter='FaultConvergenceTest.*' --gtest_repeat=20 --gtest_brief=1

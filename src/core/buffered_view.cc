@@ -13,11 +13,7 @@ Status BufferedViewStorage::VInsert(const Object& base_object) {
     return Status::Ok();  // the real view would ignore it too (§4.3)
   }
   overlay_[base_object.oid()] = true;
-  Op op;
-  op.kind = Op::Kind::kVInsert;
-  op.object = base_object;
-  op.base_oid = base_object.oid();
-  ops_.push_back(std::move(op));
+  ops_.push_back(ViewDelta::VInsert(base_object));
   return Status::Ok();
 }
 
@@ -26,10 +22,7 @@ Status BufferedViewStorage::VDelete(const Oid& base_oid) {
     return Status::Ok();  // deleting an absent delegate: no-op (§4.3)
   }
   overlay_[base_oid] = false;
-  Op op;
-  op.kind = Op::Kind::kVDelete;
-  op.base_oid = base_oid;
-  ops_.push_back(std::move(op));
+  ops_.push_back(ViewDelta::VDelete(base_oid));
   return Status::Ok();
 }
 
@@ -48,28 +41,14 @@ OidSet BufferedViewStorage::BaseMembers() const {
 Status BufferedViewStorage::SyncUpdate(const Update& update) {
   // Always recorded: whether the sync applies depends on membership at
   // replay time, and the real view's SyncUpdate makes that call.
-  Op op;
-  op.kind = Op::Kind::kSync;
-  op.update = update;
-  ops_.push_back(std::move(op));
+  ops_.push_back(ViewDelta::Sync(update));
   return Status::Ok();
 }
 
 Status BufferedViewStorage::ReplayInto(ViewStorage* target) const {
   Status first_error;
-  for (const Op& op : ops_) {
-    Status status;
-    switch (op.kind) {
-      case Op::Kind::kVInsert:
-        status = target->VInsert(op.object);
-        break;
-      case Op::Kind::kVDelete:
-        status = target->VDelete(op.base_oid);
-        break;
-      case Op::Kind::kSync:
-        status = target->SyncUpdate(op.update);
-        break;
-    }
+  for (const ViewDelta& delta : ops_) {
+    Status status = delta.ApplyTo(target);
     if (!status.ok() && first_error.ok()) first_error = status;
   }
   return first_error;

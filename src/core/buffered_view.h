@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/view_delta.h"
 #include "core/view_storage.h"
 #include "oem/object.h"
 #include "oem/oid.h"
@@ -31,14 +32,6 @@ namespace gsv {
 // are no-ops, §4.3).
 class BufferedViewStorage : public ViewStorage {
  public:
-  struct Op {
-    enum class Kind { kVInsert, kVDelete, kSync };
-    Kind kind;
-    Object object;  // kVInsert: the base object to delegate
-    Oid base_oid;   // kVDelete: the member to drop
-    Update update;  // kSync: the base update to propagate into values
-  };
-
   // `base` must outlive the buffer and not change while it is in use.
   explicit BufferedViewStorage(const ViewStorage* base) : base_(base) {}
 
@@ -54,7 +47,7 @@ class BufferedViewStorage : public ViewStorage {
   // error but keeps applying (a batch must not half-stop).
   Status ReplayInto(ViewStorage* target) const;
 
-  const std::vector<Op>& ops() const { return ops_; }
+  const std::vector<ViewDelta>& ops() const { return ops_; }
   bool empty() const { return ops_.empty(); }
 
  private:
@@ -62,7 +55,7 @@ class BufferedViewStorage : public ViewStorage {
   // Membership decisions made by this worker (true = inserted, false =
   // deleted); absent means "whatever the wrapped view says".
   std::unordered_map<Oid, bool, OidHash> overlay_;
-  std::vector<Op> ops_;
+  std::vector<ViewDelta> ops_;
 };
 
 }  // namespace gsv

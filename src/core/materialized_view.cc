@@ -118,7 +118,9 @@ Status MaterializedView::VInsert(const Object& base_object) {
   }
   base_members_.Insert(base_oid);
   ++stats_.v_inserts;
-  if (delta_sink_ != nullptr) delta_sink_->OnVInsert(*this, base_object);
+  if (delta_sink_ != nullptr) {
+    delta_sink_->OnDelta(*this, ViewDelta::VInsert(base_object));
+  }
 
   if (options_.swizzle) {
     // Re-swizzle: delegates of this view that reference base_oid now point
@@ -161,14 +163,18 @@ Status MaterializedView::VDelete(const Oid& base_oid) {
   GSV_RETURN_IF_ERROR(store_->Remove(delegate_oid));
   base_members_.Erase(base_oid);
   ++stats_.v_deletes;
-  if (delta_sink_ != nullptr) delta_sink_->OnVDelete(*this, base_oid);
+  if (delta_sink_ != nullptr) {
+    delta_sink_->OnDelta(*this, ViewDelta::VDelete(base_oid));
+  }
   return Status::Ok();
 }
 
 Status MaterializedView::SyncUpdate(const Update& update) {
   if (!options_.sync_values) return Status::Ok();
   if (!ContainsBase(update.parent)) return Status::Ok();
-  if (delta_sink_ != nullptr) delta_sink_->OnSync(*this, update);
+  if (delta_sink_ != nullptr) {
+    delta_sink_->OnDelta(*this, ViewDelta::Sync(update));
+  }
   switch (update.kind) {
     case UpdateKind::kInsert: {
       Oid delegate = DelegateOid(update.parent);
@@ -213,7 +219,9 @@ Status MaterializedView::RefreshDelegate(const Object& base_object) {
   }
   GSV_RETURN_IF_ERROR(store_->SetValueRaw(DelegateOid(base_object.oid()),
                                           DelegateValue(base_object.value())));
-  if (delta_sink_ != nullptr) delta_sink_->OnRefresh(*this, base_object);
+  if (delta_sink_ != nullptr) {
+    delta_sink_->OnDelta(*this, ViewDelta::Refresh(base_object));
+  }
   return Status::Ok();
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/view_definition.h"
+#include "core/view_delta.h"
 #include "core/view_storage.h"
 #include "oem/store.h"
 #include "oem/update.h"
@@ -30,13 +31,7 @@ class MaterializedView;
 class ViewDeltaSink {
  public:
   virtual ~ViewDeltaSink() = default;
-  virtual void OnVInsert(const MaterializedView& view,
-                         const Object& base_object) = 0;
-  virtual void OnVDelete(const MaterializedView& view,
-                         const Oid& base_oid) = 0;
-  virtual void OnSync(const MaterializedView& view, const Update& update) = 0;
-  virtual void OnRefresh(const MaterializedView& view,
-                         const Object& base_object) = 0;
+  virtual void OnDelta(const MaterializedView& view, ViewDelta delta) = 0;
 };
 
 // The delegate store may be the same store as the base data (centralized,
@@ -122,8 +117,8 @@ class MaterializedView : public ViewStorage {
   // No-op when options.sync_values is false.
   Status SyncUpdate(const Update& update) override;
 
-  // Re-copies the delegate value of `base_object` (used by recomputation).
-  Status RefreshDelegate(const Object& base_object);
+  // kNotFound when `base_object` has no delegate here.
+  Status RefreshDelegate(const Object& base_object) override;
 
   // ---- Introspection ----
   const ViewDefinition& def() const { return def_; }

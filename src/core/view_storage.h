@@ -41,6 +41,14 @@ class ViewStorage {
     (void)update;
     return Status::Ok();
   }
+
+  // Re-copies the delegate value of `base_object` from its current state
+  // (recompute, resync and cross-shard refreshes). Storage without values
+  // of its own may leave this a no-op.
+  virtual Status RefreshDelegate(const Object& base_object) {
+    (void)base_object;
+    return Status::Ok();
+  }
 };
 
 }  // namespace gsv

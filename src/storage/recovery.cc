@@ -124,23 +124,7 @@ Status RedoViewRecord(const WalRecord& record, RedoViews* views) {
     return Status::DataLoss("view delta for unknown view '" + record.view +
                             "'");
   }
-  switch (record.op) {
-    case ViewDeltaOp::kVInsert:
-      if (!record.object.has_value()) {
-        return Status::DataLoss("v_insert record without an object");
-      }
-      return view->VInsert(*record.object);
-    case ViewDeltaOp::kVDelete:
-      return view->VDelete(record.base_oid);
-    case ViewDeltaOp::kSync:
-      return view->SyncUpdate(record.update);
-    case ViewDeltaOp::kRefresh:
-      if (!record.object.has_value()) {
-        return Status::DataLoss("refresh record without an object");
-      }
-      return view->RefreshDelegate(*record.object);
-  }
-  return Status::DataLoss("unknown view delta op");
+  return record.delta.ApplyTo(view);
 }
 
 Status RedoCommitted(

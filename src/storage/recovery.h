@@ -111,8 +111,8 @@ class MaterializedViewSet : public RedoViews {
 };
 
 // Applies one committed kViewDef or kViewDelta record to `views`; every
-// other record type is a no-op. kDataLoss for a v_insert or refresh without
-// an object and for a delta naming an unknown view.
+// other record type is a no-op. kDataLoss for a delta naming an unknown
+// view; a refresh of an absent delegate fails as ViewDelta::ApplyTo does.
 Status RedoViewRecord(const WalRecord& record, RedoViews* views);
 
 struct RedoCounts {

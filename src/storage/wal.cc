@@ -350,39 +350,11 @@ WalRecord WalRecord::Epoch(uint64_t epoch, std::string owner) {
   return record;
 }
 
-WalRecord WalRecord::VInsert(std::string view, Object base_object) {
+WalRecord WalRecord::Delta(std::string view, ViewDelta delta) {
   WalRecord record;
   record.type = WalRecordType::kViewDelta;
   record.view = std::move(view);
-  record.op = ViewDeltaOp::kVInsert;
-  record.object = std::move(base_object);
-  return record;
-}
-
-WalRecord WalRecord::VDelete(std::string view, Oid base_oid) {
-  WalRecord record;
-  record.type = WalRecordType::kViewDelta;
-  record.view = std::move(view);
-  record.op = ViewDeltaOp::kVDelete;
-  record.base_oid = std::move(base_oid);
-  return record;
-}
-
-WalRecord WalRecord::Sync(std::string view, Update update) {
-  WalRecord record;
-  record.type = WalRecordType::kViewDelta;
-  record.view = std::move(view);
-  record.op = ViewDeltaOp::kSync;
-  record.update = std::move(update);
-  return record;
-}
-
-WalRecord WalRecord::Refresh(std::string view, Object base_object) {
-  WalRecord record;
-  record.type = WalRecordType::kViewDelta;
-  record.view = std::move(view);
-  record.op = ViewDeltaOp::kRefresh;
-  record.object = std::move(base_object);
+  record.delta = std::move(delta);
   return record;
 }
 
@@ -416,17 +388,17 @@ std::string EncodeWalPayload(const WalRecord& record) {
       break;
     case WalRecordType::kViewDelta:
       PutString(&payload, record.view);
-      PutU8(&payload, static_cast<uint8_t>(record.op));
-      switch (record.op) {
+      PutU8(&payload, static_cast<uint8_t>(record.delta.op()));
+      switch (record.delta.op()) {
         case ViewDeltaOp::kVInsert:
         case ViewDeltaOp::kRefresh:
-          PutObject(&payload, *record.object);
+          PutObject(&payload, record.delta.object());
           break;
         case ViewDeltaOp::kVDelete:
-          PutOid(&payload, record.base_oid);
+          PutOid(&payload, record.delta.target());
           break;
         case ViewDeltaOp::kSync:
-          PutUpdate(&payload, record.update);
+          PutUpdate(&payload, record.delta.update());
           break;
       }
       break;
@@ -462,17 +434,18 @@ Result<WalRecord> DecodeWalPayload(const std::string& payload) {
       break;
     case WalRecordType::kViewDelta:
       record.view = in.String();
-      record.op = static_cast<ViewDeltaOp>(in.U8());
-      switch (record.op) {
+      switch (static_cast<ViewDeltaOp>(in.U8())) {
         case ViewDeltaOp::kVInsert:
-        case ViewDeltaOp::kRefresh:
-          record.object = in.DecodeObject();
+          record.delta = ViewDelta::VInsert(in.DecodeObject());
           break;
         case ViewDeltaOp::kVDelete:
-          record.base_oid = in.DecodeOid();
+          record.delta = ViewDelta::VDelete(in.DecodeOid());
           break;
         case ViewDeltaOp::kSync:
-          record.update = in.DecodeUpdate();
+          record.delta = ViewDelta::Sync(in.DecodeUpdate());
+          break;
+        case ViewDeltaOp::kRefresh:
+          record.delta = ViewDelta::Refresh(in.DecodeObject());
           break;
         default:
           return in.Error("unknown view delta op");
@@ -514,21 +487,7 @@ std::string WalRecordToString(const WalRecord& record) {
           << record.event.ToString();
       break;
     case WalRecordType::kViewDelta:
-      out << "delta view=" << record.view << ' ';
-      switch (record.op) {
-        case ViewDeltaOp::kVInsert:
-          out << "vinsert " << record.object->oid().str();
-          break;
-        case ViewDeltaOp::kVDelete:
-          out << "vdelete " << record.base_oid.str();
-          break;
-        case ViewDeltaOp::kSync:
-          out << "sync " << record.update.ToString();
-          break;
-        case ViewDeltaOp::kRefresh:
-          out << "refresh " << record.object->oid().str();
-          break;
-      }
+      out << "delta view=" << record.view << ' ' << record.delta.ToString();
       break;
     case WalRecordType::kCommit:
       out << "commit";

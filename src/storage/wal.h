@@ -3,13 +3,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "oem/object.h"
-#include "oem/oid.h"
-#include "oem/update.h"
+#include "core/view_delta.h"
 #include "util/status.h"
 #include "warehouse/update_event.h"
 
@@ -77,13 +74,6 @@ enum class WalRecordType : uint8_t {
   kEpoch = 5,      // writer-epoch segment header (replication fencing)
 };
 
-enum class ViewDeltaOp : uint8_t {
-  kVInsert = 1,  // delegate created (payload: base object)
-  kVDelete = 2,  // delegate removed (payload: base OID)
-  kSync = 3,     // delegate value synced (payload: the base update)
-  kRefresh = 4,  // delegate value recopied (payload: base object)
-};
-
 // Per-source sequence watermark carried by commit records: the sequence of
 // the last event integrated from that source (SourceMonitor numbering).
 struct WalWatermark {
@@ -105,12 +95,9 @@ struct WalRecord {
   std::string source;
   UpdateEvent event;
 
-  // kViewDelta
+  // kViewDelta: a delta applied to the view named `view`
   std::string view;
-  ViewDeltaOp op = ViewDeltaOp::kVInsert;
-  std::optional<Object> object;  // kVInsert / kRefresh
-  Oid base_oid;                  // kVDelete
-  Update update;                 // kSync
+  ViewDelta delta;
 
   // kCommit
   std::vector<WalWatermark> watermarks;
@@ -136,10 +123,7 @@ struct WalRecord {
 
   static WalRecord Event(std::string source, UpdateEvent event);
   static WalRecord Epoch(uint64_t epoch, std::string owner);
-  static WalRecord VInsert(std::string view, Object base_object);
-  static WalRecord VDelete(std::string view, Oid base_oid);
-  static WalRecord Sync(std::string view, Update update);
-  static WalRecord Refresh(std::string view, Object base_object);
+  static WalRecord Delta(std::string view, ViewDelta delta);
   static WalRecord Commit(std::vector<WalWatermark> watermarks);
   static WalRecord ViewDef(std::string definition, int cache_mode,
                            std::string source);

@@ -224,7 +224,9 @@ Status ShardedWarehouse::DeliverForeignOps(std::vector<bool>* applied,
   for (auto& shard : shards_) taken.push_back(shard->TakeForeignOps());
   std::vector<bool> owes(shards_.size(), false);
   for (const std::vector<ForeignViewOp>& ops : taken) {
-    for (const ForeignViewOp& op : ops) owes[OwnerOfOp(op, mask_)] = true;
+    for (const ForeignViewOp& op : ops) {
+      owes[ShardOfOid(op.delta.target(), mask_)] = true;
+    }
   }
   if (timing != nullptr) timing->serial_micros += NowMicros() - take_begin;
 
@@ -468,35 +470,25 @@ std::vector<std::pair<Oid, std::string>> ShardedWarehouse::ViewContents(
 }
 
 ShardedViewExplanation ShardedWarehouse::ExplainView(const std::string& name) {
+  // Folds the shards' own explanations: slice sizes line up per shard,
+  // traffic sums, and only the host's network has GDN counters to add.
   ShardedViewExplanation explanation;
   explanation.view = name;
   explanation.shards = shard_count();
   for (auto& shard : shards_) {
-    MaterializedView* slice = shard->view(name);
-    size_t size = slice != nullptr ? slice->size() : 0;
+    const ShardedViewExplanation slice = shard->ExplainView(name);
+    const size_t size = slice.total_members;
     explanation.members_per_shard.push_back(size);
     explanation.total_members += size;
+    explanation.cross_shard_exports += slice.cross_shard_exports;
+    explanation.cross_shard_applies += slice.cross_shard_applies;
+    explanation.cross_shard_probes += slice.cross_shard_probes;
+    if (explanation.engine.empty()) explanation.engine = slice.engine;
+    explanation.gdn_nodes += slice.gdn_nodes;
+    explanation.gdn_matches += slice.gdn_matches;
+    explanation.gdn_propagations += slice.gdn_propagations;
+    explanation.gdn_rebuilds += slice.gdn_rebuilds;
   }
-  for (auto& shard : shards_) {
-    const GdnEngine* gdn = shard->gdn_engine(name);
-    if (gdn == nullptr) continue;
-    explanation.engine = "gdn";
-    explanation.gdn_nodes = gdn->node_count();
-    explanation.gdn_matches = gdn->match_count();
-    explanation.gdn_propagations = gdn->stats().propagations;
-    explanation.gdn_rebuilds = gdn->stats().rebuilds;
-    break;
-  }
-  if (explanation.engine.empty() && shards_[0]->view(name) != nullptr) {
-    explanation.engine = "algorithm1";
-  }
-  WarehouseCosts merged = MergedCosts();
-  explanation.cross_shard_exports =
-      merged.cross_shard_exports.load(std::memory_order_relaxed);
-  explanation.cross_shard_applies =
-      merged.cross_shard_applies.load(std::memory_order_relaxed);
-  explanation.cross_shard_probes =
-      merged.cross_shard_probes.load(std::memory_order_relaxed);
   return explanation;
 }
 

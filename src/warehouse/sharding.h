@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/materialized_view.h"
+#include "core/view_delta.h"
 #include "core/view_storage.h"
 #include "oem/object.h"
 #include "oem/oid.h"
@@ -60,39 +61,17 @@ inline uint32_t HostShardOf(const ViewDefinition& def, uint32_t shard_mask) {
   return ShardOfOid(def.view_oid(), shard_mask);
 }
 
-// A view operation produced at one shard for a member another shard owns.
-// Maintenance evaluates against the frozen final source state, so the op is
-// correct wherever it lands; the coordinator redistributes outboxes to the
-// owning shards between the evaluation barrier and the verification sweep.
-//
-// kRefresh is resync-only: a shard whose recompute derived a foreign member
-// exports the member's current state, and the owner inserts it or, when
-// the delegate exists, refreshes its value. A plain kVInsert of an existing
-// delegate is ignored (§4.3), so it could not carry the updates the owner
-// missed while the exporting shard was quarantined.
+// A view operation produced at one shard for a member another shard owns:
+// it lands at ShardOfOid(delta.target()). Maintenance evaluates against
+// the frozen final source state, so the op is correct wherever it lands;
+// the coordinator redistributes outboxes to the owning shards between the
+// evaluation barrier and the verification sweep. The set is kVDelete,
+// kSync and kRefresh: a foreign insert travels as kRefresh (see
+// ShardScopedStorage::VInsert).
 struct ForeignViewOp {
-  enum class Kind { kVInsert, kVDelete, kSync, kRefresh };
-  Kind kind = Kind::kVInsert;
   std::string view;  // view (definition) name, identical across shards
-  Object object;     // kVInsert / kRefresh: the base object to delegate
-  Oid base_oid;      // kVDelete: the member to drop
-  Update update;     // kSync: the base update to propagate into values
+  ViewDelta delta;
 };
-
-// The shard that must apply a foreign op: the owner of the member (or, for
-// syncs, of the updated base object) it targets.
-inline uint32_t OwnerOfOp(const ForeignViewOp& op, uint32_t mask) {
-  switch (op.kind) {
-    case ForeignViewOp::Kind::kVInsert:
-    case ForeignViewOp::Kind::kRefresh:
-      return ShardOfOid(op.object.oid(), mask);
-    case ForeignViewOp::Kind::kVDelete:
-      return ShardOfOid(op.base_oid, mask);
-    case ForeignViewOp::Kind::kSync:
-      return ShardOfOid(op.update.parent, mask);
-  }
-  return 0;
-}
 
 // Answers cross-shard membership questions. Algorithm 1's delete cases
 // consult ContainsBase on members the evaluating shard may not own ("if Y
@@ -118,10 +97,12 @@ class CrossShardResolver {
 // rechecks) runs unchanged on top of it.
 class ShardScopedStorage : public ViewStorage {
  public:
-  ShardScopedStorage(MaterializedView* inner, uint32_t shard_index,
-                     uint32_t shard_mask, const CrossShardResolver* resolver,
+  ShardScopedStorage(MaterializedView* inner, const ObjectStore* source,
+                     uint32_t shard_index, uint32_t shard_mask,
+                     const CrossShardResolver* resolver,
                      std::vector<ForeignViewOp>* outbox, WarehouseCosts* costs)
       : inner_(inner),
+        source_(source),
         shard_index_(shard_index),
         shard_mask_(shard_mask),
         resolver_(resolver),
@@ -142,16 +123,22 @@ class ShardScopedStorage : public ViewStorage {
            resolver_->ViewContains(inner_->def().name(), base_oid);
   }
 
+  // A V_insert delegates the source's drain-end object, not the event's
+  // snapshot of it: an owner applies its own ops before its peers', so a
+  // peer's insert can land after the owner dropped a later update's sync
+  // for a non-member. Cross-shard the insert travels as kRefresh, an
+  // upsert (Warehouse::ApplyForeignOps), so the order the ops land in no
+  // longer matters. The source read is unmetered, like the GDN's.
   Status VInsert(const Object& base_object) override {
-    if (Owns(base_object.oid())) return inner_->VInsert(base_object);
-    Export(ForeignViewOp::Kind::kVInsert).object = base_object;
-    return Status::Ok();
+    const Object* current = source_->Get(base_object.oid());
+    const Object& object = current != nullptr ? *current : base_object;
+    if (Owns(object.oid())) return inner_->VInsert(object);
+    return Export(ViewDelta::Refresh(object));
   }
 
   Status VDelete(const Oid& base_oid) override {
     if (Owns(base_oid)) return inner_->VDelete(base_oid);
-    Export(ForeignViewOp::Kind::kVDelete).base_oid = base_oid;
-    return Status::Ok();
+    return Export(ViewDelta::VDelete(base_oid));
   }
 
   // The whole view: the owned slice, plus the foreign members the resolver
@@ -167,23 +154,18 @@ class ShardScopedStorage : public ViewStorage {
 
   Status SyncUpdate(const Update& update) override {
     if (Owns(update.parent)) return inner_->SyncUpdate(update);
-    Export(ForeignViewOp::Kind::kSync).update = update;
+    return Export(ViewDelta::Sync(update));
+  }
+
+ private:
+  Status Export(ViewDelta delta) {
+    ++costs_->cross_shard_exports;
+    outbox_->push_back({inner_->def().name(), std::move(delta)});
     return Status::Ok();
   }
 
-  MaterializedView* inner() { return inner_; }
-
- private:
-  ForeignViewOp& Export(ForeignViewOp::Kind kind) {
-    ++costs_->cross_shard_exports;
-    ForeignViewOp op;
-    op.kind = kind;
-    op.view = inner_->def().name();
-    outbox_->push_back(std::move(op));
-    return outbox_->back();
-  }
-
   MaterializedView* inner_;
+  const ObjectStore* source_;
   uint32_t shard_index_;
   uint32_t shard_mask_;
   const CrossShardResolver* resolver_;

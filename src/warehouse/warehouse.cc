@@ -79,27 +79,20 @@ uint64_t Warehouse::last_delivered_sequence(
 
 Status Warehouse::ApplyForeignOps(const std::vector<ForeignViewOp>& ops) {
   Status first_error;
-  ViewEntry* memo = nullptr;  // producers emit runs of ops on one view
+  ViewEntry* entry = nullptr;  // producers emit runs of ops on one view
   for (const ForeignViewOp& op : ops) {
+    const ViewDelta& delta = op.delta;
     // Ops for members other shards own are someone else's to apply. The
     // coordinator hands every producer outbox to every shard unfiltered —
     // the scan here is cheap and parallel, where pre-bucketing the ops by
     // owner would serialize a move of every op on the coordinator.
     if (binding_.has_value() &&
-        OwnerOfOp(op, binding_->shard_mask) != binding_->shard_index) {
+        ShardOfOid(delta.target(), binding_->shard_mask) !=
+            binding_->shard_index) {
       continue;
     }
-    ViewEntry* entry = nullptr;
-    if (memo != nullptr && memo->def.name() == op.view) {
-      entry = memo;
-    } else {
-      for (auto& candidate : views_) {
-        if (candidate->def.name() == op.view) {
-          entry = candidate.get();
-          break;
-        }
-      }
-      memo = entry;
+    if (entry == nullptr || entry->def.name() != op.view) {
+      entry = FindEntry(op.view);
     }
     if (entry == nullptr) {
       if (first_error.ok()) {
@@ -112,25 +105,13 @@ Status Warehouse::ApplyForeignOps(const std::vector<ForeignViewOp>& ops) {
     // the full current membership, which subsumes anything a peer computed.
     if (entry->stale) continue;
     ++costs_.cross_shard_applies;
-    Status status;
-    switch (op.kind) {
-      case ForeignViewOp::Kind::kVInsert:
-        status = entry->view->VInsert(op.object);
-        break;
-      case ForeignViewOp::Kind::kVDelete:
-        status = entry->view->VDelete(op.base_oid);
-        break;
-      case ForeignViewOp::Kind::kSync:
-        status = entry->view->SyncUpdate(op.update);
-        break;
-      case ForeignViewOp::Kind::kRefresh:
-        // A peer's resync recompute: the object's current state, whose
-        // value may carry updates this owner never saw.
-        status = entry->view->ContainsBase(op.object.oid())
-                     ? entry->view->RefreshDelegate(op.object)
-                     : entry->view->VInsert(op.object);
-        break;
-    }
+    // A foreign kRefresh is an upsert of the member's drain-end state: the
+    // producer cannot see whether this owner holds the delegate yet.
+    MaterializedView* view = entry->view.get();
+    Status status = delta.op() == ViewDeltaOp::kRefresh &&
+                            !view->ContainsBase(delta.target())
+                        ? view->VInsert(delta.object())
+                        : delta.ApplyTo(view);
     if (!status.ok() && first_error.ok()) first_error = status;
   }
   if (!first_error.ok()) last_status_ = first_error;
@@ -138,23 +119,15 @@ Status Warehouse::ApplyForeignOps(const std::vector<ForeignViewOp>& ops) {
 }
 
 void Warehouse::PruneForeignMembers(ViewEntry& entry, bool export_members) {
-  if (!binding_.has_value()) return;
+  if (entry.scoped == nullptr) return;
   const SourceEntry& source = SourceOf(entry);
   const OidSet members = entry.view->BaseMembers();
   for (const Oid& member : members) {
-    if (ShardOfOid(member, binding_->shard_mask) == binding_->shard_index) {
-      continue;
-    }
+    if (entry.scoped->Owns(member)) continue;
     if (export_members) {
+      // The scoped storage exports a foreign V_insert as a kRefresh.
       const Object* object = source.store->Get(member);
-      if (object != nullptr) {
-        ++costs_.cross_shard_exports;
-        ForeignViewOp op;
-        op.kind = ForeignViewOp::Kind::kRefresh;
-        op.view = entry.def.name();
-        op.object = *object;
-        outbox_.push_back(std::move(op));
-      }
+      if (object != nullptr) entry.scoped->VInsert(*object);
     }
     entry.view->VDelete(member);
   }
@@ -262,8 +235,8 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
   }
   if (binding_.has_value()) {
     entry->scoped = std::make_unique<ShardScopedStorage>(
-        entry->view.get(), binding_->shard_index, binding_->shard_mask,
-        binding_->resolver, &outbox_, &costs_);
+        entry->view.get(), source.store, binding_->shard_index,
+        binding_->shard_mask, binding_->resolver, &outbox_, &costs_);
   }
   entry->accessor =
       std::make_unique<RemoteAccessor>(source.wrapper.get(), &costs_);
@@ -335,11 +308,16 @@ Status Warehouse::DefineView(std::string_view definition,
   return Status::Ok();
 }
 
-MaterializedView* Warehouse::view(const std::string& name) {
-  for (auto& entry : views_) {
-    if (entry->def.name() == name) return entry->view.get();
+Warehouse::ViewEntry* Warehouse::FindEntry(const std::string& name) const {
+  for (const auto& entry : views_) {
+    if (entry->def.name() == name) return entry.get();
   }
   return nullptr;
+}
+
+MaterializedView* Warehouse::view(const std::string& name) {
+  const ViewEntry* entry = FindEntry(name);
+  return entry != nullptr ? entry->view.get() : nullptr;
 }
 
 std::vector<std::string> Warehouse::view_names() const {
@@ -351,49 +329,37 @@ std::vector<std::string> Warehouse::view_names() const {
 
 const Algorithm1Maintainer* Warehouse::maintainer(
     const std::string& name) const {
-  for (const auto& entry : views_) {
-    if (entry->def.name() == name) return entry->maintainer.get();
-  }
-  return nullptr;
+  const ViewEntry* entry = FindEntry(name);
+  return entry != nullptr ? entry->maintainer.get() : nullptr;
 }
 
 const AuxiliaryCache* Warehouse::cache(const std::string& name) const {
-  for (const auto& entry : views_) {
-    if (entry->def.name() == name) return entry->cache.get();
-  }
-  return nullptr;
+  const ViewEntry* entry = FindEntry(name);
+  return entry != nullptr ? entry->cache.get() : nullptr;
 }
 
 Warehouse::EngineKind Warehouse::view_engine(const std::string& name) const {
-  for (const auto& entry : views_) {
-    if (entry->def.name() == name) return entry->engine;
-  }
-  return EngineKind::kAlgorithm1;
+  const ViewEntry* entry = FindEntry(name);
+  return entry != nullptr ? entry->engine : EngineKind::kAlgorithm1;
 }
 
 const GdnEngine* Warehouse::gdn_engine(const std::string& name) const {
-  for (const auto& entry : views_) {
-    if (entry->def.name() == name) return entry->gdn.get();
-  }
-  return nullptr;
+  const ViewEntry* entry = FindEntry(name);
+  return entry != nullptr ? entry->gdn.get() : nullptr;
 }
 
 std::string Warehouse::view_source(const std::string& name) const {
-  for (const auto& entry : views_) {
-    if (entry->def.name() == name) return sources_[entry->source_index]->name;
-  }
-  return std::string();
+  const ViewEntry* entry = FindEntry(name);
+  return entry != nullptr ? SourceOf(*entry).name : std::string();
 }
 
 ShardedViewExplanation Warehouse::ExplainView(const std::string& name) const {
   ShardedViewExplanation out;
   out.view = name;
   out.shards = 1;
-  for (const auto& entry : views_) {
-    if (entry->def.name() != name) continue;
-    const OidSet members = entry->view->BaseMembers();
-    out.total_members = members.size();
-    out.members_per_shard = {members.size()};
+  if (const ViewEntry* entry = FindEntry(name)) {
+    out.total_members = entry->view->size();
+    out.members_per_shard = {out.total_members};
     out.engine = entry->engine == EngineKind::kGdn ? "gdn" : "algorithm1";
     if (entry->gdn != nullptr) {
       out.gdn_nodes = entry->gdn->node_count();
@@ -401,7 +367,6 @@ ShardedViewExplanation Warehouse::ExplainView(const std::string& name) const {
       out.gdn_propagations = entry->gdn->stats().propagations;
       out.gdn_rebuilds = entry->gdn->stats().rebuilds;
     }
-    break;
   }
   out.cross_shard_exports =
       costs_.cross_shard_exports.load(std::memory_order_relaxed);
@@ -485,12 +450,9 @@ SourceWrapper* Warehouse::wrapper(const std::string& source_name) {
 }
 
 Warehouse::ViewHealth Warehouse::view_health(const std::string& name) const {
-  for (const auto& entry : views_) {
-    if (entry->def.name() == name) {
-      return entry->stale ? ViewHealth::kStale : ViewHealth::kFresh;
-    }
-  }
-  return ViewHealth::kFresh;
+  const ViewEntry* entry = FindEntry(name);
+  return entry != nullptr && entry->stale ? ViewHealth::kStale
+                                          : ViewHealth::kFresh;
 }
 
 size_t Warehouse::stale_view_count() const {

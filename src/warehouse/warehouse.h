@@ -489,9 +489,11 @@ class Warehouse {
   // Recovery steps.
   Status RestoreFromPlan(const RecoveryPlan& plan);
 
-  SourceEntry& SourceOf(const ViewEntry& entry) {
+  SourceEntry& SourceOf(const ViewEntry& entry) const {
     return *sources_[entry.source_index];
   }
+  // The entry of view `name`; nullptr when unknown.
+  ViewEntry* FindEntry(const std::string& name) const;
 
   struct ShardBinding {
     uint32_t shard_index = 0;

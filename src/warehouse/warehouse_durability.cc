@@ -43,26 +43,9 @@ struct WarehouseDurability : public ViewDeltaSink {
   // Fires synchronously for every delta actually applied to a view; the
   // warehouse's external synchronization makes these single-threaded (batch
   // workers write to BufferedViewStorage, which has no sink).
-  void OnVInsert(const MaterializedView& view,
-                 const Object& base_object) override {
+  void OnDelta(const MaterializedView& view, ViewDelta delta) override {
     if (logging_paused) return;
-    Append(WalRecord::VInsert(view.def().name(), base_object));
-    ++stats.deltas_logged;
-  }
-  void OnVDelete(const MaterializedView& view, const Oid& base_oid) override {
-    if (logging_paused) return;
-    Append(WalRecord::VDelete(view.def().name(), base_oid));
-    ++stats.deltas_logged;
-  }
-  void OnSync(const MaterializedView& view, const Update& update) override {
-    if (logging_paused) return;
-    Append(WalRecord::Sync(view.def().name(), update));
-    ++stats.deltas_logged;
-  }
-  void OnRefresh(const MaterializedView& view,
-                 const Object& base_object) override {
-    if (logging_paused) return;
-    Append(WalRecord::Refresh(view.def().name(), base_object));
+    Append(WalRecord::Delta(view.def().name(), std::move(delta)));
     ++stats.deltas_logged;
   }
 };

@@ -770,5 +770,61 @@ TEST(ShardedTwinTest, ThreadCountDoesNotChangeResults) {
   RunShardedTwinCheck({"tree_k4_t8", 4, 8, false, 31});
 }
 
+// Fault-free K=4 content lines — members, delegate labels and values —
+// equal K=1's and the §4.4 recompute's after every drain, at reporting
+// levels 2 and 3. A peer's V_insert lands at the owner after the owner's
+// own ops of the same batch, so an insert carrying an event's snapshot of
+// the object would lose the updates whose syncs the owner dropped while
+// the member was not yet in its slice.
+TEST(ShardedTwinTest, FourShardsValuesMatchRecomputeEveryDrain) {
+  TreeGenOptions tree_options;
+  tree_options.levels = 3;
+  tree_options.fanout = 4;
+  tree_options.seed = 101;
+  tree_options.oid_prefix = "drift_";
+  for (ReportingLevel level :
+       {ReportingLevel::kWithValues, ReportingLevel::kWithRootPath}) {
+    for (uint64_t stream_seed = 301; stream_seed <= 340; ++stream_seed) {
+      SCOPED_TRACE("level " + std::to_string(static_cast<int>(level)) +
+                   " stream seed " + std::to_string(stream_seed));
+      ObjectStore source;
+      auto tree = GenerateTree(&source, tree_options);
+      ASSERT_TRUE(tree.ok());
+      const std::string definition =
+          TreeViewDefinition("WV", tree->root, 2, 3, 50);
+
+      ObjectStore plain_store;
+      Warehouse plain(&plain_store);
+      ASSERT_TRUE(plain.ConnectSource(&source, tree->root, level).ok());
+      ASSERT_TRUE(plain.DefineView(definition).ok());
+      plain.set_deferred(true);
+      ShardedWarehouse sharded(4);
+      ASSERT_TRUE(sharded.ConnectSource(&source, tree->root, level).ok());
+      ASSERT_TRUE(sharded.DefineView(definition).ok());
+      sharded.set_deferred(true);
+
+      UpdateGenOptions gen_options;
+      gen_options.seed = stream_seed;
+      gen_options.oid_prefix = "drift_u";
+      UpdateGenerator gen(&source, tree->root, gen_options);
+      for (int drain = 1; drain <= 10; ++drain) {
+        ASSERT_TRUE(gen.Run(50).ok());
+        ASSERT_TRUE(plain.ProcessPendingBatch().ok());
+        ASSERT_TRUE(sharded.ProcessPendingBatch(4).ok());
+        ObjectStore recompute_store;
+        Warehouse recompute(&recompute_store);
+        ASSERT_TRUE(
+            recompute.ConnectSource(&source, tree->root, level).ok());
+        ASSERT_TRUE(recompute.DefineView(definition).ok());
+        const auto truth = ViewContentLines(*recompute.view("WV"));
+        ASSERT_EQ(ViewContentLines(*plain.view("WV")), truth)
+            << "K=1 after drain " << drain;
+        ASSERT_EQ(sharded.ViewContents("WV"), truth)
+            << "K=4 after drain " << drain;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gsv

@@ -203,12 +203,8 @@ TEST_F(WrapperFaultTest, OpenBreakerHalfOpensAfterEnoughRejections) {
 // ResyncStaleViews() or through the drains that follow — the faulty
 // warehouse's content lines (members, delegate labels and values) must
 // equal a recompute: the view defined from scratch over the final source
-// state. At K=1 they must also equal the fault-free twin's. So must a §6
-// view at K=4, against both the fault-free K=4 and K=1 twins: its one
-// producer is the host's network. (For an Algorithm 1 view a fault-free
-// K=4 twin is no reference: its coordinated drain can apply a peer's
-// snapshot V_insert after a sync the same batch produced later — see
-// CHANGES.md.)
+// state. They must also equal the fault-free twin's, and at K=4 the
+// fault-free K=1 twin's as well.
 enum class Heal { kResync, kNextDrain };
 
 // ConvergenceConfig::fault_shard values relative to the view's host shard.
@@ -342,12 +338,10 @@ void RunConvergenceCheck(const ConvergenceConfig& config,
                       : (host + 1) % config.shards;
   }
 
-  // Fault-free twins: one of the same shape, plus a K=1 one for a §6 view.
+  // Fault-free twins: one of the same shape, plus a K=1 one at K>1.
   std::vector<std::unique_ptr<Deployment>> clean;
   clean.push_back(std::make_unique<Deployment>(config.shards));
-  if (general && config.shards > 1) {
-    clean.push_back(std::make_unique<Deployment>(1));
-  }
+  if (config.shards > 1) clean.push_back(std::make_unique<Deployment>(1));
   for (auto& twin : clean) {
     ASSERT_TRUE(twin->Connect(&source_a, tree_a->root).ok());
     ASSERT_TRUE(twin->Define(definition, config.cache).ok());
@@ -409,12 +403,10 @@ void RunConvergenceCheck(const ConvergenceConfig& config,
   EXPECT_EQ(faulty.stale_view_count(), 0u);
   EXPECT_EQ(faulty.buffered_stale_events(), 0u);
 
-  // Byte-identical convergence with a recompute over the final source
-  // state (and, at K=1 or for a §6 view, with the fault-free twins).
+  // Byte-identical convergence with the fault-free twins and with a
+  // recompute over the final source state.
   const auto lines = faulty.Lines("WV");
-  if (config.shards == 1 || general) {
-    for (auto& twin : clean) EXPECT_EQ(lines, twin->Lines("WV"));
-  }
+  for (auto& twin : clean) EXPECT_EQ(lines, twin->Lines("WV"));
   ObjectStore recompute_store;
   Warehouse recompute(&recompute_store);
   ASSERT_TRUE(recompute

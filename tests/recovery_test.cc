@@ -81,14 +81,15 @@ UpdateEvent MakeInsertEvent(uint64_t sequence) {
 TEST(WalCodecTest, AllRecordTypesRoundTrip) {
   std::vector<WalRecord> records;
   records.push_back(WalRecord::Event("source1", MakeInsertEvent(7)));
-  records.push_back(
-      WalRecord::VInsert("WV", Object(Oid("x"), "age", Value::Int(3))));
-  records.push_back(WalRecord::VDelete("WV", Oid("x")));
-  records.push_back(WalRecord::Sync(
-      "WV", Update::Modify(Oid("x"), Value::Int(3), Value::Int(4))));
-  records.push_back(
-      WalRecord::Refresh("WV", Object(Oid("y"), "name",
-                                      Value::Str("a \"quoted\" name\n"))));
+  records.push_back(WalRecord::Delta(
+      "WV", ViewDelta::VInsert(Object(Oid("x"), "age", Value::Int(3)))));
+  records.push_back(WalRecord::Delta("WV", ViewDelta::VDelete(Oid("x"))));
+  records.push_back(WalRecord::Delta(
+      "WV", ViewDelta::Sync(
+                Update::Modify(Oid("x"), Value::Int(3), Value::Int(4)))));
+  records.push_back(WalRecord::Delta(
+      "WV", ViewDelta::Refresh(Object(Oid("y"), "name",
+                                      Value::Str("a \"quoted\" name\n")))));
   records.push_back(WalRecord::Commit({{"source1", 7}, {"source2", 0}}));
   records.push_back(
       WalRecord::ViewDef("define mview WV as: SELECT r.a X", 2, "source1"));
@@ -118,6 +119,57 @@ TEST(WalCodecTest, AllRecordTypesRoundTrip) {
   ASSERT_EQ(commit.value().watermarks.size(), 2u);
   EXPECT_EQ(commit.value().watermarks[0].source, "source1");
   EXPECT_EQ(commit.value().watermarks[0].last_sequence, 7u);
+}
+
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char byte : bytes) {
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return bytes;
+}
+
+// One payload per view-delta op, byte for byte: the logged form of the
+// V_insert / V_delete / sync / refresh ops is the on-disk WAL format, which
+// recovery, the follower and wal_inspect all read.
+TEST(WalCodecTest, DeltaPayloadsMatchGoldenBytes) {
+  struct Golden {
+    const char* hex;
+    const char* text;
+  };
+  const Golden goldens[] = {
+      {"02020000000000000002000000575601010000007803000000616765000300000000"
+       "000000",
+       "lsn=2 delta view=WV vinsert x"},
+      {"020300000000000000020000005756020100000078",
+       "lsn=3 delta view=WV vdelete x"},
+      {"02040000000000000002000000575603020100000078000000000003000000000000"
+       "00000400000000000000",
+       "lsn=4 delta view=WV sync modify(x, 3, 4)"},
+      {"020500000000000000020000005756040100000079040000006e616d650210000000"
+       "61202271756f74656422206e616d650a",
+       "lsn=5 delta view=WV refresh y"},
+      {"02060000000000000002000000575603000100000070010000007804000000000400"
+       "000000",
+       "lsn=6 delta view=WV sync insert(p, x)"},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.text);
+    auto decoded = DecodeWalPayload(FromHex(golden.hex));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(WalRecordToString(decoded.value()), golden.text);
+    EXPECT_EQ(ToHex(EncodeWalPayload(decoded.value())), golden.hex);
+  }
 }
 
 // ------------------------------------------------------------- append/scan
@@ -158,7 +210,9 @@ TEST(WalTest, AppendScanRoundTripAcrossSegments) {
                             scan.value().next_lsn);
   ASSERT_TRUE(reopened.ok());
   ASSERT_TRUE(
-      reopened.value()->Append(WalRecord::VDelete("WV", Oid("x"))).ok());
+      reopened.value()
+          ->Append(WalRecord::Delta("WV", ViewDelta::VDelete(Oid("x"))))
+          .ok());
   auto rescan = ScanWal(dir);
   ASSERT_TRUE(rescan.ok());
   EXPECT_EQ(rescan.value().records.size(), 7u);
@@ -172,7 +226,9 @@ TEST(WalTest, ScanDetectsTornTailAndTruncateRepairs) {
     ASSERT_TRUE(wal.ok());
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(
-          wal.value()->Append(WalRecord::VDelete("WV", Oid("x"))).ok());
+          wal.value()
+              ->Append(WalRecord::Delta("WV", ViewDelta::VDelete(Oid("x"))))
+              .ok());
     }
   }
   // A power loss mid-write: garbage bytes that are not a complete frame.
@@ -205,11 +261,14 @@ TEST(WalTest, CrashInjectionTearsTheTailAndSticks) {
   std::string dir = TempDir("crash");
   auto wal = Wal::Open(dir, Wal::Options{FsyncPolicy::kNever}, 1);
   ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(wal.value()->Append(WalRecord::VDelete("WV", Oid("x"))).ok());
+  ASSERT_TRUE(wal.value()
+                  ->Append(WalRecord::Delta("WV", ViewDelta::VDelete(Oid("x"))))
+                  .ok());
   int64_t clean_bytes = wal.value()->bytes_written();
 
   wal.value()->set_crash_after_bytes(5);  // mid-frame of the next record
-  Status torn = wal.value()->Append(WalRecord::VDelete("WV", Oid("y")));
+  Status torn = wal.value()->Append(
+      WalRecord::Delta("WV", ViewDelta::VDelete(Oid("y"))));
   EXPECT_EQ(torn.code(), StatusCode::kDataLoss);
   EXPECT_TRUE(wal.value()->crashed());
   // Sticky: the log stays dead.
@@ -442,14 +501,16 @@ TEST(RecoveryPlanTest, PartitionsCommittedAndUncommittedTail) {
     ASSERT_TRUE(wal.ok());
     Wal& w = *wal.value();
     ASSERT_TRUE(w.Append(WalRecord::Event("source1", MakeInsertEvent(1))).ok());
-    ASSERT_TRUE(
-        w.Append(WalRecord::VInsert("WV", Object(Oid("p1"), "folder",
-                                                 Value::Set(OidSet()))))
-            .ok());
+    ASSERT_TRUE(w.Append(WalRecord::Delta(
+                             "WV", ViewDelta::VInsert(Object(
+                                       Oid("p1"), "folder",
+                                       Value::Set(OidSet())))))
+                    .ok());
     ASSERT_TRUE(w.Append(WalRecord::Commit({{"source1", 1}})).ok());
     // Interrupted group: an event and a delta, no commit.
     ASSERT_TRUE(w.Append(WalRecord::Event("source1", MakeInsertEvent(2))).ok());
-    ASSERT_TRUE(w.Append(WalRecord::VDelete("WV", Oid("p1"))).ok());
+    ASSERT_TRUE(
+        w.Append(WalRecord::Delta("WV", ViewDelta::VDelete(Oid("p1")))).ok());
   }
 
   auto plan = PlanRecovery(dir);
