@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (full build + test suite), then the §6
+# CI entry point: a lint stage that keeps whole-file I/O in one module
+# (src/util/file_io.cc; only the WAL segment fd, the paged engine's
+# pages.gsp fd, the streaming store image and gsvsh's script reader are
+# allowed their own), then tier-1 verify (full build + test suite), then the §6
 # experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
 # recomputation) and E12 (exits 1 when an inline or deferred-drain view is
 # inconsistent with its source), then the paper's §5 shapes E3/E4/E7 (all
@@ -13,7 +16,7 @@
 # warehouse, sharded twin and fault-convergence suites and the GDN twins (a
 # §6 network runs on its host shard in parallel with the peer shards) 20
 # times (rare interleavings), then an Address+UB-Sanitizer build of the
-# robustness and fault-injection tests
+# file-I/O unit tests and the robustness and fault-injection tests
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
 # replication suite's kill-mid-ship twin test with them), then a
@@ -28,6 +31,27 @@ cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
 
+echo "=== lint: whole-file I/O goes through src/util/file_io.cc ==="
+# Streams, fsync, rename and raw descriptor calls in src/ and tools/ belong
+# to util/file_io.cc. Allowed elsewhere, by file: the WAL's segment fd
+# (storage/wal.cc: open/write/fsync of fd_), the paged engine's pages.gsp
+# fd (oem/paged_engine.cc: open/pread/pwrite, no streams), the streaming
+# SaveStoreToFile/LoadStoreFromFile (oem/serialize.cc) and gsvsh's script
+# reader (tools/gsvsh.cc).
+raw_io="$(grep -rnE 'std::(i|o)?fstream|::fsync\(|rename\(|fopen\(|::(open|pread|pwrite|write)\(' \
+    src tools |
+  grep -vE '^src/util/file_io\.cc:' |
+  grep -vE '^src/storage/wal\.cc:[0-9]+:.*(::fsync\(fd_\)|fd_ = ::open\(|::write\(fd_,)' |
+  grep -vE '^src/oem/paged_engine\.cc:[0-9]+:.*::(open|pread|pwrite)\(' |
+  grep -vE '^src/oem/serialize\.cc:[0-9]+:.*std::(i|o)fstream' |
+  grep -vE '^tools/gsvsh\.cc:[0-9]+:.*std::ifstream' || true)"
+if [ -n "${raw_io}" ]; then
+  echo "raw file I/O outside util/file_io.cc and its allow-list:"
+  echo "${raw_io}"
+  exit 1
+fi
+
+echo
 echo "=== tier-1: configure + build + ctest ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
@@ -149,11 +173,11 @@ echo "=== stress: paged writeback, replication, kill-mid-batch, sharded twins an
   --gtest_repeat=20 --gtest_brief=1
 
 echo
-echo "=== asan: robustness + fault-injection + durability + replication tests under address;undefined ==="
+echo "=== asan: file I/O + robustness + fault-injection + durability + replication tests under address;undefined ==="
 cmake -B build-asan -S . -DGSV_SANITIZE="address;undefined" >/dev/null
-cmake --build build-asan -j "${JOBS}" --target gsv_robustness_test \
-  --target gsv_fault_tolerance_test --target gsv_recovery_test \
-  --target gsv_replication_test --target gsv_storage_engine_test \
+cmake --build build-asan -j "${JOBS}" --target gsv_util_test \
+  --target gsv_robustness_test --target gsv_fault_tolerance_test \
+  --target gsv_recovery_test --target gsv_replication_test --target gsv_storage_engine_test \
   --target gsv_ivm_test
 # The gdn suite runs under ASan too: recovery rebuilds every network over
 # a freshly restored base, and poisoned networks rebuild in place.

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -27,6 +26,7 @@
 #include "oem/serialize.h"
 #include "oem/store.h"
 #include "storage/wal.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gsv {
@@ -858,26 +858,9 @@ class PagedEngine final : public StorageEngine {
           << ' ' << (frame->loaded ? "resident" : "evicted") << "\n";
     }
     std::string body = out.str();
-    std::ostringstream trailer;
-    trailer << "crc " << Crc32(body.data(), body.size()) << "\n";
-    const std::string tmp = PageDirPath() + ".tmp";
-    {
-      std::ofstream file(tmp, std::ios::trunc);
-      if (!file.is_open()) {
-        return Status::Internal("paged engine: cannot open " + tmp);
-      }
-      file << body << trailer.str();
-      if (!file.good()) {
-        return Status::Internal("paged engine: PAGEDIR write failed");
-      }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, PageDirPath(), ec);
-    if (ec) {
-      return Status::Internal("paged engine: PAGEDIR rename failed: " +
-                              ec.message());
-    }
-    return Status::Ok();
+    const uint32_t crc = Crc32(body.data(), body.size());
+    body += "crc " + std::to_string(crc) + "\n";
+    return PublishFile(PageDirPath(), body);
   }
 
   PagedEngineOptions options_;
@@ -1066,14 +1049,12 @@ Status AuditPageRecords(std::string_view raw, const PageDirEntry& entry) {
 }  // namespace
 
 Result<PageDirectory> ReadPageDirectory(const std::string& dir) {
-  std::ifstream in(dir + "/" + kPageDirName);
-  if (!in.is_open()) {
-    return Status::NotFound("no PAGEDIR in " + dir);
-  }
-  std::string body, line;
+  GSV_ASSIGN_OR_RETURN(const std::string text,
+                       ReadFile(dir + "/" + kPageDirName));
+  std::string body;
   PageDirectory directory;
   bool saw_trailer = false;
-  while (std::getline(in, line)) {
+  for (const std::string& line : Split(text, '\n')) {
     if (line.rfind("crc ", 0) == 0) {
       std::optional<int64_t> want = ParseInt64(std::string_view(line).substr(4));
       if (!want.has_value()) {
@@ -1139,11 +1120,7 @@ Result<PageDirectory> ReadPageDirectory(const std::string& dir) {
 
 Status VerifyPagedImage(const std::string& dir, std::ostream* out) {
   GSV_ASSIGN_OR_RETURN(PageDirectory directory, ReadPageDirectory(dir));
-  std::ifstream pages(dir + "/" + kPageFileName, std::ios::binary);
-  if (!pages.is_open()) {
-    return Status::NotFound("no " + std::string(kPageFileName) + " in " +
-                            dir);
-  }
+  const std::string pages_path = dir + "/" + kPageFileName;
   Status result = Status::Ok();
   auto note = [&result](Status status) {
     if (result.ok()) result = std::move(status);
@@ -1151,14 +1128,12 @@ Status VerifyPagedImage(const std::string& dir, std::ostream* out) {
   uint64_t stored_total = 0;
   uint64_t raw_total = 0;
   for (const PageDirEntry& entry : directory.pages) {
-    std::string payload(entry.payload_bytes, '\0');
-    pages.seekg(static_cast<std::streamoff>(entry.slot_start *
-                                            directory.page_bytes));
-    pages.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-    bool crc_ok =
-        pages.gcount() == static_cast<std::streamsize>(payload.size());
-    pages.clear();
-    if (crc_ok) crc_ok = Crc32(payload.data(), payload.size()) == entry.crc;
+    GSV_ASSIGN_OR_RETURN(
+        const std::string payload,
+        ReadFileRange(pages_path, entry.slot_start * directory.page_bytes,
+                      entry.payload_bytes));
+    const bool crc_ok = payload.size() == entry.payload_bytes &&
+                        Crc32(payload.data(), payload.size()) == entry.crc;
     if (!crc_ok) {
       note(Status::DataLoss("page " + std::to_string(entry.page_id) +
                             ": CRC mismatch"));

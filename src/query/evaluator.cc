@@ -5,25 +5,22 @@
 
 namespace gsv {
 
-Result<OidSet> EvaluateQuery(const ObjectStore& store, const Query& query,
-                             QueryPlan* plan) {
-  const StoreMetrics& metrics = store.metrics();
-  const int64_t probes_base = metrics.index_probes;
-  const int64_t fallbacks_base = metrics.index_fallbacks;
-  if (plan != nullptr) {
-    plan->select = store.options().enable_label_index &&
-                           query.select_path.IsConstant()
-                       ? QueryPlan::Select::kIndexProbe
-                       : QueryPlan::Select::kTraversal;
-  }
+Result<OidSet> RunQuery(const ObjectStore& store, const Query& query,
+                        const QuerySelect& select, QueryTrace* trace) {
+  trace->plan.select =
+      store.options().enable_label_index && query.select_path.IsConstant()
+          ? QueryPlan::Select::kIndexProbe
+          : QueryPlan::Select::kTraversal;
 
   // Resolve the entry point: database name first, then literal OID.
   Oid entry = store.DatabaseOid(query.entry);
+  trace->entry_was_database = entry.valid();
   if (!entry.valid()) entry = Oid(query.entry);
   if (!store.Contains(entry)) {
     return Status::NotFound("query entry point '" + query.entry +
                             "' is neither a database nor an object");
   }
+  trace->entry_oid = entry;
 
   OidFilter filter;
   if (query.within_db.has_value()) {
@@ -32,20 +29,28 @@ Result<OidSet> EvaluateQuery(const ObjectStore& store, const Query& query,
       return Status::NotFound("WITHIN database '" + within +
                               "' is not registered");
     }
-    filter = [&store, &within, &entry](const Oid& oid) {
+    trace->scoped = true;
+    filter = [&store, &within, entry](const Oid& oid) {
       return oid == entry || store.InDatabase(within, oid);
     };
   }
 
-  OidSet candidates =
-      query.select_path.IsConstant()
-          ? EvalPath(store, entry, query.select_path.ToPath(), filter)
-          : EvalExpression(store, entry, query.select_path, filter);
+  const StoreMetrics& metrics = store.metrics();
+  const int64_t edges_base = metrics.edges_traversed;
+  const int64_t lookups_base = metrics.lookups;
+  const int64_t probes_base = metrics.index_probes;
+  const int64_t fallbacks_base = metrics.index_fallbacks;
+  const int64_t faults_base = metrics.page_faults;
+  const int64_t swizzle_hits_base = metrics.swizzle_hits;
+  const int64_t swizzle_misses_base = metrics.swizzle_misses;
 
+  OidSet candidates = select(entry, filter);
+  trace->candidates = candidates.size();
   OidSet answer;
   for (const Oid& x : candidates) {
     if (query.where.Evaluate(store, x, filter)) answer.Insert(x);
   }
+  trace->passed_condition = answer.size();
 
   if (query.ans_int_db.has_value()) {
     Oid db_oid = store.DatabaseOid(*query.ans_int_db);
@@ -60,10 +65,29 @@ Result<OidSet> EvaluateQuery(const ObjectStore& store, const Query& query,
     }
     answer = OidSet::Intersect(answer, db->children());
   }
-  if (plan != nullptr) {
-    plan->index_probes = metrics.index_probes - probes_base;
-    plan->index_fallbacks = metrics.index_fallbacks - fallbacks_base;
-  }
+
+  trace->total_edges = metrics.edges_traversed - edges_base;
+  trace->total_lookups = metrics.lookups - lookups_base;
+  trace->plan.index_probes = metrics.index_probes - probes_base;
+  trace->plan.index_fallbacks = metrics.index_fallbacks - fallbacks_base;
+  trace->total_page_faults = metrics.page_faults - faults_base;
+  trace->total_swizzle_hits = metrics.swizzle_hits - swizzle_hits_base;
+  trace->total_swizzle_misses = metrics.swizzle_misses - swizzle_misses_base;
+  return answer;
+}
+
+Result<OidSet> EvaluateQuery(const ObjectStore& store, const Query& query,
+                             QueryPlan* plan) {
+  QueryTrace trace;
+  Result<OidSet> answer = RunQuery(
+      store, query,
+      [&store, &query](const Oid& entry, const OidFilter& filter) {
+        return query.select_path.IsConstant()
+                   ? EvalPath(store, entry, query.select_path.ToPath(), filter)
+                   : EvalExpression(store, entry, query.select_path, filter);
+      },
+      &trace);
+  if (plan != nullptr) *plan = trace.plan;
   return answer;
 }
 

@@ -1,9 +1,11 @@
 #ifndef GSV_QUERY_EVALUATOR_H_
 #define GSV_QUERY_EVALUATOR_H_
 
+#include <functional>
 #include <string_view>
 
 #include "oem/store.h"
+#include "path/navigate.h"
 #include "query/ast.h"
 #include "util/status.h"
 
@@ -33,6 +35,36 @@ struct QueryPlan {
     return select == Select::kIndexProbe ? "index-probe" : "traversal";
   }
 };
+
+// What one evaluation did besides producing its answer: how the entry
+// resolved, what each stage kept, and the store counter deltas from entry
+// resolution to the end. ExplainQuery's account extends it.
+struct QueryTrace {
+  Oid entry_oid;
+  bool entry_was_database = false;
+  bool scoped = false;         // WITHIN present
+  size_t candidates = 0;       // objects reaching the end of the select path
+  size_t passed_condition = 0;
+  QueryPlan plan;              // chosen select plan + index counter deltas
+  int64_t total_edges = 0;
+  int64_t total_lookups = 0;
+  // Paged engine only (0 on the memory engine): buffer-pool faults, and
+  // point reads served from the swizzle table vs the routed slow path.
+  int64_t total_page_faults = 0;
+  int64_t total_swizzle_hits = 0;
+  int64_t total_swizzle_misses = 0;
+};
+
+// The select stage: the candidates the select path reaches from `entry`,
+// hidden objects excluded by `filter`.
+using QuerySelect =
+    std::function<OidSet(const Oid& entry, const OidFilter& filter)>;
+
+// The stages every evaluation shares around its select stage: resolves the
+// entry, builds the WITHIN filter, runs `select`, keeps the candidates the
+// condition holds for and intersects per ANS INT, filling `trace`.
+Result<OidSet> RunQuery(const ObjectStore& store, const Query& query,
+                        const QuerySelect& select, QueryTrace* trace);
 
 // The WITHIN filter hides out-of-database objects from both the select
 // traversal and condition traversals; the entry object itself is exempt

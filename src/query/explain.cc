@@ -1,6 +1,7 @@
 #include "query/explain.h"
 
 #include <sstream>
+#include <utility>
 
 #include "path/navigate.h"
 #include "query/parser.h"
@@ -42,111 +43,48 @@ Result<QueryExplanation> ExplainQuery(const ObjectStore& store,
                                       const Query& query) {
   QueryExplanation explanation;
   explanation.entry = query.entry;
-
-  Oid entry_oid = store.DatabaseOid(query.entry);
-  explanation.entry_was_database = entry_oid.valid();
-  if (!entry_oid.valid()) entry_oid = Oid(query.entry);
-  if (!store.Contains(entry_oid)) {
-    return Status::NotFound("query entry point '" + query.entry +
-                            "' is neither a database nor an object");
-  }
-  explanation.entry_oid = entry_oid;
-
-  OidFilter filter;
-  if (query.within_db.has_value()) {
-    const std::string& within = *query.within_db;
-    if (!store.DatabaseOid(within).valid()) {
-      return Status::NotFound("WITHIN database '" + within +
-                              "' is not registered");
-    }
-    explanation.scoped = true;
-    filter = [&store, &within, &entry_oid](const Oid& oid) {
-      return oid == entry_oid || store.InDatabase(within, oid);
-    };
-  }
-
   const StoreMetrics& metrics = store.metrics();
-  int64_t edges_base = metrics.edges_traversed;
-  int64_t lookups_base = metrics.lookups;
-  int64_t probes_base = metrics.index_probes;
-  int64_t fallbacks_base = metrics.index_fallbacks;
-  int64_t faults_base = metrics.page_faults;
-  int64_t swizzle_hits_base = metrics.swizzle_hits;
-  int64_t swizzle_misses_base = metrics.swizzle_misses;
-  explanation.plan.select =
-      store.options().enable_label_index && query.select_path.IsConstant()
-          ? QueryPlan::Select::kIndexProbe
-          : QueryPlan::Select::kTraversal;
-
-  OidSet frontier;
-  frontier.Insert(entry_oid);
-  if (query.select_path.IsConstant()) {
-    // Step the frontier one label at a time, recording each wave.
-    const Path path = query.select_path.ToPath();
-    for (size_t i = 0; i < path.size(); ++i) {
+  auto select = [&](const Oid& entry, const OidFilter& filter) {
+    OidSet frontier;
+    frontier.Insert(entry);
+    // Advances the frontier by one wave and records it as a step.
+    auto wave = [&](std::string atom, const auto& next) {
       QueryExplanation::SelectStep step;
-      step.atom = path.label(i);
+      step.atom = std::move(atom);
       step.frontier_before = frontier.size();
-      int64_t edges_before = metrics.edges_traversed;
-      int64_t probes_before = metrics.index_probes;
-      OidSet next;
-      Path single(std::vector<std::string>{path.label(i)});
-      for (const Oid& oid : frontier) {
-        next = OidSet::Union(next, EvalPath(store, oid, single, filter));
-      }
-      frontier = std::move(next);
+      const int64_t edges_before = metrics.edges_traversed;
+      const int64_t probes_before = metrics.index_probes;
+      frontier = next();
       step.frontier_after = frontier.size();
       step.edges_examined = metrics.edges_traversed - edges_before;
       step.probes_examined = metrics.index_probes - probes_before;
       explanation.steps.push_back(std::move(step));
+    };
+    if (query.select_path.IsConstant()) {
+      // Step the frontier one label at a time.
+      const Path path = query.select_path.ToPath();
+      for (size_t i = 0; i < path.size(); ++i) {
+        wave(path.label(i), [&] {
+          OidSet next;
+          Path single(std::vector<std::string>{path.label(i)});
+          for (const Oid& oid : frontier) {
+            next = OidSet::Union(next, EvalPath(store, oid, single, filter));
+          }
+          return next;
+        });
+      }
+    } else {
+      // Wildcard expressions run the NFA in one wave; report it as a single
+      // step over the whole expression.
+      wave(query.select_path.ToString(), [&] {
+        return EvalExpression(store, entry, query.select_path, filter);
+      });
     }
-  } else {
-    // Wildcard expressions run the NFA in one wave; report it as a single
-    // step over the whole expression.
-    QueryExplanation::SelectStep step;
-    step.atom = query.select_path.ToString();
-    step.frontier_before = frontier.size();
-    int64_t edges_before = metrics.edges_traversed;
-    int64_t probes_before = metrics.index_probes;
-    frontier = EvalExpression(store, entry_oid, query.select_path, filter);
-    step.frontier_after = frontier.size();
-    step.edges_examined = metrics.edges_traversed - edges_before;
-    step.probes_examined = metrics.index_probes - probes_before;
-    explanation.steps.push_back(std::move(step));
-  }
-  explanation.candidates = frontier.size();
-
-  for (const Oid& x : frontier) {
-    if (query.where.Evaluate(store, x, filter)) {
-      explanation.answer.Insert(x);
-    }
-  }
-  explanation.passed_condition = explanation.answer.size();
-  explanation.after_ans_int = explanation.passed_condition;
-
-  if (query.ans_int_db.has_value()) {
-    Oid db_oid = store.DatabaseOid(*query.ans_int_db);
-    if (!db_oid.valid()) {
-      return Status::NotFound("ANS INT database '" + *query.ans_int_db +
-                              "' is not registered");
-    }
-    const Object* db = store.Get(db_oid);
-    if (db == nullptr || !db->IsSet()) {
-      return Status::FailedPrecondition("ANS INT database object " +
-                                        db_oid.str() + " is not a set object");
-    }
-    explanation.answer = OidSet::Intersect(explanation.answer, db->children());
-    explanation.after_ans_int = explanation.answer.size();
-  }
-
-  explanation.total_edges = metrics.edges_traversed - edges_base;
-  explanation.total_lookups = metrics.lookups - lookups_base;
-  explanation.plan.index_probes = metrics.index_probes - probes_base;
-  explanation.plan.index_fallbacks = metrics.index_fallbacks - fallbacks_base;
-  explanation.total_page_faults = metrics.page_faults - faults_base;
-  explanation.total_swizzle_hits = metrics.swizzle_hits - swizzle_hits_base;
-  explanation.total_swizzle_misses =
-      metrics.swizzle_misses - swizzle_misses_base;
+    return frontier;
+  };
+  GSV_ASSIGN_OR_RETURN(explanation.answer,
+                       RunQuery(store, query, select, &explanation));
+  explanation.after_ans_int = explanation.answer.size();
   return explanation;
 }
 

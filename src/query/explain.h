@@ -16,7 +16,7 @@ namespace gsv {
 // how the frontier evolved along the select path, what the condition
 // filtered, and what the scoping clauses did. Debugging/tooling aid — the
 // shell's `explain` command prints it.
-struct QueryExplanation {
+struct QueryExplanation : QueryTrace {
   struct SelectStep {
     std::string atom;          // the path component ("professor", "*", "?")
     size_t frontier_before = 0;
@@ -26,24 +26,9 @@ struct QueryExplanation {
   };
 
   std::string entry;           // as written
-  Oid entry_oid;               // what it resolved to
-  bool entry_was_database = false;
-  bool scoped = false;         // WITHIN present
   std::vector<SelectStep> steps;
-  size_t candidates = 0;       // objects reaching the end of the select path
-  size_t passed_condition = 0;
   size_t after_ans_int = 0;    // == passed_condition when no ANS INT
   OidSet answer;
-  QueryPlan plan;              // chosen select plan + index counter deltas
-  int64_t total_edges = 0;
-  int64_t total_lookups = 0;
-  // Buffer-pool faults this evaluation caused (paged storage engine only;
-  // always 0 on the memory engine, and then omitted from ToString).
-  int64_t total_page_faults = 0;
-  // Point reads served straight from the swizzle table vs the routed slow
-  // path (paged engine only; both 0 — and omitted — on the memory engine).
-  int64_t total_swizzle_hits = 0;
-  int64_t total_swizzle_misses = 0;
 
   std::string ToString() const;
 };

@@ -1,7 +1,5 @@
 #include "replication/checksums.h"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +7,7 @@
 #include "oem/store.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
+#include "util/file_io.h"
 #include "warehouse/sharded_warehouse.h"
 #include "warehouse/sharding.h"
 #include "warehouse/warehouse.h"
@@ -89,29 +88,6 @@ Result<ChecksumStamp> ChecksumDurabilityHome(const std::string& dir) {
   return stamp;
 }
 
-namespace {
-
-Status WriteStampFile(const std::string& dir, const ChecksumStamp& stamp) {
-  const std::string path = dir + "/" + ChecksumFileName();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::Internal("checksums: cannot write " + tmp);
-    out << EncodeChecksumStamp(stamp);
-    out.flush();
-    if (!out) return Status::Internal("checksums: cannot write " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("checksums: cannot publish " + path + ": " +
-                            ec.message());
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 Status PublishChecksums(Warehouse& warehouse) {
   if (!warehouse.durable()) {
     return Status::FailedPrecondition(
@@ -128,7 +104,8 @@ Status PublishChecksums(Warehouse& warehouse) {
     const MaterializedView* view = warehouse.view(name);
     if (view != nullptr) stamp.views.push_back(ChecksumView(name, *view));
   }
-  return WriteStampFile(warehouse.wal()->dir(), stamp);
+  return PublishFile(warehouse.wal()->dir() + "/" + ChecksumFileName(),
+                     EncodeChecksumStamp(stamp));
 }
 
 Status PublishChecksums(ShardedWarehouse& warehouse) {

@@ -1,10 +1,10 @@
 #include "replication/log_transport.h"
 
-#include <cerrno>
-#include <cstring>
+#include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <utility>
+
+#include "util/file_io.h"
 
 namespace gsv {
 
@@ -39,27 +39,18 @@ Result<TransportChunk> FileLogTransport::ReadSegment(
     return Status::InvalidArgument("transport: segment name with a path: " +
                                    segment);
   }
-  const std::string path = dir_ + "/" + segment;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Unavailable("transport: cannot open " + path);
+  // One byte past the chunk, when it arrives, says the segment goes on.
+  const uint64_t probe = max_bytes == UINT64_MAX ? max_bytes : max_bytes + 1;
+  Result<std::string> bytes =
+      ReadFileRange(dir_ + "/" + segment, offset, probe);
+  if (!bytes.ok()) {
+    return Status::Unavailable("transport: " + bytes.status().message());
   }
-  in.seekg(0, std::ios::end);
-  const uint64_t size = static_cast<uint64_t>(in.tellg());
   TransportChunk chunk;
   chunk.offset = offset;
-  if (offset >= size) {
-    chunk.at_end = true;
-    return chunk;
-  }
-  const uint64_t take = std::min<uint64_t>(max_bytes, size - offset);
-  chunk.data.resize(static_cast<size_t>(take));
-  in.seekg(static_cast<std::streamoff>(offset));
-  in.read(chunk.data.data(), static_cast<std::streamsize>(take));
-  if (static_cast<uint64_t>(in.gcount()) != take) {
-    return Status::Unavailable("transport: short read from " + path);
-  }
-  chunk.at_end = offset + take >= size;
+  chunk.data = std::move(bytes).value();
+  chunk.at_end = chunk.data.size() <= max_bytes;
+  if (!chunk.at_end) chunk.data.pop_back();
   return chunk;
 }
 
@@ -67,18 +58,11 @@ Result<std::string> FileLogTransport::FetchFile(const std::string& name) {
   if (name.find("..") != std::string::npos) {
     return Status::InvalidArgument("transport: path escape in " + name);
   }
-  const std::string path = dir_ + "/" + name;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-      return Status::NotFound("transport: no file " + name);
-    }
-    return Status::Unavailable("transport: cannot open " + path);
+  Result<std::string> bytes = ReadFile(dir_ + "/" + name);
+  if (bytes.ok() || bytes.status().code() == StatusCode::kNotFound) {
+    return bytes;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return Status::Unavailable("transport: " + bytes.status().message());
 }
 
 Result<FenceInfo> FileLogTransport::FetchFence() { return ReadFence(dir_); }

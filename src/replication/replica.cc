@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 
 #include "replication/checksums.h"
 #include "storage/recovery.h"
+#include "util/file_io.h"
 #include "warehouse/sharding.h"
 
 namespace gsv {
@@ -197,19 +197,15 @@ Status Replica::ReseedFromPrimary() {
 
   GSV_ASSIGN_OR_RETURN(std::string manifest_text,
                        FetchRemote(checkpoint_dir + "/MANIFEST"));
-  std::vector<std::pair<std::string, std::pair<uint32_t, uint64_t>>> files;
-  GSV_RETURN_IF_ERROR(DecodeCheckpointManifest(manifest_text, &files).status());
+  std::vector<std::pair<std::string, std::pair<uint32_t, uint64_t>>> listed;
+  GSV_RETURN_IF_ERROR(
+      DecodeCheckpointManifest(manifest_text, &listed).status());
 
-  // Materialize the checkpoint locally, CRC-verifying every shipped data
-  // file, then flip CURRENT — the same atomic-enough order the primary
-  // uses (a crash mid-seed leaves no CURRENT, and Start() reseeds).
-  const std::string local_dir = options_.dir + "/" + checkpoint_dir;
-  std::error_code ec;
-  fs::create_directories(local_dir, ec);
-  if (ec) {
-    return Status::Internal("replica: cannot create " + local_dir);
-  }
-  for (const auto& [name, crc_size] : files) {
+  // Fetch and CRC-verify every data file, then install the checkpoint
+  // through the primary's own writer, keeping its MANIFEST text as is. A
+  // crash mid-seed leaves no checkpoint (Start() reseeds) or a whole one.
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& [name, crc_size] : listed) {
     GSV_ASSIGN_OR_RETURN(std::string data,
                          FetchRemote(checkpoint_dir + "/" + name));
     if (data.size() != crc_size.second ||
@@ -217,31 +213,10 @@ Status Replica::ReseedFromPrimary() {
       return Status::Unavailable("replica: checkpoint file " + name +
                                  " arrived corrupt; retry the seed");
     }
-    std::ofstream out(local_dir + "/" + name,
-                      std::ios::binary | std::ios::trunc);
-    out << data;
-    out.flush();
-    if (!out) {
-      return Status::Internal("replica: cannot write " + local_dir + "/" +
-                              name);
-    }
+    files.emplace_back(name, std::move(data));
   }
-  {
-    std::ofstream out(local_dir + "/MANIFEST", std::ios::trunc);
-    out << manifest_text;
-    out.flush();
-    if (!out) {
-      return Status::Internal("replica: cannot write local MANIFEST");
-    }
-  }
-  {
-    std::ofstream out(options_.dir + "/CURRENT", std::ios::trunc);
-    out << checkpoint_dir << "\n";
-    out.flush();
-    if (!out) {
-      return Status::Internal("replica: cannot write local CURRENT");
-    }
-  }
+  GSV_RETURN_IF_ERROR(
+      InstallCheckpoint(options_.dir, checkpoint_dir, files, manifest_text));
 
   // The seeded home now holds just the checkpoint: load it the way a
   // follower restart does.
@@ -279,16 +254,7 @@ Status Replica::ApplyRecord(const WalRecord& record) {
 
 Status Replica::MirrorBytes(const std::string& segment,
                             const std::string& bytes) {
-  std::ofstream out(options_.dir + "/" + segment,
-                    std::ios::binary | std::ios::app);
-  if (!out) {
-    return Status::Internal("replica: cannot append to mirror " + segment);
-  }
-  out << bytes;
-  out.flush();
-  if (!out) {
-    return Status::Internal("replica: short mirror append to " + segment);
-  }
+  GSV_RETURN_IF_ERROR(AppendFile(options_.dir + "/" + segment, bytes));
   stats_.bytes_mirrored += static_cast<int64_t>(bytes.size());
   return Status::Ok();
 }

@@ -1,17 +1,13 @@
 #include "storage/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "oem/serialize.h"
 #include "oem/store.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gsv {
@@ -41,62 +37,6 @@ std::string CacheFileName(const std::string& view) {
   return "cache-" + view + ".gsv";
 }
 
-// Writes `content` to `path` and fsyncs it before closing — a checkpoint
-// file must be on disk before the manifest (and the manifest before the
-// rename) for the atomicity argument to hold.
-Status WriteFileDurable(const std::string& path, const std::string& content) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::Internal("checkpoint: open " + path + ": " +
-                            std::strerror(errno));
-  }
-  size_t written = 0;
-  while (written < content.size()) {
-    ssize_t n = ::write(fd, content.data() + written, content.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status = Status::Internal("checkpoint: write " + path + ": " +
-                                       std::strerror(errno));
-      ::close(fd);
-      return status;
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    Status status = Status::Internal("checkpoint: fsync " + path + ": " +
-                                     std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  ::close(fd);
-  return Status::Ok();
-}
-
-// Fsyncs a directory so a just-created/renamed entry survives power loss.
-Status SyncDir(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Internal("checkpoint: open dir " + path + ": " +
-                            std::strerror(errno));
-  }
-  if (::fsync(fd) != 0) {
-    Status status = Status::Internal("checkpoint: fsync dir " + path + ": " +
-                                     std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  ::close(fd);
-  return Status::Ok();
-}
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("checkpoint: cannot read " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 // Validates one checkpoint directory end to end and loads its contents.
 // Every file the manifest lists is CRC- and size-checked; one this version
 // does not read (an older home's gdn-<view>.gsv network image) is then
@@ -104,7 +44,7 @@ Result<std::string> ReadFileToString(const std::string& path) {
 Result<LoadedCheckpoint> LoadCheckpointDir(const std::string& path,
                                            const std::string& name) {
   GSV_ASSIGN_OR_RETURN(std::string manifest_text,
-                       ReadFileToString(path + "/" + kManifestName));
+                       ReadFile(path + "/" + kManifestName));
   std::vector<std::pair<std::string, std::pair<uint32_t, uint64_t>>> files;
   GSV_ASSIGN_OR_RETURN(CheckpointManifest manifest,
                        DecodeCheckpointManifest(manifest_text, &files));
@@ -113,7 +53,7 @@ Result<LoadedCheckpoint> LoadCheckpointDir(const std::string& path,
   loaded.dir_name = name;
   for (const auto& [file_name, crc_size] : files) {
     GSV_ASSIGN_OR_RETURN(std::string content,
-                         ReadFileToString(path + "/" + file_name));
+                         ReadFile(path + "/" + file_name));
     if (content.size() != crc_size.second ||
         Crc32(content.data(), content.size()) != crc_size.first) {
       return Status::DataLoss("checkpoint: " + path + "/" + file_name +
@@ -260,7 +200,7 @@ void RetireCoveredWalSegments(const std::string& dir) {
   if (!checkpoints.ok() || checkpoints.value().size() < 2) return;
   const CheckpointInfo& previous =
       checkpoints.value()[checkpoints.value().size() - 2];
-  auto manifest_text = ReadFileToString(previous.path + "/" + kManifestName);
+  auto manifest_text = ReadFile(previous.path + "/" + kManifestName);
   if (!manifest_text.ok()) return;
   auto manifest = DecodeCheckpointManifest(manifest_text.value(), nullptr);
   auto segments = ListWalSegments(dir);
@@ -278,27 +218,33 @@ void RetireCoveredWalSegments(const std::string& dir) {
 
 Status PersistCheckpoint(const std::string& dir,
                          const CheckpointCapture& capture) {
+  std::vector<std::pair<std::string, std::string>> files;
+  files.emplace_back(kStoreName, capture.store_text);
+  for (const auto& [view, text] : capture.cache_texts) {
+    files.emplace_back(CacheFileName(view), text);
+  }
+  return InstallCheckpoint(dir, CheckpointDirName(capture.manifest.id), files,
+                           EncodeCheckpointManifest(capture.manifest, files));
+}
+
+Status InstallCheckpoint(
+    const std::string& dir, const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& files,
+    const std::string& manifest_text) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
     return Status::Internal("checkpoint: cannot create " + dir + ": " +
                             ec.message());
   }
-  const std::string name = CheckpointDirName(capture.manifest.id);
   const std::string final_path = dir + "/" + name;
   const std::string tmp_path = final_path + ".tmp";
   fs::remove_all(tmp_path, ec);
-  fs::remove_all(final_path, ec);  // re-persisting the same id starts over
+  fs::remove_all(final_path, ec);  // re-installing the same id starts over
   fs::create_directories(tmp_path, ec);
   if (ec) {
     return Status::Internal("checkpoint: cannot create " + tmp_path + ": " +
                             ec.message());
-  }
-
-  std::vector<std::pair<std::string, std::string>> files;
-  files.emplace_back(kStoreName, capture.store_text);
-  for (const auto& [view, text] : capture.cache_texts) {
-    files.emplace_back(CacheFileName(view), text);
   }
   for (const auto& [file_name, content] : files) {
     GSV_RETURN_IF_ERROR(
@@ -306,25 +252,9 @@ Status PersistCheckpoint(const std::string& dir,
   }
   // Manifest last: its presence certifies the data files are complete.
   GSV_RETURN_IF_ERROR(
-      WriteFileDurable(tmp_path + "/" + kManifestName,
-                       EncodeCheckpointManifest(capture.manifest, files)));
-  GSV_RETURN_IF_ERROR(SyncDir(tmp_path));
-
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    return Status::Internal("checkpoint: rename " + tmp_path + ": " +
-                            ec.message());
-  }
-  GSV_RETURN_IF_ERROR(SyncDir(dir));
-
-  // Flip CURRENT via the same write-then-rename dance.
-  const std::string current_tmp = dir + "/" + kCurrentName + ".tmp";
-  GSV_RETURN_IF_ERROR(WriteFileDurable(current_tmp, name + "\n"));
-  fs::rename(current_tmp, dir + "/" + kCurrentName, ec);
-  if (ec) {
-    return Status::Internal("checkpoint: rename CURRENT: " + ec.message());
-  }
-  GSV_RETURN_IF_ERROR(SyncDir(dir));
+      WriteFileDurable(tmp_path + "/" + kManifestName, manifest_text));
+  GSV_RETURN_IF_ERROR(PublishDirectory(tmp_path, final_path));
+  GSV_RETURN_IF_ERROR(PublishFile(dir + "/" + kCurrentName, name + "\n"));
 
   // Retention: the newest two checkpoints stay (this one plus the previous
   // as a fallback for a corrupt newest); anything older goes.
@@ -338,7 +268,7 @@ Status PersistCheckpoint(const std::string& dir,
 
 Result<LoadedCheckpoint> LoadLatestCheckpoint(const std::string& dir) {
   // Prefer the checkpoint CURRENT names.
-  Result<std::string> current = ReadFileToString(dir + "/" + kCurrentName);
+  Result<std::string> current = ReadFile(dir + "/" + kCurrentName);
   std::string current_name;
   if (current.ok()) {
     current_name = std::move(current).value();

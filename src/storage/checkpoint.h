@@ -79,11 +79,20 @@ struct CheckpointInfo {
   uint64_t id = 0;
 };
 
-// Writes `capture` under `dir` (created if missing) with the atomic
-// tmp-dir + rename + CURRENT protocol, then deletes all but the two newest
-// checkpoints.
+// Encodes `capture` (data files plus the manifest that certifies them) and
+// installs it under `dir` with InstallCheckpoint.
 Status PersistCheckpoint(const std::string& dir,
                          const CheckpointCapture& capture);
+
+// Installs checkpoint directory `name` under `dir` (created if missing):
+// `files` (name, bytes) then `manifest_text` written durably into
+// `name.tmp`, the directory and then CURRENT published (util/file_io.h),
+// all but the two newest checkpoints deleted. The follower's seed
+// installs the primary's checkpoint through here, manifest text as is.
+Status InstallCheckpoint(
+    const std::string& dir, const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& files,
+    const std::string& manifest_text);
 
 // Loads the newest valid checkpoint: the one CURRENT names when it
 // validates, otherwise the highest-id directory that does. kNotFound when

@@ -7,8 +7,9 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+
+#include "util/file_io.h"
 
 namespace gsv {
 
@@ -515,8 +516,14 @@ constexpr char kFencedPrefix[] = "wal: fenced:";
 }  // namespace
 
 Result<FenceInfo> ReadFence(const std::string& dir) {
-  std::ifstream in(dir + "/" + kFenceFileName);
-  if (!in) return FenceInfo{};  // no fence file: unfenced
+  Result<std::string> text = ReadFile(dir + "/" + kFenceFileName);
+  if (!text.ok()) {
+    // Only a missing file means unfenced: an unreadable one must not let
+    // a stale writer through.
+    if (text.status().code() == StatusCode::kNotFound) return FenceInfo{};
+    return text.status();
+  }
+  std::istringstream in(text.value());
   FenceInfo fence;
   std::string key;
   if (!(in >> key >> fence.epoch) || key != "epoch") {
@@ -538,20 +545,9 @@ Status WriteFence(const std::string& dir, uint64_t epoch,
   if (ec) {
     return Status::Internal("wal: cannot create " + dir + ": " + ec.message());
   }
-  const std::string tmp = dir + "/" + kFenceFileName + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::Internal("wal: cannot write " + tmp);
-    out << "epoch " << epoch << "\nowner " << owner << "\n";
-    out.flush();
-    if (!out) return Status::Internal("wal: cannot write " + tmp);
-  }
-  fs::rename(tmp, dir + "/" + kFenceFileName, ec);
-  if (ec) {
-    return Status::Internal("wal: cannot publish fence in " + dir + ": " +
-                            ec.message());
-  }
-  return Status::Ok();
+  return PublishFile(dir + "/" + kFenceFileName,
+                     "epoch " + std::to_string(epoch) + "\nowner " + owner +
+                         "\n");
 }
 
 bool IsFencedStatus(const Status& status) {
@@ -791,11 +787,7 @@ Result<WalScan> ScanWal(const std::string& dir) {
   uint64_t expected_lsn = 0;  // 0 = take the first record's lsn
   for (size_t seg = 0; seg < segments.size(); ++seg) {
     const WalSegmentInfo& info = segments[seg];
-    std::ifstream in(info.path, std::ios::binary);
-    if (!in) return Status::Internal("wal: cannot read " + info.path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string data = buffer.str();
+    GSV_ASSIGN_OR_RETURN(const std::string data, ReadFile(info.path));
 
     size_t pos = 0;
     bool torn_here = false;

@@ -28,6 +28,7 @@
 #include "storage/checkpoint.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
+#include "util/string_util.h"
 #include "warehouse/fault_injector.h"
 #include "warehouse/sharded_warehouse.h"
 #include "warehouse/sharding.h"
@@ -496,6 +497,58 @@ TEST(ReplicaTest, SeedsFromPrimaryCheckpointThenTails) {
   ASSERT_TRUE(replica.CatchUp().ok());
   ASSERT_NO_FATAL_FAILURE(rig.ExpectConverged(replica));
   EXPECT_EQ(replica.stats().reseeds, 1);
+}
+
+TEST(ReplicaTest, SeededHomeIsTheInstalledCheckpoint) {
+  PrimaryRig rig;
+  ASSERT_NO_FATAL_FAILURE(rig.Init("installed_primary", 19));
+  ASSERT_NO_FATAL_FAILURE(rig.Advance(40));
+  ASSERT_TRUE(rig.warehouse->WriteCheckpoint().ok());
+
+  Replica replica(std::make_unique<FileLogTransport>(rig.primary_dir),
+                  DefaultReplicaOptions("installed_replica"));
+  ASSERT_TRUE(replica.Start().ok());
+  EXPECT_EQ(replica.stats().reseeds, 1);
+
+  // CURRENT and every file of the named checkpoint match the primary's.
+  const std::string current = ReadFileBytes(rig.primary_dir + "/CURRENT");
+  ASSERT_FALSE(current.empty());
+  EXPECT_EQ(ReadFileBytes(replica.dir() + "/CURRENT"), current);
+  const std::string name = current.substr(0, current.size() - 1);
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           rig.primary_dir + "/" + name)) {
+    const std::string file = entry.path().filename().string();
+    EXPECT_EQ(ReadFileBytes(replica.dir() + "/" + name + "/" + file),
+              ReadFileBytes(entry.path().string()))
+        << file;
+    ++files;
+  }
+  EXPECT_GE(files, 2u);  // store.gsv + MANIFEST at least
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(
+                              replica.dir() + "/" + name),
+                          std::filesystem::directory_iterator()),
+            static_cast<std::ptrdiff_t>(files));
+
+  // No tmp file or directory survives the install.
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(replica.dir())) {
+    EXPECT_FALSE(EndsWith(entry.path().filename().string(), ".tmp"))
+        << entry.path();
+  }
+
+  auto plan = PlanRecovery(replica.dir());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(plan.value().have_checkpoint);
+
+  // The seeded home checksums as the primary's at the same LSN.
+  auto primary_stamp = ChecksumDurabilityHome(rig.primary_dir);
+  auto replica_stamp = ChecksumDurabilityHome(replica.dir());
+  ASSERT_TRUE(primary_stamp.ok()) << primary_stamp.status().ToString();
+  ASSERT_TRUE(replica_stamp.ok()) << replica_stamp.status().ToString();
+  EXPECT_EQ(replica_stamp.value().lsn, primary_stamp.value().lsn);
+  EXPECT_EQ(EncodeChecksumStamp(replica_stamp.value()),
+            EncodeChecksumStamp(primary_stamp.value()));
 }
 
 // ------------------------------------------------------------- staleness

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <string>
 
+#include "util/file_io.h"
 #include "util/random.h"
 #include "util/retry.h"
 #include "util/status.h"
@@ -321,6 +325,78 @@ TEST(CircuitBreakerTest, HalfOpenProbeDecidesTheState) {
   breaker.RecordSuccess();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   EXPECT_TRUE(breaker.AllowRequest());
+}
+
+// ---------------------------------------------------------------- file_io
+
+// A fresh, empty scratch directory per test.
+std::string FileIoDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "gsv_file_io_" +
+                          std::to_string(::getpid()) + "_" + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(FileIoTest, PublishReplacesContentAndLeavesNoTmp) {
+  const std::string dir = FileIoDir("publish");
+  const std::string path = dir + "/FENCE";
+  ASSERT_TRUE(PublishFile(path, "epoch 1\n").ok());
+  ASSERT_TRUE(PublishFile(path, "epoch 2\nowner b\n").ok());
+  Result<std::string> read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), "epoch 2\nowner b\n");
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string(), "FENCE");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileIoTest, PublishIntoAMissingOrNonDirectoryParentFails) {
+  const std::string dir = FileIoDir("publish_parent");
+  EXPECT_FALSE(PublishFile(dir + "/missing/FENCE", "x").ok());
+  ASSERT_TRUE(PublishFile(dir + "/plain", "not a directory").ok());
+  EXPECT_FALSE(PublishFile(dir + "/plain/FENCE", "x").ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileIoTest, ReadFileSeparatesMissingFromUnreadable) {
+  const std::string dir = FileIoDir("read");
+  Result<std::string> missing = ReadFile(dir + "/absent");
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  Result<std::string> directory = ReadFile(dir);
+  ASSERT_FALSE(directory.ok());
+  EXPECT_NE(directory.status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(WriteFileDurable(dir + "/empty", "").ok());
+  Result<std::string> empty = ReadFile(dir + "/empty");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileIoTest, ReadFileRangeAtAndPastEof) {
+  const std::string dir = FileIoDir("range");
+  const std::string path = dir + "/segment";
+  ASSERT_TRUE(WriteFileDurable(path, "0123456789").ok());
+  EXPECT_EQ(ReadFileRange(path, 2, 3).value(), "234");
+  EXPECT_EQ(ReadFileRange(path, 7, 100).value(), "789");  // short at EOF
+  EXPECT_EQ(ReadFileRange(path, 10, 4).value(), "");      // at EOF
+  EXPECT_EQ(ReadFileRange(path, 50, 4).value(), "");      // past EOF
+  EXPECT_EQ(ReadFileRange(path, 0, 0).value(), "");
+  EXPECT_EQ(ReadFileRange(dir + "/absent", 0, 4).status().code(),
+            StatusCode::kNotFound);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileIoTest, AppendFileAccumulatesAcrossCalls) {
+  const std::string dir = FileIoDir("append");
+  const std::string path = dir + "/wal-000000000001.log";
+  ASSERT_TRUE(AppendFile(path, "abc").ok());
+  ASSERT_TRUE(AppendFile(path, "").ok());
+  ASSERT_TRUE(AppendFile(path, "defg").ok());
+  EXPECT_EQ(ReadFile(path).value(), "abcdefg");
+  EXPECT_FALSE(AppendFile(dir + "/missing/log", "x").ok());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

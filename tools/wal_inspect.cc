@@ -36,7 +36,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -50,6 +49,7 @@
 #include "storage/checkpoint.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
+#include "util/file_io.h"
 
 namespace {
 
@@ -185,13 +185,6 @@ int Apply(const std::string& dir, const std::string& out_path) {
   return 0;
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 // Compares two durability homes. Divergence — shared segment bytes that
 // disagree, or view content that differs — exits 1. One home simply being
 // *behind* the other (shorter segment files, older watermark: the normal
@@ -222,8 +215,17 @@ int Diff(const std::string& dir_a, const std::string& dir_b) {
                   side == 1 ? dir_a.c_str() : dir_b.c_str());
       continue;
     }
-    const std::string bytes_a = ReadFileBytes(dir_a + "/" + name);
-    const std::string bytes_b = ReadFileBytes(dir_b + "/" + name);
+    // A segment that cannot be read (retired since the listing, say) is
+    // an I/O error, not a home that is behind.
+    gsv::Result<std::string> read_a = gsv::ReadFile(dir_a + "/" + name);
+    gsv::Result<std::string> read_b = gsv::ReadFile(dir_b + "/" + name);
+    const gsv::Status& failed = read_a.ok() ? read_b.status() : read_a.status();
+    if (!failed.ok()) {
+      std::fprintf(stderr, "%s\n", failed.ToString().c_str());
+      return 2;
+    }
+    const std::string& bytes_a = read_a.value();
+    const std::string& bytes_b = read_b.value();
     const size_t shared = std::min(bytes_a.size(), bytes_b.size());
     if (bytes_a.compare(0, shared, bytes_b, 0, shared) != 0) {
       std::printf("segment %s: DIVERGED (shared %zu-byte prefix differs)\n",
