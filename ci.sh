@@ -2,7 +2,10 @@
 # CI entry point: a lint stage that keeps whole-file I/O in one module
 # (src/util/file_io.cc; only the WAL segment fd, the paged engine's
 # pages.gsp fd, the streaming store image and gsvsh's script reader are
-# allowed their own), then tier-1 verify (full build + test suite), then the §6
+# allowed their own) and keeps the warehouse off its engines' insides (no
+# EngineKind:: test and no discrimination-network call in src/warehouse/
+# outside view_engine.{h,cc}, so every per-view feature is written once,
+# against the ViewEngine interface), then tier-1 verify (full build + test suite), then the §6
 # experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
 # recomputation) and E12 (exits 1 when an inline or deferred-drain view is
 # inconsistent with its source), then the paper's §5 shapes E3/E4/E7 (all
@@ -48,6 +51,25 @@ raw_io="$(grep -rnE 'std::(i|o)?fstream|::fsync\(|rename\(|fopen\(|::(open|pread
 if [ -n "${raw_io}" ]; then
   echo "raw file I/O outside util/file_io.cc and its allow-list:"
   echo "${raw_io}"
+  exit 1
+fi
+
+echo
+echo "=== lint: the warehouse reaches its view engines through ViewEngine ==="
+# Engine kinds and the discrimination network's API (GdnEngine:: and calls
+# through a `gdn` member or gdn_engine()) are named in src/warehouse/ only
+# by view_engine.{h,cc}; the drain, sweep, resync and recovery call the
+# interface. Allowed elsewhere, by file: view_engine()'s kind for an
+# unknown view name (warehouse.cc). Comment lines are exempt. The enum is
+# declared in view_engine.h (Warehouse::EngineKind is an alias).
+engine_branch="$(grep -rnE 'EngineKind::|GdnEngine::|\bgdn(_engine\([^)]*\))?(->|\.|\s*[!=]=)' \
+    src/warehouse |
+  grep -vE '^src/warehouse/view_engine\.(h|cc):' |
+  grep -vE '^[^:]+:[0-9]+:\s*//' |
+  grep -vE '^src/warehouse/warehouse\.cc:[0-9]+:.*: EngineKind::kAlgorithm1;$' || true)"
+if [ -n "${engine_branch}" ]; then
+  echo "engine branch outside src/warehouse/view_engine.{h,cc}:"
+  echo "${engine_branch}"
   exit 1
 fi
 

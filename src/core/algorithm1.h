@@ -84,9 +84,6 @@ class Algorithm1Maintainer : public UpdateListener {
   void OnUpdate(const ObjectStore& store, const Update& update) override;
 
   const Stats& stats() const { return stats_; }
-  // Folds the stats of a worker maintainer (the batch engine evaluates with
-  // per-task maintainers and merges after its barrier).
-  void MergeStats(const Stats& other) { stats_ += other; }
   const Status& last_status() const { return last_status_; }
 
  private:

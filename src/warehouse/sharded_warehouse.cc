@@ -152,12 +152,8 @@ void ShardedWarehouse::RefreshHosts() {
   for (auto& route : sources_) {
     route->hosts.clear();
     for (uint32_t i = 0; i < shards_.size(); ++i) {
-      for (const std::string& name : view_names_) {
-        if (shards_[i]->gdn_engine(name) != nullptr &&
-            shards_[i]->view_source(name) == route->name) {
-          route->hosts.push_back(i);
-          break;
-        }
+      if (shards_[i]->NeedsForwardedEvents(route->name)) {
+        route->hosts.push_back(i);
       }
     }
   }

@@ -77,6 +77,16 @@ uint64_t Warehouse::last_delivered_sequence(
   return 0;
 }
 
+bool Warehouse::NeedsForwardedEvents(const std::string& source_name) const {
+  for (const auto& entry : views_) {
+    if (SourceOf(*entry).name == source_name &&
+        entry->engine->NeedsForwardedEvents()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Status Warehouse::ApplyForeignOps(const std::vector<ForeignViewOp>& ops) {
   Status first_error;
   ViewEntry* entry = nullptr;  // producers emit runs of ops on one view
@@ -135,32 +145,11 @@ void Warehouse::PruneForeignMembers(ViewEntry& entry, bool export_members) {
 
 void Warehouse::SetPathKnowledge(PathKnowledge knowledge) {
   knowledge_ = std::move(knowledge);
-  for (auto& entry : views_) RecomputeRelevantLabels(*entry);
+  for (auto& entry : views_) entry->engine->SetPathKnowledge(knowledge_);
 }
 
 SourceMonitor* Warehouse::monitor() {
   return sources_.size() == 1 ? sources_[0]->monitor.get() : nullptr;
-}
-
-void Warehouse::RecomputeRelevantLabels(ViewEntry& entry) {
-  // Only Algorithm 1 views have the constant corridor the screening labels
-  // come from (and only their entries may call the IsSimple projections).
-  if (entry.engine != EngineKind::kAlgorithm1) return;
-  entry.relevant_labels.clear();
-  const SourceEntry& source = *sources_[entry.source_index];
-  const Object* root_object = source.store->Get(source.root);
-  std::string root_label =
-      root_object != nullptr ? root_object->label() : std::string();
-  size_t feasible = knowledge_.FeasiblePrefix(root_label, entry.full_path);
-  for (size_t i = 0; i < feasible; ++i) {
-    entry.relevant_labels.insert(entry.full_path.label(i));
-  }
-  // A modify can only matter when the full path is feasible, the view has
-  // a condition, and the modified object carries the condition's terminal
-  // label (path(ROOT,N) = sel_path.cond_path implies label(N) is the last
-  // corridor label).
-  entry.modify_relevant = feasible == entry.full_path.size() &&
-                          entry.def.predicate().has_value();
 }
 
 Result<size_t> Warehouse::ResolveSourceIndex(
@@ -183,14 +172,10 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
   SourceEntry& source = *sources_[source_index];
 
   GSV_ASSIGN_OR_RETURN(ViewDefinition def, ViewDefinition::Parse(definition));
+  GSV_RETURN_IF_ERROR(ViewEngine::Validate(def));
   // Simple views (§4.2) run Algorithm 1; every other accepted shape runs
   // the discrimination network.
   const bool simple = def.IsSimple();
-  if (simple) {
-    GSV_RETURN_IF_ERROR(Algorithm1Maintainer::ValidateDefinition(def));
-  } else {
-    GSV_RETURN_IF_ERROR(GdnEngine::ValidateDefinition(def));
-  }
   Oid entry_oid = source.store->DatabaseOid(def.query().entry);
   if (!entry_oid.valid()) entry_oid = Oid(def.query().entry);
   if (entry_oid != source.root) {
@@ -204,19 +189,9 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
   entry->source_index = source_index;
   entry->definition_text = std::string(definition);
   entry->cache_mode = cache_mode;
-  entry->engine = simple ? EngineKind::kAlgorithm1 : EngineKind::kGdn;
-  if (simple) {
-    // The constant-path projections (and the screening labels derived from
-    // them) exist only for the simple shape.
-    entry->sel_path = def.sel_path();
-    entry->cond_path = def.cond_path();
-    entry->full_path = def.full_path();
-    RecomputeRelevantLabels(*entry);
-  }
-
   entry->view = std::make_unique<MaterializedView>(store_, def);
   if (cache_mode != CacheMode::kNone) {
-    if (entry->engine != EngineKind::kAlgorithm1) {
+    if (!simple) {
       // Corridor caches mirror the single constant select/condition
       // corridor; the general view classes have no such corridor.
       return Status::InvalidArgument(
@@ -231,27 +206,25 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
     entry->cache = std::make_unique<AuxiliaryCache>(
         cache_mode == CacheMode::kFull ? AuxiliaryCache::Mode::kFull
                                        : AuxiliaryCache::Mode::kLabelsOnly,
-        source.root, entry->full_path, options_.aux_engine_factory);
+        source.root, def.full_path(), options_.aux_engine_factory);
   }
+  Algorithm1Engine::Shard shard;
   if (binding_.has_value()) {
+    shard = {binding_->shard_index, binding_->shard_mask};
     entry->scoped = std::make_unique<ShardScopedStorage>(
         entry->view.get(), source.store, binding_->shard_index,
         binding_->shard_mask, binding_->resolver, &outbox_, &costs_);
   }
-  entry->accessor =
-      std::make_unique<RemoteAccessor>(source.wrapper.get(), &costs_);
-  if (entry->cache != nullptr) entry->accessor->set_cache(entry->cache.get());
-  if (entry->engine == EngineKind::kAlgorithm1) {
-    entry->maintainer = std::make_unique<Algorithm1Maintainer>(
-        entry->storage(), entry->accessor.get(), def, source.root);
-  } else if (!binding_.has_value() ||
-             HostShardOf(def, binding_->shard_mask) ==
-                 binding_->shard_index) {
-    // The network reads the base store directly (centralized setting;
-    // query-backs are not metered for it — see DESIGN.md §4j). Of a
-    // sharded warehouse only the view's host builds one; its scoped
-    // storage exports the ops for members the host does not own.
-    entry->gdn = std::make_unique<GdnEngine>(source.store, def, source.root);
+  if (simple) {
+    entry->engine = std::make_unique<Algorithm1Engine>(
+        def, source.store, source.root, source.wrapper.get(), &costs_,
+        entry->cache.get(), entry->view.get(), knowledge_, shard);
+  } else if (HostShardOf(def, shard.mask) == shard.index) {
+    // Of a sharded warehouse only the view's host runs the network; its
+    // scoped storage exports the ops for members the host does not own.
+    entry->engine = MakeNetworkEngine(source.store, def, source.root);
+  } else {
+    entry->engine = MakeSliceEngine();
   }
   return entry;
 }
@@ -282,11 +255,9 @@ Status Warehouse::DefineView(std::string_view definition,
   if (entry->cache != nullptr) {
     GSV_RETURN_IF_ERROR(entry->cache->Initialize(source.wrapper.get()));
   }
-  // The network seeds its memo tables from the base state the view
+  // A network seeds its memo tables from the base state the view
   // materializes from below; both derive the same members.
-  if (entry->gdn != nullptr) {
-    GSV_RETURN_IF_ERROR(entry->gdn->Initialize());
-  }
+  GSV_RETURN_IF_ERROR(entry->engine->Initialize());
   // Initial materialization reads the source directly: it is part of view
   // setup, not of incremental maintenance (§4 assumes an initially correct
   // materialized view).
@@ -327,10 +298,11 @@ std::vector<std::string> Warehouse::view_names() const {
   return names;
 }
 
-const Algorithm1Maintainer* Warehouse::maintainer(
-    const std::string& name) const {
+const Algorithm1Engine* Warehouse::maintainer(const std::string& name) const {
   const ViewEntry* entry = FindEntry(name);
-  return entry != nullptr ? entry->maintainer.get() : nullptr;
+  return entry != nullptr
+             ? dynamic_cast<const Algorithm1Engine*>(entry->engine.get())
+             : nullptr;
 }
 
 const AuxiliaryCache* Warehouse::cache(const std::string& name) const {
@@ -340,17 +312,12 @@ const AuxiliaryCache* Warehouse::cache(const std::string& name) const {
 
 Warehouse::EngineKind Warehouse::view_engine(const std::string& name) const {
   const ViewEntry* entry = FindEntry(name);
-  return entry != nullptr ? entry->engine : EngineKind::kAlgorithm1;
+  return entry != nullptr ? entry->engine->kind() : EngineKind::kAlgorithm1;
 }
 
 const GdnEngine* Warehouse::gdn_engine(const std::string& name) const {
   const ViewEntry* entry = FindEntry(name);
-  return entry != nullptr ? entry->gdn.get() : nullptr;
-}
-
-std::string Warehouse::view_source(const std::string& name) const {
-  const ViewEntry* entry = FindEntry(name);
-  return entry != nullptr ? SourceOf(*entry).name : std::string();
+  return entry != nullptr ? entry->engine->network() : nullptr;
 }
 
 ShardedViewExplanation Warehouse::ExplainView(const std::string& name) const {
@@ -360,13 +327,7 @@ ShardedViewExplanation Warehouse::ExplainView(const std::string& name) const {
   if (const ViewEntry* entry = FindEntry(name)) {
     out.total_members = entry->view->size();
     out.members_per_shard = {out.total_members};
-    out.engine = entry->engine == EngineKind::kGdn ? "gdn" : "algorithm1";
-    if (entry->gdn != nullptr) {
-      out.gdn_nodes = entry->gdn->node_count();
-      out.gdn_matches = entry->gdn->match_count();
-      out.gdn_propagations = entry->gdn->stats().propagations;
-      out.gdn_rebuilds = entry->gdn->stats().rebuilds;
-    }
+    entry->engine->Explain(&out);
   }
   out.cross_shard_exports =
       costs_.cross_shard_exports.load(std::memory_order_relaxed);
@@ -513,18 +474,11 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
       return status;  // stay quarantined until the corridor rebuilds too
     }
   }
-  if (entry.gdn != nullptr) {
-    // Rebuild the memo network from the same current state the recompute
-    // read (this also clears a poisoned engine), then Reconcile: a no-op
-    // after the recompute, except on a sharded host, whose Reconcile sees
-    // the whole view and deletes the stale members peers still hold (the
-    // sweep skips §6 views).
-    status = entry.gdn->Rebuild();
-    if (status.ok()) status = entry.gdn->Reconcile(entry.storage());
-    if (!status.ok()) {
-      ++costs_.resync_failures;
-      return status;
-    }
+  // The engine rebuilds from the same current state the recompute read.
+  status = entry.engine->Heal(entry.storage());
+  if (!status.ok()) {
+    ++costs_.resync_failures;
+    return status;
   }
   entry.stale = false;
   entry.stale_cause = Status::Ok();
@@ -551,74 +505,6 @@ Status Warehouse::ResyncStaleViews() {
   if (pending_.empty()) LogCommit();
   StorageQuiescent();
   return first_error;
-}
-
-Status Warehouse::CollectUnderivable(ViewEntry& entry,
-                                     RemoteAccessor* accessor,
-                                     std::vector<Oid>* doomed) {
-  const SourceEntry& source = *sources_[entry.source_index];
-  const OidSet members = entry.view->BaseMembers();
-  for (const Oid& member : members) {
-    accessor->ClearError();
-    bool derivable = accessor->VerifyPath(source.root, member, entry.sel_path);
-    if (derivable && entry.def.predicate().has_value()) {
-      derivable =
-          accessor->EvalAny(member, entry.cond_path, entry.def.predicate());
-    }
-    if (!accessor->last_error().ok()) {
-      // The empty/false answer came from a failed query-back, not from the
-      // source: abort rather than doom members on a down channel.
-      return accessor->last_error();
-    }
-    if (!derivable) doomed->push_back(member);
-  }
-  return Status::Ok();
-}
-
-bool Warehouse::EventRelevant(const ViewEntry& entry,
-                              const UpdateEvent& event) const {
-  if (event.kind == UpdateKind::kModify) {
-    const std::string label = event.parent_object.has_value()
-                                  ? event.parent_object->label()
-                                  : std::string();
-    return entry.modify_relevant && !entry.full_path.empty() &&
-           label == entry.full_path.back();
-  }
-  if (event.child_object.has_value()) {
-    return entry.relevant_labels.count(event.child_object->label()) > 0;
-  }
-  return true;
-}
-
-Status Warehouse::Level1ModifyRecheck(ViewEntry& entry,
-                                      const UpdateEvent& event,
-                                      ViewStorage* storage,
-                                      BaseAccessor* accessor) {
-  SourceEntry& source = SourceOf(entry);
-  // Level 1 reports only the OID of the modified object: the warehouse
-  // must query for its current state (§5.1 scenario 1), then re-derive the
-  // membership of every ancestor the change could affect.
-  GSV_ASSIGN_OR_RETURN(Object object,
-                       source.wrapper->FetchObject(event.parent));
-  GSV_RETURN_IF_ERROR(storage->SyncUpdate(
-      Update::Modify(event.parent, object.value(), object.value())));
-  if (!entry.def.predicate().has_value()) return Status::Ok();
-  if (entry.full_path.empty() ||
-      object.label() != entry.full_path.back()) {
-    return Status::Ok();  // cannot lie at the corridor's end
-  }
-  for (const Oid& y : accessor->Ancestors(event.parent, entry.cond_path)) {
-    if (!accessor->VerifyPath(source.root, y, entry.sel_path)) {
-      continue;
-    }
-    if (!accessor->EvalAny(y, entry.cond_path, entry.def.predicate())) {
-      GSV_RETURN_IF_ERROR(storage->VDelete(y));
-    } else {
-      GSV_ASSIGN_OR_RETURN(Object y_object, accessor->Fetch(y));
-      GSV_RETURN_IF_ERROR(storage->VInsert(y_object));
-    }
-  }
-  return Status::Ok();
 }
 
 void Warehouse::StorageQuiescent() {

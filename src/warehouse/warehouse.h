@@ -3,16 +3,13 @@
 
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/algorithm1.h"
 #include "core/materialized_view.h"
 #include "core/view_definition.h"
-#include "ivm/gdn_network.h"
 #include "oem/store.h"
 #include "query/explain.h"
 #include "storage/checkpoint.h"
@@ -23,10 +20,10 @@
 #include "warehouse/fault_injector.h"
 #include "warehouse/monitor.h"
 #include "warehouse/path_knowledge.h"
-#include "warehouse/remote_accessor.h"
 #include "warehouse/sharding.h"
 #include "warehouse/update_batch.h"
 #include "warehouse/update_event.h"
+#include "warehouse/view_engine.h"
 #include "warehouse/wrapper.h"
 
 namespace gsv {
@@ -41,17 +38,20 @@ struct WarehouseDurability;
 //
 // One integrator handles every event, whether it arrives inline (a drain
 // over a batch of one) or from the deferred queue (ProcessPendingBatch).
-// Per view (views are bound to the source their entry belongs to):
-//   1. the auxiliary cache (if configured, §5.2) absorbs the update;
-//   2. local screening (§5.1): with level >= 2 events the affected label is
-//      checked against the view's sel/cond labels — pruned further by path
-//      knowledge — and irrelevant events stop here (delegate values still
-//      sync);
-//   3. Algorithm 1 runs over a RemoteAccessor that prefers event info and
-//      cache content and falls back to metered source queries. Level-1
-//      modify events carry no values, so membership is re-derived by
-//      querying (the paper's "cannot do much other than sending queries").
-//      §6 views run their discrimination network instead of 2 and 3.
+// Each view (bound to the source its entry belongs to) is maintained by one
+// ViewEngine (view_engine.h), chosen by DefineView from the definition:
+// simple views (§4.2) run Algorithm1Engine, the §6 classes a network.
+// Per view and event:
+//   1. the engine screens the event (§5.1 for Algorithm 1: with level >= 2
+//      events the affected label is checked against the view's sel/cond
+//      labels — pruned further by path knowledge — and irrelevant events
+//      only sync delegate values; a §6 network sees every event);
+//   2. the auxiliary cache (if configured, §5.2) absorbs the update;
+//   3. the engine applies the event. Algorithm 1 runs over a RemoteAccessor
+//      that prefers event info and cache content and falls back to metered
+//      source queries; level-1 modify events carry no values, so membership
+//      is re-derived by querying (the paper's "cannot do much other than
+//      sending queries").
 class Warehouse {
  public:
   enum class CacheMode {
@@ -64,10 +64,7 @@ class Warehouse {
   // definition: simple views (§4.2) run Algorithm 1; the §6 relaxations
   // (path expressions, AND/OR, WITHIN, DAG bases) run the discrimination
   // network (GDN).
-  enum class EngineKind {
-    kAlgorithm1,
-    kGdn,
-  };
+  using EngineKind = ViewEngine::Kind;
 
   struct Options {
     // Builds the storage engine backing each §5.2 corridor cache this
@@ -98,10 +95,11 @@ class Warehouse {
   // owns; maintenance ops for foreign members queue in the outbox for the
   // coordinator to redistribute, and foreign membership reads go through
   // the coordinator's resolver. A §6 view's discrimination network runs on
-  // one shard only, its host (HostShardOf); the other shards keep plain
-  // slices. Algorithm 1 views skip events routed to another shard, so a
-  // host ignores the events forwarded to it for its networks. Must be
-  // called before any DefineView; `resolver` must outlive the warehouse.
+  // one shard only, its host (HostShardOf); the other shards hold a slice
+  // engine that skips every event. Algorithm 1 views skip events
+  // routed to another shard, so a host ignores the events forwarded to it
+  // for its networks. Must be called before any DefineView; `resolver` must
+  // outlive the warehouse.
   Status BindShard(uint32_t shard_index, uint32_t shard_mask,
                    const CrossShardResolver* resolver);
 
@@ -128,10 +126,10 @@ class Warehouse {
   Status ApplyForeignOps(const std::vector<ForeignViewOp>& ops);
 
   // The drain's verification sweep (ProcessPendingBatch step 4) over every
-  // fresh Algorithm 1 view: each re-verifies its members against current
-  // source state and drops the underivable. The coordinator runs this after
-  // foreign ops land, when a batch had run with BatchOptions::run_sweep =
-  // false.
+  // fresh view: each engine re-verifies its members against current source
+  // state and drops the underivable (a no-op for §6 networks). The
+  // coordinator runs this after foreign ops land, when a batch had run with
+  // BatchOptions::run_sweep = false.
   Status RunVerificationSweep();
 
   // Closes the current durability commit group (no-op when durability is
@@ -143,11 +141,17 @@ class Warehouse {
   // after recovery the coordinator restamps its router from this.
   uint64_t last_delivered_sequence(const std::string& source_name) const;
 
+  // True when a view of `source_name` needs the events routed to other
+  // shards too (this shard hosts its network); the coordinator forwards
+  // every event of that source here.
+  bool NeedsForwardedEvents(const std::string& source_name) const;
+
   // Parses "define mview NAME as: ...", materializes it from the current
   // source state (setup, not metered as maintenance cost), and starts
-  // maintaining it. The definition must be simple (Algorithm 1's
-  // precondition) and its entry must resolve to the root of `source_name`
-  // (or of the sole connected source when `source_name` is empty).
+  // maintaining it: simple definitions on Algorithm 1, the §6 classes on a
+  // discrimination network (ANS INT is refused). Its entry must resolve to
+  // the root of `source_name` (or of the sole connected source when
+  // `source_name` is empty); corridor caches need a simple view.
   Status DefineView(std::string_view definition,
                     CacheMode cache_mode = CacheMode::kNone,
                     const std::string& source_name = "");
@@ -184,18 +188,18 @@ class Warehouse {
   //   1. the batch is coalesced (UpdateBatch: insert+delete of the same
   //      edge cancel unless an event between them names the parent,
   //      modifies of one object merge last-writer-wins);
-  //   2. per view, label/path screening (§5.1) is resolved once per
-  //      *distinct label* in the batch rather than once per event, and the
-  //      auxiliary cache absorbs the whole batch;
-  //   3. the relevant events are fanned out across a worker pool — one task
-  //      per independent view, and (on tree bases) one per independent
-  //      root subtree within a view, since subtrees of a tree cannot share
-  //      affected delegates. Workers evaluate Algorithm 1 against the
-  //      frozen final source state and buffer their view operations
-  //      (BufferedViewStorage); after the barrier the op logs replay into
-  //      the real views single-threaded, in a fixed order, and per-view
-  //      stats merge — so the resulting views and counters are
-  //      deterministic;
+  //   2. per view, the engine screens each event (Algorithm 1's label/path
+  //      screening, §5.1, is resolved once per *distinct label* rather than
+  //      once per event), and the auxiliary cache absorbs the whole batch;
+  //   3. the screened events are fanned out across a worker pool — one task
+  //      per independent view, and (on tree bases, for a splittable engine)
+  //      one per independent root subtree within a view, since subtrees of
+  //      a tree cannot share affected delegates. Workers run the engine
+  //      against the frozen final source state and buffer their view
+  //      operations (BufferedViewStorage); after the barrier the op logs
+  //      replay into the real views single-threaded, in a fixed order — so
+  //      the resulting views are deterministic, and the engines' summed
+  //      counters are too;
   //   4. the verification sweep runs read-only in parallel per view, and
   //      its deletions apply after a second barrier. Because every event
   //      is evaluated against the source's *current* state, an event can
@@ -344,13 +348,13 @@ class Warehouse {
   MaterializedView* view(const std::string& name);
   // Names of the defined views, in definition order.
   std::vector<std::string> view_names() const;
-  const Algorithm1Maintainer* maintainer(const std::string& name) const;
+  // Engine introspection: the Algorithm 1 engine (null for §6 views), the
+  // kind (kAlgorithm1 for unknown names) and the hosted network (null for
+  // simple views and for a shard's slice of a view hosted elsewhere).
+  const Algorithm1Engine* maintainer(const std::string& name) const;
   const AuxiliaryCache* cache(const std::string& name) const;
-  // Engine introspection (kAlgorithm1 for unknown names).
   EngineKind view_engine(const std::string& name) const;
   const GdnEngine* gdn_engine(const std::string& name) const;
-  // The name of the source a view is defined over.
-  std::string view_source(const std::string& name) const;
   // Per-view maintenance explanation (engine kind, GDN network size and
   // propagation counters); shards = 1.
   ShardedViewExplanation ExplainView(const std::string& name) const;
@@ -383,26 +387,14 @@ class Warehouse {
     ViewDefinition def;
     std::string definition_text;  // original text, for checkpoint manifests
     CacheMode cache_mode = CacheMode::kNone;
-    Path sel_path;
-    Path cond_path;
-    Path full_path;
-    std::set<std::string> relevant_labels;  // feasible corridor labels
-    bool modify_relevant = false;           // can a modify affect membership?
     std::unique_ptr<MaterializedView> view;
     // Shard scoping decorator (bound warehouses only): owned ops hit
     // `view`, foreign ops queue in the warehouse outbox.
     std::unique_ptr<ShardScopedStorage> scoped;
     std::unique_ptr<AuxiliaryCache> cache;
-    // Drains evaluate with per-task maintainers and accessors; this pair
-    // holds the view's merged Algorithm 1 stats (maintainer(name)).
-    std::unique_ptr<RemoteAccessor> accessor;
-    // Exactly one engine drives membership. A shard-bound warehouse builds
-    // `gdn` only when it hosts the view (HostShardOf); elsewhere the entry
-    // is a plain delegate slice that ignores events, and the host's network
-    // exports every op for it — membership and value syncs alike.
-    EngineKind engine = EngineKind::kAlgorithm1;
-    std::unique_ptr<Algorithm1Maintainer> maintainer;
-    std::unique_ptr<GdnEngine> gdn;
+    // Drives membership; borrows `view` and `cache`, so it is declared (and
+    // destroyed) after them. BuildViewEntry picks the implementation.
+    std::unique_ptr<ViewEngine> engine;
     // Where maintenance writes: the scoped storage when sharded, the view
     // itself otherwise.
     ViewStorage* storage() {
@@ -424,9 +416,12 @@ class Warehouse {
   // The drain body behind ProcessPendingBatch and inline delivery: resync
   // prologue, then steps 1-4 of the header comment over `batch`.
   Status DrainBatch(UpdateBatch batch, const BatchOptions& options);
-  // Step 4 over the fresh Algorithm 1 views of the sources marked in
-  // `sources`: members are collected read-only in parallel on `pool`, and
-  // deleted after the barrier. A view whose query-backs fail quarantines.
+  // Events of `batch` routed to this shard (all of them when unbound).
+  size_t RoutedHere(const UpdateBatch& batch) const;
+  // Step 4 over the fresh views of the sources marked in `sources`: each
+  // engine collects underivable members read-only in parallel on `pool`;
+  // they are deleted after the barrier. A view whose query-backs fail
+  // quarantines.
   Status SweepViews(const std::vector<bool>& sources, ThreadPool* pool);
   // Quarantine entry points.
   void Quarantine(ViewEntry& entry, const Status& cause);
@@ -437,19 +432,6 @@ class Warehouse {
   Status TryResyncView(ViewEntry& entry, bool force);
   // Opportunistic resync of every stale view (drain prologue).
   void TryResyncStaleViews();
-  // The §5.1 local screening predicate (level >= 2 events only).
-  bool EventRelevant(const ViewEntry& entry, const UpdateEvent& event) const;
-  // Collects current members of an Algorithm 1 view whose derivation or
-  // condition fails on the current source state, re-deriving them along
-  // the simple corridor; read-only (usable from a worker thread). Aborts
-  // with the accessor's error when a query-back fails — an empty answer
-  // from a down source is not evidence a member is underivable.
-  Status CollectUnderivable(ViewEntry& entry, RemoteAccessor* accessor,
-                            std::vector<Oid>* doomed);
-  // Level-1 modify handling over a drain task's buffer and accessor.
-  Status Level1ModifyRecheck(ViewEntry& entry, const UpdateEvent& event,
-                             ViewStorage* storage, BaseAccessor* accessor);
-  void RecomputeRelevantLabels(ViewEntry& entry);
   // Declares a storage quiescent point: no `const Object*` from the
   // delegate store or a corridor cache is live past this call, so a paged
   // engine may evict back down to its buffer-pool budget. Runs at the end
@@ -475,7 +457,8 @@ class Warehouse {
   // Resolves a source by name (the sole source when empty).
   Result<size_t> ResolveSourceIndex(const std::string& source_name) const;
   // Parses + validates a definition and builds a ViewEntry with its view,
-  // cache and maintainer objects constructed but nothing initialized.
+  // cache and engine constructed but nothing initialized. The one place
+  // that picks a view's engine.
   Result<std::unique_ptr<ViewEntry>> BuildViewEntry(size_t source_index,
                                                     std::string_view definition,
                                                     CacheMode cache_mode);

@@ -1,11 +1,8 @@
 #include <cstdint>
 #include <map>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/algorithm1.h"
 #include "core/buffered_view.h"
 #include "util/retry.h"
 #include "warehouse/warehouse.h"
@@ -20,9 +17,8 @@ namespace {
 struct EvalTask {
   size_t view_index = 0;
   uint32_t group_key = 0;
-  std::vector<std::pair<const UpdateEvent*, bool>> events;  // (event, relevant)
+  std::vector<ViewEngine::ScreenedEvent> events;
   std::unique_ptr<BufferedViewStorage> buffer;
-  Algorithm1Maintainer::Stats stats;
   Status status;
 };
 
@@ -58,6 +54,16 @@ static uint32_t SubtreeGroupKey(const ObjectStore& store, const Oid& root,
   return anchor.id();
 }
 
+size_t Warehouse::RoutedHere(const UpdateBatch& batch) const {
+  if (!binding_.has_value()) return batch.size();
+  size_t routed = 0;
+  for (const auto& [source_index, event] : batch.events()) {
+    routed += RouteShardOf(event, binding_->shard_mask) ==
+              binding_->shard_index;
+  }
+  return routed;
+}
+
 Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
   UpdateBatch batch;
   batch.Add(std::exchange(pending_, {}));
@@ -76,8 +82,14 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
     StorageQuiescent();
     return Status::Ok();
   }
-  costs_.events_coalesced += batch.Coalesce();
-  costs_.events_received += static_cast<int64_t>(batch.size());
+  // An event counts once, on the shard it is routed to: the copies a host
+  // shard gets forwarded for its networks are neither received nor
+  // coalesced here.
+  const size_t routed_before = RoutedHere(batch);
+  batch.Coalesce();
+  const size_t routed = RoutedHere(batch);
+  costs_.events_coalesced += static_cast<int64_t>(routed_before - routed);
+  costs_.events_received += static_cast<int64_t>(routed);
 
   std::vector<bool> touched(sources_.size(), false);
   for (const auto& [source_index, event] : batch.events()) {
@@ -92,34 +104,23 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
   for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
     ViewEntry& entry = *views_[view_index];
     if (!touched[entry.source_index]) continue;
-    // A shard's slice of a §6 view it does not host ignores events: the
-    // host's network exports every op the slice needs.
-    if (entry.engine == EngineKind::kGdn && entry.gdn == nullptr) continue;
     SourceEntry& source = *sources_[entry.source_index];
 
-    // §5.1 screening memoized per distinct label. Deletes keep their
-    // detached subtrees readable in the cache until the post-replay Prune().
-    std::unordered_map<std::string, bool> edge_labels;
-    std::unordered_map<std::string, bool> modify_labels;
     // Storage-level membership so a sharded slice answers for the whole
-    // view (the root's delegate may live at a peer shard). General-engine
-    // views never split: a discrimination network is one stateful engine
-    // per view (and DAG subtrees are not independent anyway), so the whole
-    // view is one task — engines of different views still run in parallel.
-    const bool view_splittable = split &&
-                                 entry.engine == EngineKind::kAlgorithm1 &&
+    // view (the root's delegate may live at a peer shard). An unsplittable
+    // view is one task; engines of different views still run in parallel.
+    const bool view_splittable = split && entry.engine->Splittable() &&
                                  !entry.storage()->ContainsBase(source.root);
     std::map<uint32_t, size_t> group_index;  // ordered => deterministic replay
     auto* task_base = &eval_tasks;  // indices stay valid; pointers may not
 
     for (const auto& [source_index, event] : batch.events()) {
       if (source_index != entry.source_index) continue;
-      // The skip rule: on a shard, Algorithm 1 views maintain only the
-      // events routed here; the rest were forwarded for a hosted network.
-      if (binding_.has_value() && entry.engine == EngineKind::kAlgorithm1 &&
-          RouteShardOf(event, binding_->shard_mask) != binding_->shard_index) {
-        continue;
-      }
+      // A skip precedes every account: on a shard it is an event routed
+      // elsewhere (forwarded for a hosted network), or any event for a
+      // slice of a view hosted elsewhere.
+      const ViewEngine::Verdict verdict = entry.engine->Screen(event);
+      if (verdict == ViewEngine::Verdict::kSkip) continue;
 
       // Quarantined views sit the batch out; the resync recompute covers
       // their skipped events. A view can also quarantine mid-batch, when
@@ -129,6 +130,8 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
         SkipStaleEvents(entry);
         continue;
       }
+      // Deletes keep their detached subtrees readable in the cache until
+      // the post-replay Prune().
       if (entry.cache != nullptr) {
         Status status = entry.cache->OnEvent(event, source.wrapper.get());
         if (!status.ok()) {
@@ -141,26 +144,7 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
         }
       }
 
-      bool relevant = true;
-      // §5.1 screening applies to Algorithm 1 corridors only; a general
-      // engine must see every event (its screening memo IS the network).
-      if (entry.engine == EngineKind::kAlgorithm1 &&
-          event.level >= ReportingLevel::kWithValues) {
-        if (event.kind == UpdateKind::kModify) {
-          const std::string label = event.parent_object.has_value()
-                                        ? event.parent_object->label()
-                                        : std::string();
-          auto [it, fresh] = modify_labels.try_emplace(label, false);
-          if (fresh) it->second = EventRelevant(entry, event);
-          relevant = it->second;
-        } else if (event.child_object.has_value()) {
-          auto [it, fresh] =
-              edge_labels.try_emplace(event.child_object->label(), false);
-          if (fresh) it->second = EventRelevant(entry, event);
-          relevant = it->second;
-        }
-      }
-      if (!relevant) ++costs_.events_screened_out;
+      if (verdict == ViewEngine::Verdict::kSync) ++costs_.events_screened_out;
 
       uint32_t key = view_splittable
                          ? SubtreeGroupKey(*source.store, source.root, event)
@@ -173,7 +157,7 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
         task.buffer = std::make_unique<BufferedViewStorage>(entry.storage());
         task_base->push_back(std::move(task));
       }
-      (*task_base)[it->second].events.emplace_back(&event, relevant);
+      (*task_base)[it->second].events.push_back({&event, verdict});
     }
   }
 
@@ -183,54 +167,14 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
   ThreadPool* pool = Pool(options.threads);
   for (EvalTask& task : eval_tasks) {
     pool->Submit([this, &task] {
-      ViewEntry& entry = *views_[task.view_index];
-      SourceEntry& source = *sources_[entry.source_index];
-      if (entry.engine != EngineKind::kAlgorithm1) {
-        // One task per general view (never subtree-split), so this worker
-        // is the only one touching the view's engine; it reads the frozen
-        // final source state and buffers its deltas like any other task.
-        // No §5.1 screening: the network must see every event to keep its
-        // memos aligned with the base.
-        for (const auto& [event, relevant] : task.events) {
-          Status status =
-              entry.gdn->Apply(event->ToUpdateAt(*source.store),
-                               task.buffer.get());
-          if (!status.ok() && task.status.ok()) task.status = status;
-        }
-        return;
-      }
-      RemoteAccessor accessor(source.wrapper.get(), &costs_);
-      if (entry.cache != nullptr) accessor.set_cache(entry.cache.get());
-      Algorithm1Maintainer maintainer(task.buffer.get(), &accessor, entry.def,
-                                      source.root);
-      for (const auto& [event, relevant] : task.events) {
-        Status status;
-        accessor.ClearError();
-        if (!relevant) {
-          status = task.buffer->SyncUpdate(event->ToUpdate());
-        } else {
-          accessor.set_current_event(event);
-          if (event->kind == UpdateKind::kModify &&
-              event->level == ReportingLevel::kOidsOnly) {
-            status = Level1ModifyRecheck(entry, *event, task.buffer.get(),
-                                         &accessor);
-          } else {
-            status = maintainer.Maintain(event->ToUpdate());
-          }
-          accessor.set_current_event(nullptr);
-        }
-        // A failed query-back surfaces through the accessor even when the
-        // maintenance call itself reports success.
-        if (status.ok()) status = accessor.last_error();
-        if (!status.ok() && task.status.ok()) task.status = status;
-      }
-      task.stats = maintainer.stats();
+      task.status = views_[task.view_index]->engine->Apply(task.events,
+                                                           task.buffer.get());
     });
   }
   pool->Wait();
 
   // ---- Phase 3: replay single-threaded in fixed (view, subtree-key) order
-  // so the resulting views, delegate store and stats are deterministic.
+  // so the resulting views and delegate store are deterministic.
   //
   // All-or-nothing per view: when ANY of a view's tasks hit a down source,
   // none of its buffers replay — a half-applied batch would leave the view
@@ -239,12 +183,7 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
   for (EvalTask& task : eval_tasks) {
     if (task.status.ok()) continue;
     ViewEntry& entry = *views_[task.view_index];
-    // A poisoned network quarantines like a down source: its buffered
-    // deltas are partial and must not replay; the resync recompute +
-    // Rebuild() restores the view and the network together.
-    const bool gdn_poisoned = entry.gdn != nullptr && entry.gdn->poisoned();
-    if (!IsSourceFailure(task.status) && !gdn_poisoned) continue;
-    Quarantine(entry, task.status);
+    if (entry.engine->Quarantines(task.status)) Quarantine(entry, task.status);
   }
   for (EvalTask& task : eval_tasks) {
     ViewEntry& entry = *views_[task.view_index];
@@ -257,7 +196,6 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
     // view, foreign ops queue in the outbox — still single-threaded here.
     Status status = task.buffer->ReplayInto(entry.storage());
     if (!status.ok() && first_error.ok()) first_error = status;
-    if (entry.maintainer != nullptr) entry.maintainer->MergeStats(task.stats);
   }
   for (auto& entry : views_) {
     if (touched[entry->source_index] && !entry->stale &&
@@ -296,20 +234,13 @@ Status Warehouse::SweepViews(const std::vector<bool>& sources,
     const ViewEntry& entry = *views_[view_index];
     if (!sources[entry.source_index]) continue;
     if (entry.stale) continue;  // its resync recomputes
-    // The GDN keeps membership exact against final state; only Algorithm 1
-    // views need the disclaimed-responsibility sweep.
-    if (entry.engine != EngineKind::kAlgorithm1) continue;
     SweepTask task;
     task.view_index = view_index;
     tasks.push_back(std::move(task));
   }
   for (SweepTask& task : tasks) {
     pool->Submit([this, &task] {
-      ViewEntry& entry = *views_[task.view_index];
-      SourceEntry& source = *sources_[entry.source_index];
-      RemoteAccessor accessor(source.wrapper.get(), &costs_);
-      if (entry.cache != nullptr) accessor.set_cache(entry.cache.get());
-      task.status = CollectUnderivable(entry, &accessor, &task.doomed);
+      task.status = views_[task.view_index]->engine->Sweep(&task.doomed);
     });
   }
   pool->Wait();

@@ -200,7 +200,7 @@ Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
   d.report.tail_deltas_dropped = plan.tail_deltas_dropped;
 
   // The warehouse's views as a redo target: each one is rebuilt with its
-  // cache, engine and accessor by BuildViewEntry.
+  // cache and engine by BuildViewEntry.
   struct WarehouseViews : RedoViews {
     explicit WarehouseViews(Warehouse* warehouse) : w(warehouse) {}
     Status Define(const CheckpointViewState& state, bool adopt) override {
@@ -349,9 +349,7 @@ Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
 Status Warehouse::RebuildNetworks() {
   Status first_error;
   for (auto& entry : views_) {
-    if (entry->gdn == nullptr) continue;
-    Status status = entry->gdn->Rebuild();
-    if (status.ok()) status = entry->gdn->Reconcile(entry->storage());
+    Status status = entry->engine->Heal(entry->storage());
     if (!status.ok() && first_error.ok()) first_error = status;
   }
   return first_error;

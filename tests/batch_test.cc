@@ -413,9 +413,11 @@ TEST(BatchDeterminismTest, EightThreads) {
 }
 
 // Thread counts must not change the outcome: run the same stream at 1, 2
-// and 4 workers and require identical members.
+// and 4 workers and require identical members and identical Algorithm 1
+// counters, summed over however many subtree tasks the view split into.
 TEST(BatchDeterminismTest, ThreadCountInvariant) {
   std::vector<OidSet> results;
+  std::vector<std::vector<int64_t>> stats;
   for (size_t threads : {1u, 2u, 4u}) {
     TreeGenOptions tree_options;
     tree_options.levels = 3;
@@ -442,9 +444,17 @@ TEST(BatchDeterminismTest, ThreadCountInvariant) {
     options.threads = threads;
     ASSERT_TRUE(warehouse.ProcessPendingBatch(options).ok());
     results.push_back(warehouse.view("WV")->BaseMembers());
+    const auto* maintainer = warehouse.maintainer("WV");
+    ASSERT_NE(maintainer, nullptr);
+    const auto& s = maintainer->stats();
+    stats.push_back({s.updates, s.matched, s.v_inserts, s.v_deletes,
+                     s.rechecks});
   }
   EXPECT_EQ(results[0], results[1]);
   EXPECT_EQ(results[0], results[2]);
+  EXPECT_GT(stats[0][0], 0);
+  EXPECT_EQ(stats[0], stats[1]);
+  EXPECT_EQ(stats[0], stats[2]);
 }
 
 TEST(BatchDeterminismTest, CoalescingIsCounted) {

@@ -8,8 +8,11 @@
 // tests kill the warehouse mid-batch and check that recovery rebuilds every
 // network from the restored base — at K=4 on the host, reconciled against
 // every recovered slice; the concurrency test drains many networks in
-// parallel. This binary carries the `gdn-paged` ctest label: ci.sh
-// re-runs it under ASan, TSan, and the paged-engine stages.
+// parallel. The engine-seam cases check that a K=4 warehouse counts each
+// source event once beside a hosted network, and pin the explain text for
+// each engine and for a shard's slice of a network hosted elsewhere. This
+// binary carries the `gdn-paged` ctest label: ci.sh re-runs it under ASan,
+// TSan, and the paged-engine stages.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -21,6 +24,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/materialized_view.h"
@@ -986,6 +990,186 @@ TEST(GdnConcurrencyTest, ParallelDrainMaintainsManyNetworksRaceFree) {
           << "view GV" << shape;
     }
   }
+}
+
+// ------------------------------------------- one count per source event
+
+// A deferred stream of N source events into a K=4 warehouse counts each
+// event once across the shards — received or coalesced — on the shard the
+// router sends it to. A host shard's forwarded copies for its network are
+// not counted again.
+void ExpectEachEventCountedOnce(bool with_network) {
+  ObjectStore source;
+  TreeGenOptions tree_options;
+  tree_options.seed = 61;
+  tree_options.oid_prefix = with_network ? "cnt_gdn_" : "cnt_a1_";
+  auto tree = GenerateTree(&source, tree_options);
+  ASSERT_TRUE(tree.ok());
+
+  ShardedWarehouse sharded(4);
+  ASSERT_TRUE(
+      sharded.ConnectSource(&source, tree->root, ReportingLevel::kWithValues)
+          .ok());
+  ASSERT_TRUE(
+      sharded.DefineView(TreeViewDefinition("SV", tree->root, 2, 4, 50)).ok());
+  if (with_network) {
+    ASSERT_TRUE(sharded.DefineView(GeneralDefinition(0, tree->root)).ok());
+    ASSERT_EQ(NetworkShards(sharded, "GV"), 1u);
+  }
+  sharded.set_deferred(true);
+  UpdateGenOptions gen_options;
+  gen_options.seed = 67;
+  UpdateGenerator generator(&source, tree->root, gen_options);
+  auto updates = generator.Run(300);
+  ASSERT_TRUE(updates.ok());
+  ASSERT_TRUE(sharded.ProcessPendingBatch(1).ok());
+
+  const WarehouseCosts costs = sharded.MergedCosts();
+  EXPECT_EQ(costs.events_received.load() + costs.events_coalesced.load(),
+            static_cast<int64_t>(updates->size()));
+}
+
+TEST(ShardedEventCountTest, EachEventCountsOnceWithAHostedNetwork) {
+  ExpectEachEventCountedOnce(/*with_network=*/true);
+}
+
+TEST(ShardedEventCountTest, EachEventCountsOnceWithAlgorithm1Only) {
+  ExpectEachEventCountedOnce(/*with_network=*/false);
+}
+
+// ------------------------------------------------------- explain golden
+
+// Replaces each "{key}" in `text` with its value.
+std::string Fill(std::string text,
+                 const std::vector<std::pair<std::string, std::string>>& vars) {
+  for (const auto& [key, value] : vars) {
+    const std::string marker = "{" + key + "}";
+    for (size_t at = text.find(marker); at != std::string::npos;
+         at = text.find(marker, at + value.size())) {
+      text.replace(at, marker.size(), value);
+    }
+  }
+  return text;
+}
+
+std::string Traffic(const WarehouseCosts& costs) {
+  return std::to_string(costs.cross_shard_exports.load()) + " exported, " +
+         std::to_string(costs.cross_shard_applies.load()) + " applied, " +
+         std::to_string(costs.cross_shard_probes.load()) +
+         " membership probes";
+}
+
+// ExplainView text for an Algorithm 1 view, a §6 view and an unknown name,
+// at K=1, at K=4, and on a K=4 shard that does not host the §6 network.
+// Which shard owns a member follows the process-wide OID interner's
+// first-sight ids, so the K=4 slice sizes and cross-shard traffic are read
+// from the shards; every other byte is golden.
+TEST(ExplainGoldenTest, AlgorithmOneNetworkAndUnknownAtKOneAndKFour) {
+  ObjectStore source;
+  TreeGenOptions tree_options;
+  tree_options.seed = 71;
+  tree_options.oid_prefix = "xg_";
+  auto tree = GenerateTree(&source, tree_options);
+  ASSERT_TRUE(tree.ok());
+
+  ObjectStore store;
+  Warehouse single(&store);
+  ShardedWarehouse sharded(4);
+  ASSERT_TRUE(
+      single.ConnectSource(&source, tree->root, ReportingLevel::kWithValues)
+          .ok());
+  ASSERT_TRUE(
+      sharded.ConnectSource(&source, tree->root, ReportingLevel::kWithValues)
+          .ok());
+  const std::string sv = TreeViewDefinition("SV", tree->root, 2, 4, 50);
+  const std::string gv = GeneralDefinition(0, tree->root);
+  ASSERT_TRUE(single.DefineView(sv).ok());
+  ASSERT_TRUE(single.DefineView(gv).ok());
+  ASSERT_TRUE(sharded.DefineView(sv).ok());
+  ASSERT_TRUE(sharded.DefineView(gv).ok());
+  single.set_deferred(true);
+  sharded.set_deferred(true);
+  UpdateGenOptions gen_options;
+  gen_options.seed = 73;
+  UpdateGenerator generator(&source, tree->root, gen_options);
+  ASSERT_TRUE(generator.Run(200).ok());
+  ASSERT_TRUE(single.ProcessPendingBatch().ok());
+  ASSERT_TRUE(sharded.ProcessPendingBatch(1).ok());
+
+  const std::string kNetwork =
+      "  engine: gdn (2 memo nodes, 777 partial matches, 1724 propagations, "
+      "1 rebuild)\n";
+  EXPECT_EQ(single.ExplainView("SV").ToString(),
+            "sharded view 'SV': 13 members across 1 shard\n"
+            "  fan-out: per-shard slices [13], k-way merged in lexicographic "
+            "OID order\n"
+            "  cross-shard traffic: 0 exported, 0 applied, 0 membership "
+            "probes\n"
+            "  engine: algorithm1\n");
+  EXPECT_EQ(single.ExplainView("GV").ToString(),
+            "sharded view 'GV': 49 members across 1 shard\n"
+            "  fan-out: per-shard slices [49], k-way merged in lexicographic "
+            "OID order\n"
+            "  cross-shard traffic: 0 exported, 0 applied, 0 membership "
+            "probes\n" +
+                kNetwork);
+  EXPECT_EQ(single.ExplainView("NOPE").ToString(),
+            "sharded view 'NOPE': 0 members across 1 shard\n"
+            "  fan-out: per-shard slices [], k-way merged in lexicographic "
+            "OID order\n"
+            "  cross-shard traffic: 0 exported, 0 applied, 0 membership "
+            "probes\n");
+
+  // K=4: the same totals and network counters (the host does K=1's work).
+  auto slices = [&sharded](const std::string& name) {
+    std::string out;
+    for (uint32_t i = 0; i < sharded.shard_count(); ++i) {
+      if (i != 0) out += ", ";
+      MaterializedView* slice = sharded.shard(i).view(name);
+      out += std::to_string(slice != nullptr ? slice->size() : 0);
+    }
+    return out;
+  };
+  const std::string kFour =
+      "sharded view '{name}': {n} members across 4 shards\n"
+      "  fan-out: per-shard slices [{slices}], k-way merged in lexicographic "
+      "OID order\n"
+      "  cross-shard traffic: {traffic}\n";
+  const std::string traffic = Traffic(sharded.MergedCosts());
+  EXPECT_EQ(sharded.ExplainView("SV").ToString(),
+            Fill(kFour, {{"name", "SV"},
+                         {"n", "13"},
+                         {"slices", slices("SV")},
+                         {"traffic", traffic}}) +
+                "  engine: algorithm1\n");
+  EXPECT_EQ(sharded.ExplainView("GV").ToString(),
+            Fill(kFour, {{"name", "GV"},
+                         {"n", "49"},
+                         {"slices", slices("GV")},
+                         {"traffic", traffic}}) +
+                kNetwork);
+  EXPECT_EQ(sharded.ExplainView("NOPE").ToString(),
+            Fill(kFour, {{"name", "NOPE"},
+                         {"n", "0"},
+                         {"slices", "0, 0, 0, 0"},
+                         {"traffic", traffic}}));
+
+  // A shard that does not host GV: its slice, engine gdn, no network.
+  uint32_t peer = 0;
+  while (sharded.shard(peer).gdn_engine("GV") != nullptr) ++peer;
+  Warehouse& shard = sharded.shard(peer);
+  const std::string n = std::to_string(shard.view("GV")->size());
+  EXPECT_EQ(shard.ExplainView("GV").ToString(),
+            "sharded view 'GV': " + n + " member" + (n == "1" ? "" : "s") +
+                " across 1 shard\n"
+                "  fan-out: per-shard slices [" +
+                n +
+                "], k-way merged in lexicographic OID order\n"
+                "  cross-shard traffic: " +
+                Traffic(shard.costs()) +
+                "\n"
+                "  engine: gdn (0 memo nodes, 0 partial matches, 0 "
+                "propagations, 0 rebuilds)\n");
 }
 
 }  // namespace
