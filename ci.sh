@@ -5,7 +5,10 @@
 # allowed their own) and keeps the warehouse off its engines' insides (no
 # EngineKind:: test and no discrimination-network call in src/warehouse/
 # outside view_engine.{h,cc}, so every per-view feature is written once,
-# against the ViewEngine interface), then tier-1 verify (full build + test suite), then the §6
+# against the ViewEngine interface) and keeps shared-delegate refcounts,
+# acquire, release and sync in src/core/shared_delegates.{h,cc} (the one
+# pool behind the view cluster and the union view), then tier-1 verify
+# (full build + test suite), then the §6
 # experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
 # recomputation) and E12 (exits 1 when an inline or deferred-drain view is
 # inconsistent with its source), then the paper's §5 shapes E3/E4/E7 (all
@@ -70,6 +73,20 @@ engine_branch="$(grep -rnE 'EngineKind::|GdnEngine::|\bgdn(_engine\([^)]*\))?(->
 if [ -n "${engine_branch}" ]; then
   echo "engine branch outside src/warehouse/view_engine.{h,cc}:"
   echo "${engine_branch}"
+  exit 1
+fi
+
+echo
+echo "=== lint: shared delegates have one home, src/core/shared_delegates.{h,cc} ==="
+# Delegate refcounts, their acquire and release, and the shared sync of an
+# update into a pooled delegate belong to the SharedDelegates pool behind
+# the view cluster and the union view; nothing else in src/ names them.
+shared_delegates="$(grep -rnE 'refcounts_|AcquireDelegate|ReleaseDelegate|SyncShared' \
+    src |
+  grep -vE '^src/core/shared_delegates\.(h|cc):' || true)"
+if [ -n "${shared_delegates}" ]; then
+  echo "shared-delegate bookkeeping outside src/core/shared_delegates.{h,cc}:"
+  echo "${shared_delegates}"
   exit 1
 fi
 

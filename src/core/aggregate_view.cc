@@ -4,7 +4,7 @@
 #include <deque>
 #include <unordered_set>
 
-#include "core/virtual_view.h"
+#include "core/shared_delegates.h"
 #include "path/navigate.h"
 
 namespace gsv {
@@ -132,27 +132,16 @@ Status AggregateView::Initialize() {
                                       " already initialized");
   }
   GSV_RETURN_IF_ERROR(Algorithm1Maintainer::ValidateDefinition(def_));
-  if (name_.empty() || name_.find('.') != std::string::npos) {
-    return Status::InvalidArgument("aggregate view name '" + name_ +
-                                   "' must be non-empty and dot-free");
-  }
-  GSV_RETURN_IF_ERROR(
-      store_->Put(Object(view_oid_, "mview", Value::Set(OidSet()))));
-  GSV_RETURN_IF_ERROR(store_->RegisterDatabase(name_, view_oid_));
+  GSV_RETURN_IF_ERROR(BootstrapViewObject(store_, "aggregate view", name_));
 
   storage_ = std::make_unique<Storage>(this);
   accessor_ = std::make_unique<LocalAccessor>(base_);
   membership_ = std::make_unique<Algorithm1Maintainer>(
       storage_.get(), accessor_.get(), def_, root_);
 
-  GSV_ASSIGN_OR_RETURN(OidSet members, EvaluateView(*base_, def_));
-  for (const Oid& member : members) {
-    const Object* object = base_->Get(member);
-    if (object == nullptr) {
-      return Status::Internal("member " + member.str() + " missing");
-    }
-    GSV_RETURN_IF_ERROR(storage_->VInsert(*object));
-  }
+  GSV_RETURN_IF_ERROR(ForEachViewMember(
+      *base_, def_,
+      [this](const Object& object) { return storage_->VInsert(object); }));
   initialized_ = true;
   return Status::Ok();
 }
@@ -165,7 +154,7 @@ Status AggregateView::RefreshAffected(const Update& update) {
   OidSet candidates;
   auto climb = [&](const Oid& start) {
     if (!base_->Contains(start)) return;
-    std::unordered_set<std::string> seen{start.str()};
+    std::unordered_set<uint32_t> seen{start.id()};
     std::deque<Oid> frontier{start};
     candidates.Insert(start);
     for (size_t depth = 0; depth < agg_path_.size() && !frontier.empty();
@@ -173,7 +162,7 @@ Status AggregateView::RefreshAffected(const Update& update) {
       std::deque<Oid> next;
       for (const Oid& oid : frontier) {
         for (const Oid& parent : base_->Parents(oid)) {
-          if (seen.insert(parent.str()).second) {
+          if (seen.insert(parent.id()).second) {
             candidates.Insert(parent);
             next.push_back(parent);
           }

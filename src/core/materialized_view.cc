@@ -1,6 +1,6 @@
 #include "core/materialized_view.h"
 
-#include "core/virtual_view.h"
+#include "core/shared_delegates.h"
 
 namespace gsv {
 
@@ -18,9 +18,7 @@ Status MaterializedView::Bootstrap() {
         "emit_basic_updates is incompatible with swizzle (swizzling is "
         "view-internal bookkeeping, not base updates)");
   }
-  GSV_RETURN_IF_ERROR(
-      store_->Put(Object(view_oid(), "mview", Value::Set(OidSet()))));
-  GSV_RETURN_IF_ERROR(store_->RegisterDatabase(def_.name(), view_oid()));
+  GSV_RETURN_IF_ERROR(BootstrapViewObject(store_, "view", def_.name()));
   bootstrapped_ = true;
   return Status::Ok();
 }
@@ -33,17 +31,12 @@ Status MaterializedView::Initialize(const ObjectStore& base) {
 
 Result<std::vector<const Object*>> MaterializedView::ResolveMembers(
     const ObjectStore& base) const {
-  GSV_ASSIGN_OR_RETURN(OidSet members, EvaluateView(base, def_));
   std::vector<const Object*> objects;
-  objects.reserve(members.size());
-  for (const Oid& oid : members) {
-    const Object* object = base.Get(oid);
-    if (object == nullptr) {
-      return Status::Internal("view member " + oid.str() +
-                              " missing from base store");
-    }
-    objects.push_back(object);
-  }
+  GSV_RETURN_IF_ERROR(
+      ForEachViewMember(base, def_, [&objects](const Object& object) {
+        objects.push_back(&object);
+        return Status::Ok();
+      }));
   return objects;
 }
 
@@ -175,42 +168,31 @@ Status MaterializedView::SyncUpdate(const Update& update) {
   if (delta_sink_ != nullptr) {
     delta_sink_->OnDelta(*this, ViewDelta::Sync(update));
   }
-  switch (update.kind) {
-    case UpdateKind::kInsert: {
-      Oid delegate = DelegateOid(update.parent);
-      Oid child = (options_.swizzle && ContainsBase(update.child))
-                      ? DelegateOid(update.child)
-                      : update.child;
-      if (options_.emit_basic_updates && store_->Contains(child)) {
-        return store_->Insert(delegate, child);
-      }
-      return store_->AddChildRaw(delegate, child);
+  const Oid delegate = DelegateOid(update.parent);
+  if (options_.emit_basic_updates) {
+    // A basic update wherever the delegate store can express one, so its
+    // listeners see the sync; otherwise the raw edit below.
+    const Object* object = store_->Get(delegate);
+    if (update.kind == UpdateKind::kInsert && store_->Contains(update.child)) {
+      return store_->Insert(delegate, update.child);
     }
-    case UpdateKind::kDelete: {
-      Oid delegate = DelegateOid(update.parent);
-      if (options_.emit_basic_updates) {
-        const Object* object = store_->Get(delegate);
-        if (object != nullptr && object->IsSet() &&
-            object->children().Contains(update.child)) {
-          return store_->Delete(delegate, update.child);
-        }
-      }
-      // The stored edge may be in base or swizzled form; remove either.
-      GSV_RETURN_IF_ERROR(store_->RemoveChildRaw(delegate, update.child));
-      return store_->RemoveChildRaw(delegate, DelegateOid(update.child));
+    if (update.kind == UpdateKind::kDelete && object != nullptr &&
+        object->IsSet() && object->children().Contains(update.child)) {
+      return store_->Delete(delegate, update.child);
     }
-    case UpdateKind::kModify: {
-      Oid delegate = DelegateOid(update.parent);
-      if (options_.emit_basic_updates) {
-        const Object* object = store_->Get(delegate);
-        if (object != nullptr && object->IsAtomic()) {
-          return store_->Modify(delegate, update.new_value);
-        }
-      }
-      return store_->SetValueRaw(delegate, update.new_value);
+    if (update.kind == UpdateKind::kModify && object != nullptr &&
+        object->IsAtomic()) {
+      return store_->Modify(delegate, update.new_value);
     }
   }
-  return Status::InvalidArgument("unknown update kind");
+  if (options_.swizzle && update.kind == UpdateKind::kInsert &&
+      ContainsBase(update.child)) {
+    return store_->AddChildRaw(delegate, DelegateOid(update.child));
+  }
+  GSV_RETURN_IF_ERROR(SyncDelegate(store_, delegate, update));
+  // The stored edge may be in swizzled form; remove that too.
+  if (update.kind != UpdateKind::kDelete) return Status::Ok();
+  return store_->RemoveChildRaw(delegate, DelegateOid(update.child));
 }
 
 Status MaterializedView::RefreshDelegate(const Object& base_object) {

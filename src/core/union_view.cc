@@ -1,45 +1,6 @@
 #include "core/union_view.h"
 
-#include "core/virtual_view.h"
-
 namespace gsv {
-
-// Membership bookkeeping for one branch; delegates are shared through the
-// owning UnionView.
-class UnionView::BranchStorage : public ViewStorage {
- public:
-  explicit BranchStorage(UnionView* owner) : owner_(owner) {}
-
-  const Oid& view_oid() const override { return owner_->view_oid_; }
-
-  bool ContainsBase(const Oid& base_oid) const override {
-    return members_.Contains(base_oid);
-  }
-
-  Status VInsert(const Object& base_object) override {
-    if (ContainsBase(base_object.oid())) return Status::Ok();
-    GSV_RETURN_IF_ERROR(owner_->AcquireDelegate(base_object));
-    members_.Insert(base_object.oid());
-    return Status::Ok();
-  }
-
-  Status VDelete(const Oid& base_oid) override {
-    if (!ContainsBase(base_oid)) return Status::Ok();
-    GSV_RETURN_IF_ERROR(owner_->ReleaseDelegate(base_oid));
-    members_.Erase(base_oid);
-    return Status::Ok();
-  }
-
-  OidSet BaseMembers() const override { return members_; }
-
-  Status SyncUpdate(const Update& update) override {
-    return owner_->SyncShared(update);  // idempotent across branches
-  }
-
- private:
-  UnionView* owner_;
-  OidSet members_;
-};
 
 UnionView::UnionView(ObjectStore* view_store, std::string name,
                      BaseAccessor* accessor)
@@ -47,22 +8,15 @@ UnionView::UnionView(ObjectStore* view_store, std::string name,
       name_(std::move(name)),
       view_oid_(name_),
       accessor_(accessor),
+      delegates_(view_store, view_oid_),
       listener_(this) {}
-
-UnionView::~UnionView() = default;
 
 Status UnionView::Bootstrap() {
   if (bootstrapped_) {
     return Status::FailedPrecondition("union view " + name_ +
                                       " already bootstrapped");
   }
-  if (name_.empty() || name_.find('.') != std::string::npos) {
-    return Status::InvalidArgument("union view name '" + name_ +
-                                   "' must be non-empty and dot-free");
-  }
-  GSV_RETURN_IF_ERROR(
-      store_->Put(Object(view_oid_, "mview", Value::Set(OidSet()))));
-  GSV_RETURN_IF_ERROR(store_->RegisterDatabase(name_, view_oid_));
+  GSV_RETURN_IF_ERROR(BootstrapViewObject(store_, "union view", name_));
   bootstrapped_ = true;
   return Status::Ok();
 }
@@ -74,82 +28,22 @@ Status UnionView::AddBranch(const ViewDefinition& def,
                                       " not bootstrapped");
   }
   GSV_RETURN_IF_ERROR(Algorithm1Maintainer::ValidateDefinition(def));
-  Branch branch;
-  branch.storage = std::make_unique<BranchStorage>(this);
-  branch.maintainer = std::make_unique<Algorithm1Maintainer>(
-      branch.storage.get(), accessor_, def, std::move(root));
-
-  GSV_ASSIGN_OR_RETURN(OidSet members, EvaluateView(base, def));
-  for (const Oid& oid : members) {
-    const Object* object = base.Get(oid);
-    if (object == nullptr) {
-      return Status::Internal("branch member " + oid.str() + " missing");
-    }
-    GSV_RETURN_IF_ERROR(branch.storage->VInsert(*object));
-  }
-  branches_.push_back(std::move(branch));
+  // A branch has no view object of its own: it answers to the union's.
+  ViewStorage* storage = delegates_.AddMember();
+  auto maintainer = std::make_unique<Algorithm1Maintainer>(
+      storage, accessor_, def, std::move(root));
+  GSV_RETURN_IF_ERROR(ForEachViewMember(
+      base, def,
+      [storage](const Object& object) { return storage->VInsert(object); }));
+  branches_.push_back(std::move(maintainer));
   return Status::Ok();
 }
 
 Status UnionView::Maintain(const Update& update) {
-  for (Branch& branch : branches_) {
-    GSV_RETURN_IF_ERROR(branch.maintainer->Maintain(update));
+  for (auto& branch : branches_) {
+    GSV_RETURN_IF_ERROR(branch->Maintain(update));
   }
   return Status::Ok();
-}
-
-OidSet UnionView::Members() const {
-  OidSet members;
-  for (const auto& [oid, count] : refcounts_) {
-    if (count > 0) members.Insert(Oid(oid));
-  }
-  return members;
-}
-
-int UnionView::RefCount(const Oid& base_oid) const {
-  auto it = refcounts_.find(base_oid.str());
-  return it == refcounts_.end() ? 0 : it->second;
-}
-
-Status UnionView::AcquireDelegate(const Object& base_object) {
-  int& count = refcounts_[base_object.oid().str()];
-  if (count == 0) {
-    Oid delegate_oid = Oid::Delegate(view_oid_, base_object.oid());
-    GSV_RETURN_IF_ERROR(store_->Put(
-        Object(delegate_oid, base_object.label(), base_object.value())));
-    GSV_RETURN_IF_ERROR(store_->AddChildRaw(view_oid_, delegate_oid));
-  }
-  ++count;
-  return Status::Ok();
-}
-
-Status UnionView::ReleaseDelegate(const Oid& base_oid) {
-  auto it = refcounts_.find(base_oid.str());
-  if (it == refcounts_.end() || it->second <= 0) {
-    return Status::Internal("release of unreferenced delegate for " +
-                            base_oid.str());
-  }
-  if (--it->second == 0) {
-    refcounts_.erase(it);
-    Oid delegate_oid = Oid::Delegate(view_oid_, base_oid);
-    GSV_RETURN_IF_ERROR(store_->RemoveChildRaw(view_oid_, delegate_oid));
-    GSV_RETURN_IF_ERROR(store_->Remove(delegate_oid));
-  }
-  return Status::Ok();
-}
-
-Status UnionView::SyncShared(const Update& update) {
-  if (RefCount(update.parent) == 0) return Status::Ok();
-  Oid delegate = Oid::Delegate(view_oid_, update.parent);
-  switch (update.kind) {
-    case UpdateKind::kInsert:
-      return store_->AddChildRaw(delegate, update.child);
-    case UpdateKind::kDelete:
-      return store_->RemoveChildRaw(delegate, update.child);
-    case UpdateKind::kModify:
-      return store_->SetValueRaw(delegate, update.new_value);
-  }
-  return Status::InvalidArgument("unknown update kind");
 }
 
 }  // namespace gsv

@@ -3,11 +3,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/algorithm1.h"
 #include "core/base_accessor.h"
+#include "core/shared_delegates.h"
 #include "core/view_definition.h"
 #include "core/view_storage.h"
 #include "oem/store.h"
@@ -23,10 +23,11 @@ namespace gsv {
 //   ∪ SELECT ROOT.secretary X WHERE X.age <= 45
 //
 // Each branch is an ordinary simple definition maintained by its own
-// Algorithm 1 instance; the branches share one delegate per base object,
-// reference-counted so an object selected by two branches keeps its
-// delegate until the last branch drops it. The view object
-// <UV, mview, set, {UV.*}> is a queryable database like any other view.
+// Algorithm 1 instance. A union is a view cluster whose members answer to
+// one view object: the view object <UV, mview, set, {UV.*}> owns a
+// SharedDelegates pool, so an object selected by two branches keeps its
+// one delegate until the last branch drops it. The view object is a
+// queryable database like any other view.
 class UnionView {
  public:
   // `view_store` holds the delegates; `accessor` answers base accesses for
@@ -34,7 +35,6 @@ class UnionView {
   // warehouse). Both must outlive the union view.
   UnionView(ObjectStore* view_store, std::string name,
             BaseAccessor* accessor);
-  ~UnionView();
 
   // Creates the view object and registers the database name. Call once.
   Status Bootstrap();
@@ -53,20 +53,16 @@ class UnionView {
 
   const Oid& view_oid() const { return view_oid_; }
   // Union membership (any branch).
-  OidSet Members() const;
+  OidSet Members() const { return delegates_.Bases(); }
   // How many branches currently select `base_oid`.
-  int RefCount(const Oid& base_oid) const;
+  int RefCount(const Oid& base_oid) const {
+    return delegates_.RefCount(base_oid);
+  }
   size_t branch_count() const { return branches_.size(); }
 
   const Status& last_status() const { return last_status_; }
 
  private:
-  class BranchStorage;  // per-branch ViewStorage adapter
-
-  Status AcquireDelegate(const Object& base_object);
-  Status ReleaseDelegate(const Oid& base_oid);
-  Status SyncShared(const Update& update);
-
   class Listener : public UpdateListener {
    public:
     explicit Listener(UnionView* owner) : owner_(owner) {}
@@ -80,18 +76,13 @@ class UnionView {
     UnionView* owner_;
   };
 
-  struct Branch {
-    std::unique_ptr<BranchStorage> storage;
-    std::unique_ptr<Algorithm1Maintainer> maintainer;
-  };
-
   ObjectStore* store_;
   std::string name_;
   Oid view_oid_;
   BaseAccessor* accessor_;
   bool bootstrapped_ = false;
-  std::unordered_map<std::string, int> refcounts_;
-  std::vector<Branch> branches_;
+  SharedDelegates delegates_;
+  std::vector<std::unique_ptr<Algorithm1Maintainer>> branches_;
   Listener listener_;
   Status last_status_;
 };

@@ -1,69 +1,19 @@
 #include "core/view_cluster.h"
 
-#include "core/virtual_view.h"
-
 namespace gsv {
 
-// ViewStorage adapter for one member view of a cluster. Membership is
-// tracked per view; delegate objects are shared through the cluster.
-class ViewCluster::MemberView : public ViewStorage {
- public:
-  MemberView(ViewCluster* cluster, ViewDefinition def)
-      : cluster_(cluster), def_(std::move(def)) {}
-
-  const ViewDefinition& def() const { return def_; }
-  const Oid& view_oid() const override { return def_.view_oid(); }
-
-  bool ContainsBase(const Oid& base_oid) const override {
-    return members_.Contains(base_oid);
-  }
-
-  Status VInsert(const Object& base_object) override {
-    if (ContainsBase(base_object.oid())) return Status::Ok();
-    GSV_RETURN_IF_ERROR(cluster_->AcquireDelegate(base_object));
-    GSV_RETURN_IF_ERROR(cluster_->store().AddChildRaw(
-        view_oid(), cluster_->DelegateOid(base_object.oid())));
-    members_.Insert(base_object.oid());
-    return Status::Ok();
-  }
-
-  Status VDelete(const Oid& base_oid) override {
-    if (!ContainsBase(base_oid)) return Status::Ok();
-    GSV_RETURN_IF_ERROR(cluster_->store().RemoveChildRaw(
-        view_oid(), cluster_->DelegateOid(base_oid)));
-    GSV_RETURN_IF_ERROR(cluster_->ReleaseDelegate(base_oid));
-    members_.Erase(base_oid);
-    return Status::Ok();
-  }
-
-  OidSet BaseMembers() const override { return members_; }
-
-  Status SyncUpdate(const Update& update) override {
-    // Shared delegates: the sync is idempotent, so every member view may
-    // forward it.
-    return cluster_->SyncShared(update);
-  }
-
- private:
-  ViewCluster* cluster_;
-  ViewDefinition def_;
-  OidSet members_;
-};
-
 ViewCluster::ViewCluster(ObjectStore* store, std::string name)
-    : store_(store), name_(std::move(name)), cluster_oid_(name_) {}
-
-ViewCluster::~ViewCluster() = default;
+    : store_(store),
+      name_(std::move(name)),
+      cluster_oid_(name_),
+      delegates_(store, cluster_oid_) {}
 
 Status ViewCluster::Bootstrap() {
   if (bootstrapped_) {
     return Status::FailedPrecondition("cluster " + name_ +
                                       " already bootstrapped");
   }
-  if (name_.empty() || name_.find('.') != std::string::npos) {
-    return Status::InvalidArgument("cluster name '" + name_ +
-                                   "' must be non-empty and dot-free");
-  }
+  GSV_RETURN_IF_ERROR(CheckDotFreeName("cluster", name_));
   GSV_RETURN_IF_ERROR(
       store_->Put(Object(cluster_oid_, "cluster", Value::Set(OidSet()))));
   bootstrapped_ = true;
@@ -75,71 +25,18 @@ Result<ViewStorage*> ViewCluster::AddView(const ViewDefinition& def) {
     return Status::FailedPrecondition("cluster " + name_ +
                                       " not bootstrapped");
   }
-  GSV_RETURN_IF_ERROR(
-      store_->Put(Object(def.view_oid(), "mview", Value::Set(OidSet()))));
-  GSV_RETURN_IF_ERROR(store_->RegisterDatabase(def.name(), def.view_oid()));
-  members_.push_back(std::make_unique<MemberView>(this, def));
-  return static_cast<ViewStorage*>(members_.back().get());
+  GSV_RETURN_IF_ERROR(BootstrapViewObject(store_, "view", def.name()));
+  members_.emplace_back(def, delegates_.AddMember(def.view_oid()));
+  return members_.back().second;
 }
 
 Status ViewCluster::InitializeAll(const ObjectStore& base) {
-  for (const auto& member : members_) {
-    GSV_ASSIGN_OR_RETURN(OidSet selected, EvaluateView(base, member->def()));
-    for (const Oid& oid : selected) {
-      const Object* object = base.Get(oid);
-      if (object == nullptr) {
-        return Status::Internal("view member " + oid.str() + " missing");
-      }
-      GSV_RETURN_IF_ERROR(member->VInsert(*object));
-    }
+  for (const auto& [def, storage] : members_) {
+    GSV_RETURN_IF_ERROR(ForEachViewMember(
+        base, def,
+        [storage](const Object& object) { return storage->VInsert(object); }));
   }
   return Status::Ok();
-}
-
-int ViewCluster::RefCount(const Oid& base_oid) const {
-  auto it = refcounts_.find(base_oid.str());
-  return it == refcounts_.end() ? 0 : it->second;
-}
-
-Status ViewCluster::AcquireDelegate(const Object& base_object) {
-  int& count = refcounts_[base_object.oid().str()];
-  if (count == 0) {
-    Oid delegate_oid = DelegateOid(base_object.oid());
-    GSV_RETURN_IF_ERROR(store_->Put(
-        Object(delegate_oid, base_object.label(), base_object.value())));
-    GSV_RETURN_IF_ERROR(store_->AddChildRaw(cluster_oid_, delegate_oid));
-  }
-  ++count;
-  return Status::Ok();
-}
-
-Status ViewCluster::ReleaseDelegate(const Oid& base_oid) {
-  auto it = refcounts_.find(base_oid.str());
-  if (it == refcounts_.end() || it->second <= 0) {
-    return Status::Internal("release of unreferenced delegate for " +
-                            base_oid.str());
-  }
-  if (--it->second == 0) {
-    refcounts_.erase(it);
-    Oid delegate_oid = DelegateOid(base_oid);
-    GSV_RETURN_IF_ERROR(store_->RemoveChildRaw(cluster_oid_, delegate_oid));
-    GSV_RETURN_IF_ERROR(store_->Remove(delegate_oid));
-  }
-  return Status::Ok();
-}
-
-Status ViewCluster::SyncShared(const Update& update) {
-  if (RefCount(update.parent) == 0) return Status::Ok();
-  Oid delegate = DelegateOid(update.parent);
-  switch (update.kind) {
-    case UpdateKind::kInsert:
-      return store_->AddChildRaw(delegate, update.child);
-    case UpdateKind::kDelete:
-      return store_->RemoveChildRaw(delegate, update.child);
-    case UpdateKind::kModify:
-      return store_->SetValueRaw(delegate, update.new_value);
-  }
-  return Status::InvalidArgument("unknown update kind");
 }
 
 }  // namespace gsv

@@ -1,11 +1,11 @@
 #ifndef GSV_CORE_VIEW_CLUSTER_H_
 #define GSV_CORE_VIEW_CLUSTER_H_
 
-#include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/shared_delegates.h"
 #include "core/view_definition.h"
 #include "core/view_storage.h"
 #include "oem/store.h"
@@ -18,17 +18,16 @@ namespace gsv {
 // base object. The notion of a view cluster avoids this, by making all
 // views in a cluster share delegates."
 //
-// The cluster owns one delegate per base object, named with the *cluster*
-// OID ("CL.P1") and reference-counted across member views. Each member view
-// is still an ordinary queryable object <V, mview, set, {CL.*}> registered
-// as a database; maintainers drive it through the ViewStorage adapter
-// returned by AddView.
+// The cluster object owns a SharedDelegates pool: one delegate per base
+// object, named with the *cluster* OID ("CL.P1") and reference-counted
+// across member views. Each member view is still an ordinary queryable
+// object <V, mview, set, {CL.*}> registered as a database; maintainers
+// drive it through the ViewStorage adapter returned by AddView.
 class ViewCluster {
  public:
   // `store` is the delegate store; must outlive the cluster. The cluster
   // name must not contain '.' (it prefixes delegate OIDs).
   ViewCluster(ObjectStore* store, std::string name);
-  ~ViewCluster();  // out of line: members_ holds an incomplete type here
 
   // Creates the cluster object <CL, cluster, set, {}>.
   Status Bootstrap();
@@ -42,30 +41,25 @@ class ViewCluster {
 
   const Oid& cluster_oid() const { return cluster_oid_; }
   // Number of distinct delegates currently materialized.
-  size_t delegate_count() const { return refcounts_.size(); }
+  size_t delegate_count() const { return delegates_.size(); }
   // How many member views currently include `base_oid` (0 if none).
-  int RefCount(const Oid& base_oid) const;
+  int RefCount(const Oid& base_oid) const {
+    return delegates_.RefCount(base_oid);
+  }
   // The shared delegate OID for a base object.
   Oid DelegateOid(const Oid& base_oid) const {
-    return Oid::Delegate(cluster_oid_, base_oid);
+    return delegates_.DelegateOid(base_oid);
   }
 
   ObjectStore& store() { return *store_; }
 
  private:
-  class MemberView;  // ViewStorage adapter for one member
-
-  // Shared-delegate operations used by the adapters.
-  Status AcquireDelegate(const Object& base_object);
-  Status ReleaseDelegate(const Oid& base_oid);
-  Status SyncShared(const Update& update);
-
   ObjectStore* store_;
   std::string name_;
   Oid cluster_oid_;
   bool bootstrapped_ = false;
-  std::unordered_map<std::string, int> refcounts_;  // base OID -> #views
-  std::vector<std::unique_ptr<MemberView>> members_;
+  SharedDelegates delegates_;
+  std::vector<std::pair<ViewDefinition, ViewStorage*>> members_;
 };
 
 }  // namespace gsv

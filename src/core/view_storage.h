@@ -11,8 +11,9 @@ namespace gsv {
 
 // The delegate-set operations a maintenance algorithm needs (paper §4.3):
 // V_insert(MV, MV.Y) and V_delete(MV, MV.Y), plus membership queries.
-// Implemented by MaterializedView (one view, own delegates) and by
-// ViewCluster members (shared delegates, §3.2 "view cluster" remark).
+// Implemented by MaterializedView (one view, own delegates) and by the
+// members of a SharedDelegates pool (shared delegates, §3.2 "view cluster"
+// remark): view cluster members and union branches.
 class ViewStorage {
  public:
   virtual ~ViewStorage() = default;

@@ -24,9 +24,11 @@ namespace gsv {
 //
 // `events_local_only` is counted per drain: when a drain's evaluation (its
 // resync prologue and phases 1-3, not the batch-level sweep) sent the
-// sources no query, every event of the batch counts. That is exact for an
-// inline event, which is a drain of one, and a lower bound for a larger
-// batch, where one query-back voids the count for all its events.
+// sources no query, every event of the batch routed to this shard counts
+// (a host shard's forwarded copies for its networks do not, as for
+// `events_received`). That is exact for an inline event, which is a drain
+// of one, and a lower bound for a larger batch, where one query-back voids
+// the count for all its events.
 //
 // One row per counter: X(field, ToString key, print group, merge kind).
 #define GSV_WAREHOUSE_COSTS(X)                                                 \

@@ -205,9 +205,9 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
   }
 
   // An evaluation that asked the sources nothing was local for every event
-  // in the batch (see cost_model.h).
+  // routed here (see cost_model.h).
   if (costs_.source_queries == queries_before) {
-    costs_.events_local_only += static_cast<int64_t>(batch.size());
+    costs_.events_local_only += static_cast<int64_t>(routed);
   }
 
   // ---- Phase 4: the verification sweep (see the header). A sharded

@@ -997,12 +997,18 @@ TEST(GdnConcurrencyTest, ParallelDrainMaintainsManyNetworksRaceFree) {
 // A deferred stream of N source events into a K=4 warehouse counts each
 // event once across the shards — received or coalesced — on the shard the
 // router sends it to. A host shard's forwarded copies for its network are
-// not counted again.
-void ExpectEachEventCountedOnce(bool with_network) {
+// not counted again, neither as received nor as local-only.
+enum class CountedViews { kAlgorithm1Only, kAlgorithm1AndNetwork, kNetworkOnly };
+
+void ExpectEachEventCountedOnce(CountedViews views) {
+  const bool with_algorithm1 = views != CountedViews::kNetworkOnly;
+  const bool with_network = views != CountedViews::kAlgorithm1Only;
   ObjectStore source;
   TreeGenOptions tree_options;
   tree_options.seed = 61;
-  tree_options.oid_prefix = with_network ? "cnt_gdn_" : "cnt_a1_";
+  tree_options.oid_prefix = !with_algorithm1 ? "cnt_net_"
+                            : with_network   ? "cnt_gdn_"
+                                             : "cnt_a1_";
   auto tree = GenerateTree(&source, tree_options);
   ASSERT_TRUE(tree.ok());
 
@@ -1010,8 +1016,11 @@ void ExpectEachEventCountedOnce(bool with_network) {
   ASSERT_TRUE(
       sharded.ConnectSource(&source, tree->root, ReportingLevel::kWithValues)
           .ok());
-  ASSERT_TRUE(
-      sharded.DefineView(TreeViewDefinition("SV", tree->root, 2, 4, 50)).ok());
+  if (with_algorithm1) {
+    ASSERT_TRUE(
+        sharded.DefineView(TreeViewDefinition("SV", tree->root, 2, 4, 50))
+            .ok());
+  }
   if (with_network) {
     ASSERT_TRUE(sharded.DefineView(GeneralDefinition(0, tree->root)).ok());
     ASSERT_EQ(NetworkShards(sharded, "GV"), 1u);
@@ -1027,14 +1036,24 @@ void ExpectEachEventCountedOnce(bool with_network) {
   const WarehouseCosts costs = sharded.MergedCosts();
   EXPECT_EQ(costs.events_received.load() + costs.events_coalesced.load(),
             static_cast<int64_t>(updates->size()));
+  EXPECT_LE(costs.events_local_only.load(), costs.events_received.load());
+  if (!with_algorithm1) {
+    // The network reads its host shard's store and asks no source, so
+    // every received event is local-only, on whichever shard it landed.
+    EXPECT_EQ(costs.events_local_only.load(), costs.events_received.load());
+  }
 }
 
 TEST(ShardedEventCountTest, EachEventCountsOnceWithAHostedNetwork) {
-  ExpectEachEventCountedOnce(/*with_network=*/true);
+  ExpectEachEventCountedOnce(CountedViews::kAlgorithm1AndNetwork);
 }
 
 TEST(ShardedEventCountTest, EachEventCountsOnceWithAlgorithm1Only) {
-  ExpectEachEventCountedOnce(/*with_network=*/false);
+  ExpectEachEventCountedOnce(CountedViews::kAlgorithm1Only);
+}
+
+TEST(ShardedEventCountTest, EachEventCountsOnceWithANetworkOnly) {
+  ExpectEachEventCountedOnce(CountedViews::kNetworkOnly);
 }
 
 // ------------------------------------------------------- explain golden

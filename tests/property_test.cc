@@ -7,10 +7,11 @@
 #include "core/aggregate_view.h"
 #include "core/algorithm1.h"
 #include "core/consistency.h"
-#include "core/union_view.h"
 #include "core/materialized_view.h"
 #include "core/recompute.h"
 #include "core/swizzle.h"
+#include "core/union_view.h"
+#include "core/view_cluster.h"
 #include "core/view_definition.h"
 #include "core/virtual_view.h"
 #include "ivm/gdn_network.h"
@@ -75,6 +76,26 @@ class MaintainerPropertyTest : public ::testing::TestWithParam<PropertyParam> {
     auto def = ViewDefinition::Parse(definition_);
     EXPECT_TRUE(def.ok()) << def.status().ToString();
     return *def;
+  }
+
+  // §3.2 value consistency for shared delegates: the delegate
+  // "<owner>.<oid>" of every object in `bases` has its base object's label
+  // and value.
+  void ExpectDelegatesMirrorBase(const ObjectStore& view_store,
+                                 const Oid& owner, const OidSet& bases,
+                                 size_t update_index) {
+    for (const Oid& oid : bases) {
+      const Object* delegate = view_store.Get(Oid::Delegate(owner, oid));
+      const Object* base = subject_base_.Get(oid);
+      ASSERT_NE(delegate, nullptr) << oid.str() << " after " << update_index;
+      ASSERT_NE(base, nullptr) << oid.str() << " after " << update_index;
+      EXPECT_EQ(delegate->label(), base->label())
+          << oid.str() << " after update " << update_index;
+      EXPECT_EQ(delegate->value(), base->value())
+          << oid.str() << " after update " << update_index << ": "
+          << delegate->value().ToString() << " vs "
+          << base->value().ToString();
+    }
   }
 
   ObjectStore subject_base_;
@@ -354,6 +375,68 @@ TEST_P(MaintainerPropertyTest, UnionViewMatchesBranchUnion) {
       ASSERT_EQ(union_view.RefCount(member), expected_refs);
       ASSERT_TRUE(view_store.Contains(Oid::Delegate(Oid("UV"), member)));
     }
+    ExpectDelegatesMirrorBase(view_store, Oid("UV"), expected, i);
+    std::vector<Oid> delegates;
+    for (const Oid& member : expected) {
+      delegates.push_back(Oid::Delegate(Oid("UV"), member));
+    }
+    ASSERT_EQ(view_store.Get(Oid("UV"))->children(), OidSet(delegates))
+        << "the view object holds exactly the union's delegates, after "
+           "update "
+        << i;
+  }
+}
+
+// View clusters (§3.2): two member views, each maintained by its own
+// Algorithm 1 instance, share one delegate per base object. Each member
+// equals its recompute, refcounts count the selecting members, and the
+// cluster holds one delegate per object of the members' union.
+TEST_P(MaintainerPropertyTest, ViewClusterMatchesMemberRecompute) {
+  BuildBases();
+  auto def_a = ViewDefinition::Parse(definition_);
+  auto def_b = ViewDefinition::Parse(TreeViewDefinition(
+      "CLb", root_, 1, GetParam().levels, GetParam().bound / 2));
+  ASSERT_TRUE(def_a.ok());
+  ASSERT_TRUE(def_b.ok());
+
+  ObjectStore view_store;
+  ViewCluster cluster(&view_store, "CL");
+  ASSERT_TRUE(cluster.Bootstrap().ok());
+  auto storage_a = cluster.AddView(*def_a);
+  auto storage_b = cluster.AddView(*def_b);
+  ASSERT_TRUE(storage_a.ok());
+  ASSERT_TRUE(storage_b.ok());
+  ASSERT_TRUE(cluster.InitializeAll(subject_base_).ok());
+  LocalAccessor accessor(&subject_base_);
+  Algorithm1Maintainer maintainer_a(*storage_a, &accessor, *def_a, root_);
+  Algorithm1Maintainer maintainer_b(*storage_b, &accessor, *def_b, root_);
+  subject_base_.AddListener(&maintainer_a);
+  subject_base_.AddListener(&maintainer_b);
+
+  UpdateGenOptions gen_options;
+  gen_options.seed = GetParam().seed + 9000;
+  UpdateGenerator generator(&subject_base_, root_, gen_options);
+  for (size_t i = 0; i < GetParam().updates; ++i) {
+    ASSERT_TRUE(generator.Step().ok());
+    ASSERT_TRUE(maintainer_a.last_status().ok());
+    ASSERT_TRUE(maintainer_b.last_status().ok());
+    if (i % 25 != 0) continue;
+    auto truth_a = EvaluateView(subject_base_, *def_a);
+    auto truth_b = EvaluateView(subject_base_, *def_b);
+    ASSERT_TRUE(truth_a.ok());
+    ASSERT_TRUE(truth_b.ok());
+    ASSERT_EQ((*storage_a)->BaseMembers(), *truth_a) << "after update " << i;
+    ASSERT_EQ((*storage_b)->BaseMembers(), *truth_b) << "after update " << i;
+    OidSet expected = OidSet::Union(*truth_a, *truth_b);
+    ASSERT_EQ(cluster.delegate_count(), expected.size())
+        << "after update " << i;
+    for (const Oid& member : expected) {
+      int expected_refs = (truth_a->Contains(member) ? 1 : 0) +
+                          (truth_b->Contains(member) ? 1 : 0);
+      ASSERT_EQ(cluster.RefCount(member), expected_refs)
+          << member.str() << " after update " << i;
+    }
+    ExpectDelegatesMirrorBase(view_store, Oid("CL"), expected, i);
   }
 }
 
