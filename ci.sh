@@ -7,7 +7,10 @@
 # outside view_engine.{h,cc}, so every per-view feature is written once,
 # against the ViewEngine interface) and keeps shared-delegate refcounts,
 # acquire, release and sync in src/core/shared_delegates.{h,cc} (the one
-# pool behind the view cluster and the union view), then tier-1 verify
+# pool behind the view cluster and the union view) and keeps Algorithm 1's
+# path(ROOT, N) question one existence probe (no root-path enumeration in
+# src/ or tools/; the capped PathsFromTo only in path/navigate.* and the
+# level-3 monitor), then tier-1 verify
 # (full build + test suite), then the §6
 # experiments E8/E9 (each exits 1 when its GDN-maintained view differs from
 # recomputation) and E12 (exits 1 when an inline or deferred-drain view is
@@ -87,6 +90,21 @@ shared_delegates="$(grep -rnE 'refcounts_|AcquireDelegate|ReleaseDelegate|SyncSh
 if [ -n "${shared_delegates}" ]; then
   echo "shared-delegate bookkeeping outside src/core/shared_delegates.{h,cc}:"
   echo "${shared_delegates}"
+  exit 1
+fi
+
+echo
+echo "=== lint: Algorithm 1 asks path(ROOT, N) one way, BaseAccessor::MatchesRootPath ==="
+# The root-path enumeration and its warehouse copies are gone: no
+# PathsFromRoot, FetchPathsFromRoot or CorridorPathsFromRoot in src/ or
+# tools/. PathsFromTo, a capped enumeration, is called in src/ only by
+# path/navigate.{h,cc} and by the level-3 monitor (warehouse/monitor.cc).
+root_paths="$( { grep -rnE 'PathsFromRoot' src tools;
+  grep -rnE '\bPathsFromTo\(' src |
+    grep -vE '^src/(path/navigate\.(h|cc)|warehouse/monitor\.cc):'; } || true)"
+if [ -n "${root_paths}" ]; then
+  echo "root-path enumeration outside path/navigate.* and warehouse/monitor.cc:"
+  echo "${root_paths}"
   exit 1
 fi
 

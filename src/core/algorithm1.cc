@@ -56,6 +56,15 @@ bool Algorithm1Maintainer::VerifySelected(const Oid& y) {
   return accessor_->VerifyPath(root_, y, sel_path_);
 }
 
+// sel_path.cond_path = path(ROOT,N1).label(N2).p with |path(ROOT,N1)| = k:
+// N2's label sits at position k and some root path of N1 spells the prefix
+// before it. One probe per k, however many OID paths spell that prefix.
+bool Algorithm1Maintainer::MatchesAt(size_t k, const Oid& n1,
+                                     const std::string& n2_label) {
+  return full_path_.label(k) == n2_label &&
+         accessor_->MatchesRootPath(root_, n1, full_path_.Prefix(k));
+}
+
 // When insert(N1,N2) occurs:
 //   if sel_path.cond_path = path(ROOT,N1).label(N2).p
 //   then S = eval(N2, p, cond);
@@ -63,11 +72,8 @@ bool Algorithm1Maintainer::VerifySelected(const Oid& y) {
 Status Algorithm1Maintainer::OnInsert(const Update& update) {
   GSV_ASSIGN_OR_RETURN(Object n2, accessor_->Fetch(update.child));
   bool matched = false;
-  for (const Path& rp : accessor_->PathsFromRoot(root_, update.parent)) {
-    const size_t k = rp.size();
-    if (k + 1 > full_path_.size()) continue;
-    if (!full_path_.StartsWith(rp)) continue;
-    if (full_path_.label(k) != n2.label()) continue;
+  for (size_t k = 0; k < full_path_.size(); ++k) {
+    if (!MatchesAt(k, update.parent, n2.label())) continue;
     matched = true;
     const Path p = full_path_.Suffix(k + 1);
     for (const Oid& x : accessor_->Eval(update.child, p, pred_)) {
@@ -104,11 +110,8 @@ Status Algorithm1Maintainer::OnDelete(const Update& update) {
   GSV_ASSIGN_OR_RETURN(Object n2, accessor_->Fetch(update.child));
   bool matched = false;
   // path(ROOT,N1) is unaffected by removing the N1->N2 edge below N1.
-  for (const Path& rp : accessor_->PathsFromRoot(root_, update.parent)) {
-    const size_t k = rp.size();
-    if (k + 1 > full_path_.size()) continue;
-    if (!full_path_.StartsWith(rp)) continue;
-    if (full_path_.label(k) != n2.label()) continue;
+  for (size_t k = 0; k < full_path_.size(); ++k) {
+    if (!MatchesAt(k, update.parent, n2.label())) continue;
     matched = true;
     const Path p = full_path_.Suffix(k + 1);
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "core/base_accessor.h"
 #include "core/view_definition.h"
@@ -33,6 +34,10 @@ namespace gsv {
 //    gone that climb cannot cross it, so we equivalently locate Y as
 //    ancestor(N1, q) above the intact endpoint N1, with q the condition
 //    prefix between Y and N1.
+//  * "sel_path.cond_path = path(ROOT,N1).label(N2).p" is asked once per
+//    position of label(N2) in sel_path.cond_path, as an existence probe
+//    for the prefix before it (BaseAccessor::MatchesRootPath): on a DAG
+//    base N1 may have many root paths, and none is enumerated.
 //  * Candidate ancestors are verified against path(ROOT,Y) = sel_path
 //    before inserting (cheap: one |sel_path| climb). On a clean tree the
 //    check is vacuous; it keeps the algorithm sound when grouping objects
@@ -90,6 +95,9 @@ class Algorithm1Maintainer : public UpdateListener {
   Status OnInsert(const Update& update);
   Status OnDelete(const Update& update);
   Status OnModify(const Update& update);
+
+  // True iff the insert/delete case matches with |path(ROOT,N1)| = k.
+  bool MatchesAt(size_t k, const Oid& n1, const std::string& n2_label);
 
   // True if `y` should be treated as the selected ancestor (candidate
   // verification; see Options).

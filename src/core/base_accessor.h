@@ -22,7 +22,7 @@ namespace gsv {
 class BaseAccessor {
  public:
   struct Stats {
-    int64_t paths_from_root = 0;  // path(ROOT, N) evaluations
+    int64_t paths_from_root = 0;  // path(ROOT, N) probes
     int64_t ancestor_calls = 0;   // ancestor(N, p) evaluations
     int64_t eval_calls = 0;       // eval(N, p, cond) evaluations
     int64_t fetches = 0;          // whole-object fetches
@@ -30,10 +30,6 @@ class BaseAccessor {
   };
 
   virtual ~BaseAccessor() = default;
-
-  // path(ROOT, N): all label paths from `root` to `n`. At most one on a
-  // tree (§4.3); several on DAG bases (§6).
-  virtual std::vector<Path> PathsFromRoot(const Oid& root, const Oid& n) = 0;
 
   // ancestor(N, p): the objects X with path(X, N) = p. ancestor(N, ∅) = {N}.
   virtual std::vector<Oid> Ancestors(const Oid& n, const Path& p) = 0;
@@ -56,17 +52,13 @@ class BaseAccessor {
   // keeps Algorithm 1 sound when grouping objects give nodes extra parents.
   virtual bool VerifyPath(const Oid& root, const Oid& y, const Path& p) = 0;
 
-  // True iff some label path from `root` to `n` equals `p` — Algorithm 1's
-  // modify screen ("if path(ROOT,N) = sel_path.cond_path"). The default
-  // enumerates path(ROOT, N), which lets warehouse accessors answer from
-  // the root path a level-3 event already carries; local accessors override
-  // with an existence probe that never materializes paths.
-  virtual bool MatchesRootPath(const Oid& root, const Oid& n, const Path& p) {
-    for (const Path& rp : PathsFromRoot(root, n)) {
-      if (rp == p) return true;
-    }
-    return false;
-  }
+  // True iff some label path from `root` to `n` equals `p` — the one
+  // path(ROOT, N) question Algorithm 1 asks (§4.3: "if path(ROOT,N) =
+  // sel_path.cond_path" for modify, and path(ROOT,N1) = a prefix of it for
+  // insert and delete). An existence probe, so a DAG base with many root
+  // paths of N (§6) costs one answer per prefix, never an enumeration.
+  virtual bool MatchesRootPath(const Oid& root, const Oid& n,
+                               const Path& p) = 0;
 
   // Retrieves a full object (label + value), e.g. to create its delegate.
   virtual Result<Object> Fetch(const Oid& oid) = 0;
@@ -98,7 +90,6 @@ class LocalAccessor : public BaseAccessor {
  public:
   explicit LocalAccessor(const ObjectStore* store) : store_(store) {}
 
-  std::vector<Path> PathsFromRoot(const Oid& root, const Oid& n) override;
   std::vector<Oid> Ancestors(const Oid& n, const Path& p) override;
   std::vector<Oid> Eval(const Oid& n, const Path& p,
                         const std::optional<Predicate>& pred) override;

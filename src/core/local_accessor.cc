@@ -115,11 +115,6 @@ bool AnyCandidateSatisfies(const ObjectStore& store,
   return false;
 }
 
-std::vector<Path> LocalAccessor::PathsFromRoot(const Oid& root, const Oid& n) {
-  ++stats_.paths_from_root;
-  return PathsFromTo(*store_, root, n);
-}
-
 std::vector<Oid> LocalAccessor::Ancestors(const Oid& n, const Path& p) {
   ++stats_.ancestor_calls;
   return AncestorsByPath(*store_, n, p);
@@ -214,10 +209,8 @@ bool LocalAccessor::VerifyPath(const Oid& root, const Oid& y, const Path& p) {
 
 bool LocalAccessor::MatchesRootPath(const Oid& root, const Oid& n,
                                     const Path& p) {
-  ++stats_.verify_calls;
-  // Equality against one known label sequence is an existence question, so
-  // skip the path(ROOT, N) enumeration (string assembly, path ordering) and
-  // climb — indexed when a snapshot is live — for exactly `p`.
+  ++stats_.paths_from_root;
+  // Climb — indexed when a snapshot is live — for exactly `p`.
   return HasPathFromTo(*store_, root, n, p);
 }
 

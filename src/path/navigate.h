@@ -39,14 +39,16 @@ OidSet EvalExpression(const ObjectStore& store, const Oid& start,
 std::vector<Oid> AncestorsByPath(const ObjectStore& store, const Oid& n,
                                  const Path& path);
 
-// path(from, to) — all label paths from `from` to `to`, found by climbing
-// the inverse index from `to`. On a tree there is at most one (§4.3); the
-// search is capped at `max_paths` results for DAG safety. `max_depth` bounds
-// the climb (cycles in the base would otherwise loop). When `filter` is
-// set, intermediate objects failing it are invisible (the climb may still
-// end at `from`, which — like a query entry point — is always visible).
+// path(from, to) — label paths from `from` to `to`, found by climbing the
+// inverse index from `to`. On a tree there is at most one (§4.3); on a DAG
+// the search stops after `max_paths` results, which every caller states,
+// so a capped answer is never mistaken for the whole set. `max_depth`
+// bounds the climb (cycles in the base would otherwise loop). When `filter`
+// is set, intermediate objects failing it are invisible (the climb may
+// still end at `from`, which — like a query entry point — is always
+// visible). To ask whether one known path exists, use HasPathFromTo.
 std::vector<Path> PathsFromTo(const ObjectStore& store, const Oid& from,
-                              const Oid& to, size_t max_paths = 16,
+                              const Oid& to, size_t max_paths,
                               size_t max_depth = 256,
                               const OidFilter& filter = nullptr);
 

@@ -39,7 +39,7 @@ bool AuxiliaryCache::ValueKnown(const Oid& oid) const {
 Status AuxiliaryCache::AddToCorridor(const Object& object, size_t depth,
                                      SourceWrapper* wrapper) {
   const Oid& oid = object.oid();
-  bool fresh_at_depth = depths_[oid.str()].insert(depth).second;
+  bool fresh_at_depth = depths_[oid.id()].insert(depth).second;
   if (!store_.Contains(oid)) {
     Value stored = object.value();
     if (object.IsAtomic()) {
@@ -83,8 +83,8 @@ Status AuxiliaryCache::Initialize(SourceWrapper* wrapper) {
 }
 
 void AuxiliaryCache::RecomputeMembership() {
-  std::unordered_map<std::string, std::set<size_t>> new_depths;
-  new_depths[root_.str()].insert(0);
+  std::unordered_map<uint32_t, std::set<size_t>> new_depths;
+  new_depths[root_.id()].insert(0);
 
   // Warm from the cache store's label index: each corridor level is one
   // posting wave instead of a per-child Get + label check.
@@ -99,7 +99,7 @@ void AuxiliaryCache::RecomputeMembership() {
                                     corridor_.label(depth), frontier,
                                     &store_.metrics());
         for (uint32_t id : frontier) {
-          new_depths[Oid::FromId(id).str()].insert(depth + 1);
+          new_depths[id].insert(depth + 1);
         }
         prev_label = &corridor_.label(depth);
       }
@@ -120,7 +120,7 @@ void AuxiliaryCache::RecomputeMembership() {
         if (child == nullptr || child->label() != corridor_.label(depth)) {
           continue;
         }
-        if (new_depths[child_oid.str()].insert(depth + 1).second) {
+        if (new_depths[child_oid.id()].insert(depth + 1).second) {
           next.push_back(child_oid);
         }
       }
@@ -134,7 +134,7 @@ void AuxiliaryCache::RecomputeMembership() {
 void AuxiliaryCache::Prune() {
   std::vector<Oid> orphans;
   store_.ForEach([&](const Object& object) {
-    if (depths_.find(object.oid().str()) == depths_.end()) {
+    if (depths_.find(object.oid().id()) == depths_.end()) {
       orphans.push_back(object.oid());
     }
   });
@@ -153,7 +153,7 @@ Status AuxiliaryCache::OnEvent(const UpdateEvent& event,
       // Does the child continue the corridor from any of the parent's
       // depths? We need its label: from the event (level >= 2) or by
       // asking the source (level 1).
-      std::set<size_t> parent_depths = depths_.at(event.parent.str());
+      std::set<size_t> parent_depths = depths_.at(event.parent.id());
       bool label_needed = false;
       for (size_t depth : parent_depths) {
         if (depth < corridor_.size()) label_needed = true;
@@ -242,23 +242,13 @@ Status AuxiliaryCache::LoadFrom(std::istream& in) {
   return Status::Ok();
 }
 
-std::vector<Path> AuxiliaryCache::CorridorPathsFromRoot(const Oid& n) const {
-  std::vector<Path> paths;
-  auto it = depths_.find(n.str());
-  if (it == depths_.end()) return paths;
-  for (size_t depth : it->second) {
-    paths.push_back(corridor_.Prefix(depth));
-  }
-  return paths;
-}
-
 std::vector<Oid> AuxiliaryCache::Ancestors(const Oid& n,
                                            const Path& p) const {
   return AncestorsByPath(store_, n, p);
 }
 
 bool AuxiliaryCache::VerifyPath(const Oid& y, const Path& p) const {
-  auto it = depths_.find(y.str());
+  auto it = depths_.find(y.id());
   if (it == depths_.end()) return false;
   return it->second.count(p.size()) > 0 && corridor_.Prefix(p.size()) == p;
 }

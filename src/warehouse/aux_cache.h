@@ -1,6 +1,7 @@
 #ifndef GSV_WAREHOUSE_AUX_CACHE_H_
 #define GSV_WAREHOUSE_AUX_CACHE_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <set>
@@ -74,18 +75,14 @@ class AuxiliaryCache {
 
   // ---- Locally answered accessor operations ----
 
-  bool OnCorridor(const Oid& oid) const { return depths_.count(oid.str()) > 0; }
-
-  // All derivation paths root→n that are corridor prefixes. (Corridor
-  // labels are fixed, so the path at depth d is corridor.Prefix(d).) An
-  // uncached n has no corridor derivation — the complete answer for
-  // prefix-matching purposes.
-  std::vector<Path> CorridorPathsFromRoot(const Oid& n) const;
+  bool OnCorridor(const Oid& oid) const { return depths_.count(oid.id()) > 0; }
 
   // ancestor(n, p) within the corridor.
   std::vector<Oid> Ancestors(const Oid& n, const Path& p) const;
 
   // True iff path(root, y) includes exactly the corridor prefix `p`.
+  // (Corridor labels are fixed, so the path at depth d is
+  // corridor.Prefix(d); an uncached y has no corridor derivation.)
   bool VerifyPath(const Oid& y, const Path& p) const;
 
   // Objects in n.p along the corridor, with values. Returns nullopt when a
@@ -130,8 +127,8 @@ class AuxiliaryCache {
   Oid root_;
   Path corridor_;
   ObjectStore store_;
-  // OID -> corridor depths (a DAG object can appear at several).
-  std::unordered_map<std::string, std::set<size_t>> depths_;
+  // Interned OID id -> corridor depths (a DAG object can appear at several).
+  std::unordered_map<uint32_t, std::set<size_t>> depths_;
   // Atomic OIDs whose cached value is real (always true in kFull mode).
   OidSet values_known_;
 };

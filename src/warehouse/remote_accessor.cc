@@ -4,27 +4,17 @@
 
 namespace gsv {
 
-std::vector<Path> RemoteAccessor::PathsFromRoot(const Oid& root,
-                                                const Oid& n) {
+bool RemoteAccessor::MatchesRootPath(const Oid& root, const Oid& n,
+                                     const Path& p) {
   ++stats_.paths_from_root;
-  // Level 3 events carry path(ROOT, N) for the affected object.
+  // Level 3 events carry path(ROOT, N) for the affected object: one path,
+  // exact where path(ROOT, N) is unique (a tree base).
   if (event_ != nullptr && event_->level >= ReportingLevel::kWithRootPath &&
       event_->parent == n) {
     Hit();
-    if (!event_->root_path.has_value()) return {};  // unreachable from root
-    return {event_->root_path->labels};
+    return event_->root_path.has_value() && event_->root_path->labels == p;
   }
-  if (cache_ != nullptr) {
-    Hit();
-    return cache_->CorridorPathsFromRoot(n);
-  }
-  Miss();
-  Result<std::vector<Path>> paths = wrapper_->FetchPathsFromRoot(root, n);
-  if (!paths.ok()) {
-    NoteError(paths.status());
-    return {};
-  }
-  return std::move(paths).value();
+  return ProbePath(root, n, p);
 }
 
 std::vector<Oid> RemoteAccessor::Ancestors(const Oid& n, const Path& p) {
@@ -88,6 +78,10 @@ std::vector<Oid> RemoteAccessor::Eval(const Oid& n, const Path& p,
 bool RemoteAccessor::VerifyPath(const Oid& root, const Oid& y,
                                 const Path& p) {
   ++stats_.verify_calls;
+  return ProbePath(root, y, p);
+}
+
+bool RemoteAccessor::ProbePath(const Oid& root, const Oid& y, const Path& p) {
   if (cache_ != nullptr) {
     Hit();
     return cache_->VerifyPath(y, p);

@@ -14,9 +14,9 @@ namespace gsv {
 //   2. the auxiliary cache, when configured (§5.2),
 //   3. a query back to the source through the wrapper (metered).
 //
-// The accessor is bound to one view's corridor: PathsFromRoot answers are
-// the derivations relevant to that view's sel/cond prefix matching, which
-// is all Algorithm 1 consumes.
+// The accessor is bound to one view's corridor: Algorithm 1 only asks
+// whether path(ROOT, N) includes a prefix of that view's sel_path.cond_path,
+// which is all the corridor cache can answer.
 //
 // BaseAccessor's interface is infallible (Algorithm 1 predates the fault
 // layer), so a failed query-back cannot propagate through the return value:
@@ -40,7 +40,7 @@ class RemoteAccessor : public BaseAccessor {
   const Status& last_error() const { return error_; }
   void ClearError() { error_ = Status::Ok(); }
 
-  std::vector<Path> PathsFromRoot(const Oid& root, const Oid& n) override;
+  bool MatchesRootPath(const Oid& root, const Oid& n, const Path& p) override;
   std::vector<Oid> Ancestors(const Oid& n, const Path& p) override;
   std::vector<Oid> Eval(const Oid& n, const Path& p,
                         const std::optional<Predicate>& pred) override;
@@ -48,6 +48,9 @@ class RemoteAccessor : public BaseAccessor {
   Result<Object> Fetch(const Oid& oid) override;
 
  private:
+  // Does path(root, y) include exactly `p`? From the corridor cache, else
+  // through the wrapper's metered probe.
+  bool ProbePath(const Oid& root, const Oid& y, const Path& p);
   void Hit() { ++costs_->cache_hits; }
   void Miss() { ++costs_->cache_misses; }
   void NoteError(const Status& status) {

@@ -90,14 +90,6 @@ Result<std::vector<Object>> SourceWrapper::FetchPathObjects(const Oid& n,
   return objects;
 }
 
-Result<std::vector<Path>> SourceWrapper::FetchPathsFromRoot(const Oid& root,
-                                                            const Oid& n) {
-  GSV_RETURN_IF_ERROR(Admit("FetchPathsFromRoot"));
-  std::vector<Path> paths = PathsFromTo(*source_, root, n);
-  MeterShipment(paths.size(), 0);
-  return paths;
-}
-
 Result<bool> SourceWrapper::VerifyPath(const Oid& root, const Oid& y,
                                        const Path& p) {
   GSV_RETURN_IF_ERROR(Admit("VerifyPath"));

@@ -40,9 +40,6 @@ class SourceWrapper {
   // (Example 9: "obtain all objects in N.p, then test cond() locally").
   Result<std::vector<Object>> FetchPathObjects(const Oid& n, const Path& p);
 
-  // fetch path(root, n) — the derivation paths of n.
-  Result<std::vector<Path>> FetchPathsFromRoot(const Oid& root, const Oid& n);
-
   // Boolean probe: does path(root, y) include exactly p?
   Result<bool> VerifyPath(const Oid& root, const Oid& y, const Path& p);
 

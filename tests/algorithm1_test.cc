@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/algorithm1.h"
 #include "core/consistency.h"
 #include "core/materialized_view.h"
 #include "core/recompute.h"
 #include "core/view_definition.h"
+#include "core/virtual_view.h"
 #include "oem/store.h"
+#include "path/navigate.h"
 #include "workload/person_db.h"
 
 namespace gsv {
@@ -320,6 +324,77 @@ TEST_F(Algorithm1Test, PaperExample7RelationalStyleInsert) {
   EXPECT_EQ(view.BaseMembers(), OidSet({Oid("T")}));
   EXPECT_TRUE(maintainer.last_status().ok());
   EXPECT_TRUE(CheckViewConsistency(view, store).consistent);
+}
+
+// A DAG base where N1 = DN has 17 root paths: sixteen g.g.g.g.p paths
+// through a four-layer diamond lattice, climbed first (DG4a and DG4b sort
+// before DR), and the one direct path "p" that matches sel_path. The
+// insert/delete cases must find that one path however many others there are.
+class Algorithm1DeepDagTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(store_.PutSet(Oid("DR"), "root").ok());
+    ASSERT_TRUE(store_.PutSet(Oid("DN"), "p").ok());
+    ASSERT_TRUE(store_.AddChildRaw(Oid("DR"), Oid("DN")).ok());
+    std::vector<Oid> layer{Oid("DR")};
+    for (int depth = 1; depth <= 4; ++depth) {
+      std::vector<Oid> next;
+      for (const char* side : {"a", "b"}) {
+        Oid node("DG" + std::to_string(depth) + side);
+        ASSERT_TRUE(store_.PutSet(node, "g").ok());
+        for (const Oid& parent : layer) {
+          ASSERT_TRUE(store_.AddChildRaw(parent, node).ok());
+        }
+        next.push_back(node);
+      }
+      layer = std::move(next);
+    }
+    for (const Oid& parent : layer) {
+      ASSERT_TRUE(store_.AddChildRaw(parent, Oid("DN")).ok());
+    }
+    ASSERT_TRUE(store_.PutAtomic(Oid("DW"), "v", Value::Int(3)).ok());
+  }
+
+  void StartView() {
+    view_ = std::make_unique<MaterializedView>(&store_, def_);
+    ASSERT_TRUE(view_->Initialize(store_).ok());
+    accessor_ = std::make_unique<LocalAccessor>(&store_);
+    maintainer_ = std::make_unique<Algorithm1Maintainer>(
+        view_.get(), accessor_.get(), def_, Oid("DR"));
+    store_.AddListener(maintainer_.get());
+  }
+
+  void ExpectEqualsEvaluation() {
+    ASSERT_TRUE(maintainer_->last_status().ok());
+    auto truth = EvaluateView(store_, def_);
+    ASSERT_TRUE(truth.ok());
+    EXPECT_EQ(view_->BaseMembers(), *truth);
+  }
+
+  ObjectStore store_;
+  const ViewDefinition def_ = *ViewDefinition::Parse(
+      "define mview DV as: SELECT DR.p X WHERE X.v <= 5");
+  std::unique_ptr<MaterializedView> view_;
+  std::unique_ptr<LocalAccessor> accessor_;
+  std::unique_ptr<Algorithm1Maintainer> maintainer_;
+};
+
+TEST_F(Algorithm1DeepDagTest, InsertFindsTheMatchingRootPathPastSixteen) {
+  EXPECT_EQ(PathsFromTo(store_, Oid("DR"), Oid("DN"), 64).size(), 17u);
+  StartView();
+  EXPECT_EQ(view_->BaseMembers(), OidSet());
+  ASSERT_TRUE(store_.Insert(Oid("DN"), Oid("DW")).ok());
+  EXPECT_EQ(view_->BaseMembers(), OidSet({Oid("DN")}));
+  ExpectEqualsEvaluation();
+}
+
+TEST_F(Algorithm1DeepDagTest, DeleteFindsTheMatchingRootPathPastSixteen) {
+  ASSERT_TRUE(store_.AddChildRaw(Oid("DN"), Oid("DW")).ok());
+  StartView();
+  EXPECT_EQ(view_->BaseMembers(), OidSet({Oid("DN")}));
+  ASSERT_TRUE(store_.Delete(Oid("DN"), Oid("DW")).ok());
+  EXPECT_EQ(view_->BaseMembers(), OidSet());
+  ExpectEqualsEvaluation();
 }
 
 // Sync keeps delegate values fresh while membership is maintained.

@@ -10,6 +10,7 @@
 #include "core/consistency.h"
 #include "core/virtual_view.h"
 #include "oem/store.h"
+#include "path/navigate.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "warehouse/fault_injector.h"
@@ -834,6 +835,96 @@ TEST(ShardedTwinTest, FourShardsValuesMatchRecomputeEveryDrain) {
       }
     }
   }
+}
+
+// ------------------------------------ Algorithm 1 over a DAG base (§6)
+
+// A simple view over a 4-level, 12-wide DAG, maintained by Algorithm 1 from
+// level-2 events, inline or in deferred drains. On a DAG an object's root
+// paths multiply, so the insert and delete cases must find the one that
+// matches sel_path.cond_path among them, not among the first few.
+struct DagLevelTwoRig {
+  ObjectStore source;
+  ObjectStore store;
+  std::unique_ptr<Warehouse> warehouse;
+  Oid root;
+  std::string definition;
+  std::unique_ptr<UpdateGenerator> gen;
+
+  void Build(uint64_t seed, bool deferred) {
+    DagGenOptions dag_options;
+    dag_options.levels = 4;
+    dag_options.width = 12;
+    dag_options.seed = seed;
+    auto dag = GenerateDag(&source, dag_options);
+    ASSERT_TRUE(dag.ok());
+    root = dag->root;
+    definition = DagViewDefinition("V", root, 2, 4, 50);
+    warehouse = std::make_unique<Warehouse>(&store);
+    ASSERT_TRUE(
+        warehouse->ConnectSource(&source, root, ReportingLevel::kWithValues)
+            .ok());
+    ASSERT_TRUE(warehouse->DefineView(definition).ok());
+    warehouse->set_deferred(deferred);
+    UpdateGenOptions gen_options;
+    gen_options.mode = UpdateMode::kDagPreserving;
+    gen_options.seed = 1000 + seed;
+    gen = std::make_unique<UpdateGenerator>(&source, root, gen_options);
+  }
+
+  void Drain() {
+    ASSERT_TRUE(warehouse->ProcessPendingBatch().ok())
+        << warehouse->last_status().ToString();
+  }
+
+  // The view's content lines equal a fresh evaluation of the source.
+  void ExpectMatchesRecompute(const std::string& where) {
+    ObjectStore recompute_store;
+    Warehouse recompute(&recompute_store);
+    ASSERT_TRUE(
+        recompute.ConnectSource(&source, root, ReportingLevel::kWithValues)
+            .ok());
+    ASSERT_TRUE(recompute.DefineView(definition).ok());
+    ASSERT_EQ(ViewContentLines(*warehouse->view("V")),
+              ViewContentLines(*recompute.view("V")))
+        << where;
+  }
+};
+
+TEST(DagAlgorithm1Test, LevelTwoMatchesRecomputeEveryDrain) {
+  for (uint64_t seed : {55, 101, 131, 187}) {
+    for (bool deferred : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (deferred ? " deferred" : " inline"));
+      DagLevelTwoRig rig;
+      ASSERT_NO_FATAL_FAILURE(rig.Build(seed, deferred));
+      for (int drain = 1; drain <= 6; ++drain) {
+        ASSERT_TRUE(rig.gen->Run(60).ok());
+        ASSERT_NO_FATAL_FAILURE(rig.Drain());
+        ASSERT_NO_FATAL_FAILURE(
+            rig.ExpectMatchesRecompute("after drain " + std::to_string(drain)));
+      }
+    }
+  }
+}
+
+// Seed 55's sixth drain, shrunk to three events: the last insert hangs D4
+// (a d1 node) under D15 (a d2 node), which multiplies path(ROOT, D27) past
+// sixteen paths before the one d1.d2.d3 path that selects D14.
+TEST(DagAlgorithm1Test, ThreeEventDrainFindsTheOneMatchingRootPath) {
+  DagLevelTwoRig rig;
+  ASSERT_NO_FATAL_FAILURE(rig.Build(55, /*deferred=*/true));
+  for (int drain = 1; drain <= 5; ++drain) {
+    ASSERT_TRUE(rig.gen->Run(60).ok());
+    ASSERT_NO_FATAL_FAILURE(rig.Drain());
+  }
+  ASSERT_NO_FATAL_FAILURE(rig.ExpectMatchesRecompute("after five drains"));
+  ASSERT_TRUE(rig.source.Modify(Oid("D46"), Value::Int(46)).ok());
+  ASSERT_TRUE(rig.source.Insert(Oid("D27"), Oid("D46")).ok());
+  ASSERT_TRUE(rig.source.Insert(Oid("D15"), Oid("D4")).ok());
+  EXPECT_GT(PathsFromTo(rig.source, rig.root, Oid("D27"), 64).size(), 16u);
+  rig.Drain();
+  rig.ExpectMatchesRecompute("after the three-event drain");
 }
 
 }  // namespace

@@ -249,22 +249,22 @@ TEST_F(NavigateTest, AncestorsByPath) {
 }
 
 TEST_F(NavigateTest, PathsFromTo) {
-  std::vector<Path> paths = PathsFromTo(store_, Root(), A1());
+  std::vector<Path> paths = PathsFromTo(store_, Root(), A1(), 16);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].ToString(), "professor.age");
 
   // P3 is reachable from ROOT directly and through P1.
-  paths = PathsFromTo(store_, Root(), P3());
+  paths = PathsFromTo(store_, Root(), P3(), 16);
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_EQ(paths[0].ToString(), "professor.student");
   EXPECT_EQ(paths[1].ToString(), "student");
 
   // Self path.
-  paths = PathsFromTo(store_, Root(), Root());
+  paths = PathsFromTo(store_, Root(), Root(), 16);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_TRUE(paths[0].empty());
 
-  EXPECT_TRUE(PathsFromTo(store_, A1(), Root()).empty()) << "wrong direction";
+  EXPECT_TRUE(PathsFromTo(store_, A1(), Root(), 16).empty()) << "wrong direction";
 }
 
 TEST_F(NavigateTest, HasPathFromTo) {

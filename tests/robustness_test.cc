@@ -140,7 +140,7 @@ TEST(RobustnessTest, DeepChainsDoNotOverflow) {
       static_cast<size_t>(kDepth) + 1);
   // Upward climb (capped at max_depth=256 by default: returns nothing
   // rather than recursing forever).
-  EXPECT_TRUE(PathsFromTo(store, child, Oid("leaf")).empty());
+  EXPECT_TRUE(PathsFromTo(store, child, Oid("leaf"), 16).empty());
   EXPECT_EQ(PathsFromTo(store, child, Oid("leaf"), 16, 1024).size(), 1u);
 }
 
