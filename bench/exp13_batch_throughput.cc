@@ -2,9 +2,10 @@
 //
 // Sweeps drain batch size x worker threads over a modify-heavy tree stream
 // fanned across several views and reports maintenance throughput
-// (updates/second). Batch size is the dominant axis: one drain amortizes
-// the convergence sweep, coalesces redundant events, and resolves §5.1
-// screening once per distinct label instead of once per event. Threads fan
+// (updates/second). Batch size is the dominant axis: one drain pays its
+// fixed setup once, coalesces redundant events, and resolves §5.1
+// screening once per distinct label instead of once per event (its sweep
+// already follows the batch, not the view). Threads fan
 // independent views / root subtrees across the pool (a wash on a single
 // hardware core, a gain on real ones).
 //

@@ -22,9 +22,10 @@
 # perfbench workload (exits non-zero on a gate mismatch), then a release-build
 # stress stage that repeats the paged writeback hammer, the engine twins,
 # the replication suite, the kill-mid-batch crash test, the sharded
-# warehouse, sharded twin and fault-convergence suites and the GDN twins (a
-# §6 network runs on its host shard in parallel with the peer shards) 20
-# times (rare interleavings), then an Address+UB-Sanitizer build of the
+# warehouse, sharded twin, sweep-scope twin and fault-convergence suites
+# and the GDN twins (a §6 network runs on its host shard in parallel with
+# the peer shards) 20 times (rare interleavings), then an
+# Address+UB-Sanitizer build of the
 # file-I/O unit tests and the robustness and fault-injection tests
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
@@ -199,7 +200,7 @@ GSV_STORAGE_ENGINE=paged:8:4096:compressed \
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L paged
 
 echo
-echo "=== stress: paged writeback, replication, kill-mid-batch, sharded twins and resync, hosted GDN networks: 20 repetitions (release build) ==="
+echo "=== stress: paged writeback, replication, kill-mid-batch, sharded twins and resync, sweep scope, hosted GDN networks: 20 repetitions (release build) ==="
 # The writeback thread races the mutator on every eviction, steal and
 # flush; an interleaving that rolls a page back shows up only now and
 # then, so the hammer and the engine twins run many times over.
@@ -220,6 +221,11 @@ echo "=== stress: paged writeback, replication, kill-mid-batch, sharded twins an
 ./build/tests/gsv_warehouse_test --gtest_filter='ShardedWarehouseTest.*' \
   --gtest_repeat=20 --gtest_brief=1
 ./build/tests/gsv_batch_test --gtest_filter='ShardedTwinTest.*' \
+  --gtest_repeat=20 --gtest_brief=1
+# A deferred drain sweeps only the members its batch can have made
+# underivable: after every drain of trees and DAGs, levels 1-3, both cache
+# modes, K=1 and K=4, a full sweep must find nothing more.
+./build/tests/gsv_batch_test --gtest_filter='SweepScopeTwinTest.*' \
   --gtest_repeat=20 --gtest_brief=1
 ./build/tests/gsv_fault_tolerance_test \
   --gtest_filter='FaultConvergenceTest.*' --gtest_repeat=20 --gtest_brief=1

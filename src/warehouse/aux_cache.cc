@@ -146,10 +146,11 @@ void AuxiliaryCache::Prune() {
 
 Status AuxiliaryCache::OnEvent(const UpdateEvent& event,
                                SourceWrapper* wrapper) {
+  if (!store_.Contains(event.parent)) return Status::Ok();
   switch (event.kind) {
     case UpdateKind::kInsert: {
-      if (!OnCorridor(event.parent)) return Status::Ok();
       GSV_RETURN_IF_ERROR(store_.AddChildRaw(event.parent, event.child));
+      if (!OnCorridor(event.parent)) return Status::Ok();
       // Does the child continue the corridor from any of the parent's
       // depths? We need its label: from the event (level >= 2) or by
       // asking the source (level 1).
@@ -177,15 +178,14 @@ Status AuxiliaryCache::OnEvent(const UpdateEvent& event,
       return Status::Ok();
     }
     case UpdateKind::kDelete: {
-      if (!OnCorridor(event.parent)) return Status::Ok();
       GSV_RETURN_IF_ERROR(store_.RemoveChildRaw(event.parent, event.child));
-      if (OnCorridor(event.child)) RecomputeMembership();
+      if (OnCorridor(event.parent) && OnCorridor(event.child)) {
+        RecomputeMembership();
+      }
       return Status::Ok();
     }
     case UpdateKind::kModify: {
-      if (!OnCorridor(event.parent) || mode_ != Mode::kFull) {
-        return Status::Ok();
-      }
+      if (mode_ != Mode::kFull) return Status::Ok();
       Value new_value;
       if (event.new_value.has_value()) {
         new_value = *event.new_value;

@@ -55,7 +55,9 @@ class AuxiliaryCache {
   void Reset();
 
   // Applies one reported update; queries `wrapper` only for corridor
-  // content the event does not carry.
+  // content the event does not carry. It applies to every object the store
+  // holds, on the corridor or not, so one a delete detached stays current
+  // until Prune() for an insert later in the batch to re-attach.
   //
   // A delete updates corridor *membership* immediately but defers the
   // physical removal of detached objects until Prune(): Algorithm 1's

@@ -26,11 +26,13 @@ void SourceMonitor::OnUpdate(const ObjectStore& store, const Update& update) {
 
   if (level_ >= ReportingLevel::kWithRootPath) {
     // The source applied the update, so it knows the path it traversed to
-    // reach the affected object (§5.1 scenario 3). We reconstruct one
+    // reach the affected object (§5.1 scenario 3). We reconstruct that
     // root-path (with its OIDs) from the source's own indexes; this costs
-    // the source, not the warehouse.
-    std::vector<Path> paths = PathsFromTo(store, root_, update.parent, 1);
-    if (!paths.empty()) {
+    // the source, not the warehouse. It is sent only when it is the only
+    // one: the warehouse answers path(ROOT,N) from it, which a second root
+    // path of N (a DAG base) would make wrong.
+    std::vector<Path> paths = PathsFromTo(store, root_, update.parent, 2);
+    if (paths.size() == 1) {
       RootPathInfo info;
       info.labels = paths[0];
       // Recover the OIDs along the path by walking it down from the root.

@@ -7,12 +7,13 @@ namespace gsv {
 bool RemoteAccessor::MatchesRootPath(const Oid& root, const Oid& n,
                                      const Path& p) {
   ++stats_.paths_from_root;
-  // Level 3 events carry path(ROOT, N) for the affected object: one path,
-  // exact where path(ROOT, N) is unique (a tree base).
-  if (event_ != nullptr && event_->level >= ReportingLevel::kWithRootPath &&
+  // A level-3 event carries path(ROOT, N) of the affected object when it is
+  // N's only root path; without one (N has several, or none) the source
+  // answers.
+  if (event_ != nullptr && event_->root_path.has_value() &&
       event_->parent == n) {
     Hit();
-    return event_->root_path.has_value() && event_->root_path->labels == p;
+    return event_->root_path->labels == p;
   }
   return ProbePath(root, n, p);
 }

@@ -286,16 +286,17 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
   // sweep and commit deferred to the coordinator.
   ThreadPool* pool = Pool(std::min(threads, shard_count));
   std::vector<Status> statuses(shard_count);
+  std::vector<Warehouse::SweepScope> scopes(shard_count);
   const int64_t par_begin = NowMicros();
   for (size_t i = 0; i < shard_count; ++i) {
     if (!active[i]) continue;
-    pool->Submit([this, i, &statuses, &timing] {
+    pool->Submit([this, i, &statuses, &scopes, &timing] {
       const int64_t start = ThreadCpuMicros();
       Warehouse::BatchOptions options;
       options.threads = 1;
       options.run_sweep = false;
       options.log_commit = false;
-      statuses[i] = shards_[i]->ProcessPendingBatch(options);
+      statuses[i] = shards_[i]->ProcessPendingBatch(options, &scopes[i]);
       timing.eval_micros[i] = ThreadCpuMicros() - start;
     });
   }
@@ -311,20 +312,31 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
   // cross-shard edges land before anything downstream observes the batch.
   // Delivery runs on the pool with each owner's CPU time charged to its
   // eval share.
-  std::vector<bool> applied(shard_count, false);
-  note(DeliverForeignOps(&applied, &timing));
+  note(DeliverForeignOps(nullptr, &timing));
   directory_.Thaw();
 
-  // Phase C: verification sweeps, parallel again. Only shards that saw
-  // events, applied foreign ops, or resynced can hold stale extras; a sweep
-  // of a consistent view is a no-op, so skipping the rest preserves
-  // byte-identity while saving the query-backs.
+  // Phase C: verification sweeps, parallel again. A member one shard's
+  // events can have made underivable may live in any shard's slice, so each
+  // view's scope is the union of every shard's (a full sweep wins), and
+  // every shard verifies it against its own slice. A shard none of the
+  // scope lands on probes its membership only.
+  Warehouse::SweepScope merged;
+  for (const Warehouse::SweepScope& scope : scopes) {
+    for (const auto& [view, members] : scope) {
+      auto [it, fresh] = merged.try_emplace(view, members);
+      if (fresh || !it->second.has_value()) continue;
+      if (!members.has_value()) {
+        it->second.reset();
+      } else {
+        *it->second = OidSet::Union(*it->second, *members);
+      }
+    }
+  }
   std::vector<Status> sweep_statuses(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
-    if (!active[i] && !applied[i]) continue;
-    pool->Submit([this, i, &sweep_statuses, &timing] {
+    pool->Submit([this, i, &merged, &sweep_statuses, &timing] {
       const int64_t start = ThreadCpuMicros();
-      sweep_statuses[i] = shards_[i]->RunVerificationSweep();
+      sweep_statuses[i] = shards_[i]->RunVerificationSweep(&merged);
       timing.sweep_micros[i] = ThreadCpuMicros() - start;
     });
   }
@@ -332,11 +344,10 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
   const int64_t sweep_end = NowMicros();
   for (const Status& status : sweep_statuses) note(status);
 
-  // Close every participating shard's durability group — including shards
-  // whose only change this batch was a peer's op landing on them.
-  for (size_t i = 0; i < shard_count; ++i) {
-    if (active[i] || applied[i]) shards_[i]->CommitDurable();
-  }
+  // Close every shard's durability group — including shards whose only
+  // change this batch was a peer's op landing on them or a sweep delete
+  // (an empty group logs nothing).
+  for (auto& shard : shards_) shard->CommitDurable();
 
   const int64_t end = NowMicros();
   timing.serial_micros += (par_begin - t0) + (end - sweep_end);

@@ -57,7 +57,8 @@ struct UpdateEvent {
   std::optional<Value> new_value;
 
   // Level 3: path(ROOT, N1) for insert/delete, path(ROOT, N) for modify.
-  // Absent when the object is unreachable from the source root.
+  // Sent only when it is the object's only root path: absent when the
+  // object is unreachable from the source root or has several root paths.
   std::optional<RootPathInfo> root_path;
 
   // The update as an Update struct (modify values only when level >= 2).

@@ -136,14 +136,64 @@ Status Algorithm1Engine::Level1ModifyRecheck(const UpdateEvent& event,
   return Status::Ok();
 }
 
-Status Algorithm1Engine::Sweep(std::vector<Oid>* doomed) {
+// Assume the view was exact before the drain. Every evaluated event saw
+// the final source state, and an insert never removes a derivation (the
+// condition is existential), so a member Y that is underivable after the
+// drain falls into one of four cases:
+//   1. Y lost its root path. With (P,C) the last deleted edge on its old
+//      root path and C at position k < |sel_path|, the edges below C are
+//      intact, so Y is in eval(C, sel_path.Suffix(k+1)) (Y = C at the end).
+//   2. Y lost a condition witness through a deleted edge. With (P,C) the
+//      first deleted edge on the old witness path and C at position
+//      k >= |sel_path|, Y is in ancestor(P, cond_path.Prefix(k-|sel_path|)).
+//   3. The witness's value changed with every edge intact: the modify's own
+//      path(ROOT,N) gate passes (a level-3 event carries N's root path only
+//      when it is the only one) and its recheck reads the final state.
+//   4. This drain's own V_insert put Y in, possibly from a stale event
+//      snapshot; the drain adds those members itself.
+// Cases 1 and 2 navigate from every evaluated delete without asking
+// path(ROOT,N1): that test is what lets each of a batch's deletes disclaim
+// a member another one broke.
+Status Algorithm1Engine::SweepScope(const std::vector<ScreenedEvent>& events,
+                                    std::vector<Oid>* scope) {
+  RemoteAccessor accessor(wrapper_, costs_);
+  accessor.set_cache(cache_);
+  const size_t sel = sel_path_.size();
+  for (const auto& [event, verdict] : events) {
+    if (verdict != Verdict::kEvaluate || event->kind != UpdateKind::kDelete) {
+      continue;
+    }
+    accessor.set_current_event(event);
+    Result<Object> child = accessor.Fetch(event->child);
+    for (size_t k = 0; child.ok() && k < full_path_.size(); ++k) {
+      if (full_path_.label(k) != child->label()) continue;
+      const std::vector<Oid> reached =
+          k < sel ? accessor.Eval(event->child, sel_path_.Suffix(k + 1),
+                                  std::nullopt)
+                  : accessor.Ancestors(event->parent,
+                                       cond_path_.Prefix(k - sel));
+      scope->insert(scope->end(), reached.begin(), reached.end());
+    }
+    accessor.set_current_event(nullptr);
+    // An empty answer from a down source would shrink the scope.
+    if (!accessor.last_error().ok()) return accessor.last_error();
+  }
+  return Status::Ok();
+}
+
+Status Algorithm1Engine::Sweep(const OidSet* scope, std::vector<Oid>* doomed) {
   // Re-derives each member along the simple corridor. An empty answer from
   // a down source is not evidence a member is underivable, so a failed
   // query-back aborts the sweep instead of dooming members.
   RemoteAccessor accessor(wrapper_, costs_);
   accessor.set_cache(cache_);
-  const OidSet members = view_->BaseMembers();
-  for (const Oid& member : members) {
+  OidSet members;
+  if (scope == nullptr) {
+    members = view_->BaseMembers();
+    scope = &members;
+  }
+  for (const Oid& member : *scope) {
+    if (!view_->ContainsBase(member)) continue;
     accessor.ClearError();
     bool derivable = accessor.VerifyPath(root_, member, sel_path_);
     if (derivable && pred_.has_value()) {

@@ -75,9 +75,21 @@ class ViewEngine {
   // Rebuilds engine state from the current base and fixes `out` to match
   // (a resync after its recompute; recovery after the load).
   virtual Status Heal(ViewStorage* /*out*/) { return Status::Ok(); }
+  // The members a drain's evaluated `events` can have made underivable,
+  // appended to `scope` (read-only; the drain navigates them before the
+  // corridor cache prunes detached subtrees). The drain adds the members
+  // its own V_inserts put in.
+  virtual Status SweepScope(const std::vector<ScreenedEvent>& /*events*/,
+                            std::vector<Oid>* /*scope*/) {
+    return Status::Ok();
+  }
   // The verification sweep, read-only and parallel across views: collects
-  // current members whose derivation no longer holds.
-  virtual Status Sweep(std::vector<Oid>* /*doomed*/) { return Status::Ok(); }
+  // the current members in `scope` (every member when null), in member
+  // order, whose derivation no longer holds.
+  virtual Status Sweep(const OidSet* /*scope*/,
+                       std::vector<Oid>* /*doomed*/) {
+    return Status::Ok();
+  }
   // Whether a drain may split the events into independent root subtrees.
   virtual bool Splittable() const { return false; }
   // True when the engine must also see events routed to other shards; a
@@ -114,7 +126,9 @@ class Algorithm1Engine : public ViewEngine {
   Verdict Screen(const UpdateEvent& event) override;
   Status Apply(const std::vector<ScreenedEvent>& events,
                ViewStorage* out) override;
-  Status Sweep(std::vector<Oid>* doomed) override;
+  Status SweepScope(const std::vector<ScreenedEvent>& events,
+                    std::vector<Oid>* scope) override;
+  Status Sweep(const OidSet* scope, std::vector<Oid>* doomed) override;
   bool Splittable() const override { return true; }
   void SetPathKnowledge(const PathKnowledge& knowledge) override;
   void Explain(ShardedViewExplanation* out) const override {

@@ -487,9 +487,11 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
   return Status::Ok();
 }
 
-void Warehouse::TryResyncStaleViews() {
+void Warehouse::TryResyncStaleViews(SweepScope* scope) {
   for (auto& entry : views_) {
-    if (entry->stale) TryResyncView(*entry, /*force=*/false);
+    if (!entry->stale) continue;
+    TryResyncView(*entry, /*force=*/false);
+    (*scope)[entry->def.name()] = std::nullopt;
   }
 }
 

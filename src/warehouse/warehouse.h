@@ -1,6 +1,7 @@
 #ifndef GSV_WAREHOUSE_WAREHOUSE_H_
 #define GSV_WAREHOUSE_WAREHOUSE_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -125,12 +126,21 @@ class Warehouse {
   // post-resync recompute subsumes them — and ops for unknown views fail.
   Status ApplyForeignOps(const std::vector<ForeignViewOp>& ops);
 
+  // What a drain's verification sweep re-verifies, by view name: the
+  // members its events can have made underivable (ProcessPendingBatch step
+  // 4). A view mapped to nullopt sweeps every member: one the drain's
+  // prologue resynced, whose peer shards may hold extras the lost events
+  // never deleted. A view not named is not swept.
+  using SweepScope = std::map<std::string, std::optional<OidSet>>;
+
   // The drain's verification sweep (ProcessPendingBatch step 4) over every
-  // fresh view: each engine re-verifies its members against current source
-  // state and drops the underivable (a no-op for §6 networks). The
-  // coordinator runs this after foreign ops land, when a batch had run with
-  // BatchOptions::run_sweep = false.
-  Status RunVerificationSweep();
+  // fresh view: each engine re-verifies its members in `scope` (all of
+  // them when null) against current source state and drops the
+  // underivable (a no-op for §6 networks). The coordinator runs this after
+  // foreign ops land, passing the union of the scopes its shards' drains
+  // handed out (BatchOptions::run_sweep off); a resync and recovery sweep
+  // in full.
+  Status RunVerificationSweep(const SweepScope* scope = nullptr);
 
   // Closes the current durability commit group (no-op when durability is
   // off). The coordinator commits each shard only after cross-shard ops
@@ -204,16 +214,22 @@ class Warehouse {
   //      its deletions apply after a second barrier. Because every event
   //      is evaluated against the source's *current* state, an event can
   //      disclaim responsibility that another queued event also disclaims
-  //      (e.g. a modify whose corridor path a later delete already broke,
-  //      under a delete that no longer sees the object in its subtree).
-  //      Such misses are always stale *extras*, never missing members — a
-  //      member that should appear is found by whichever queued insert
-  //      restored its derivation, which re-evaluates the attached subtree.
-  //      So the sweep re-verifies the current members of each view whose
-  //      source contributed events and drops those whose derivation or
-  //      condition no longer holds. It costs O(|view| · (climb + condition
-  //      eval)) through the accessor — local when a full auxiliary cache
-  //      is configured, metered query-backs otherwise.
+  //      (e.g. two deletes on one member's root path: each asks
+  //      path(ROOT,N1) after the other broke it). Such misses are always
+  //      stale *extras*, never missing members — a member that should
+  //      appear is found by whichever queued insert restored its
+  //      derivation, which re-evaluates the attached subtree. So the sweep
+  //      re-verifies, of each view whose source contributed events, the
+  //      members the batch can have made underivable, and drops those whose
+  //      derivation or condition no longer holds. An underivable member
+  //      (Algorithm1Engine::SweepScope) lost its root path below an
+  //      evaluated delete, or a witness below one, or a witness value (its
+  //      modify's own recheck covers that), or was put in by this drain's
+  //      own V_insert; the scope is navigated from the deletes without the
+  //      path(ROOT,N1) test, before the caches prune detached subtrees. It
+  //      costs O(deletes · navigation + |scope| · (climb + condition eval)),
+  //      not O(|view|): local when a full auxiliary cache is configured,
+  //      metered query-backs otherwise.
   //
   // Sources must not change during the call (the usual external
   // synchronization for a deferred drain). After the drain each view
@@ -229,7 +245,10 @@ class Warehouse {
     bool run_sweep = true;
     bool log_commit = true;
   };
-  Status ProcessPendingBatch(const BatchOptions& options);
+  // With run_sweep off, a non-null `deferred_scope` receives the scope the
+  // skipped sweep would have verified.
+  Status ProcessPendingBatch(const BatchOptions& options,
+                             SweepScope* deferred_scope = nullptr);
   Status ProcessPendingBatch() { return ProcessPendingBatch(BatchOptions{}); }
 
   // ---- Fault tolerance (sequenced delivery, quarantine, resync) ----
@@ -415,14 +434,15 @@ class Warehouse {
   void Deliver(size_t source_index, const UpdateEvent& event);
   // The drain body behind ProcessPendingBatch and inline delivery: resync
   // prologue, then steps 1-4 of the header comment over `batch`.
-  Status DrainBatch(UpdateBatch batch, const BatchOptions& options);
+  Status DrainBatch(UpdateBatch batch, const BatchOptions& options,
+                    SweepScope* deferred_scope = nullptr);
   // Events of `batch` routed to this shard (all of them when unbound).
   size_t RoutedHere(const UpdateBatch& batch) const;
-  // Step 4 over the fresh views of the sources marked in `sources`: each
-  // engine collects underivable members read-only in parallel on `pool`;
-  // they are deleted after the barrier. A view whose query-backs fail
-  // quarantines.
-  Status SweepViews(const std::vector<bool>& sources, ThreadPool* pool);
+  // Step 4 over the fresh views `scope` names (every view, in full, when
+  // null): each engine collects underivable members read-only in parallel
+  // on `pool`; they are deleted after the barrier. A view whose query-backs
+  // fail quarantines.
+  Status SweepViews(const SweepScope* scope, ThreadPool* pool);
   // Quarantine entry points.
   void Quarantine(ViewEntry& entry, const Status& cause);
   // Counts events a quarantined view skips.
@@ -430,8 +450,9 @@ class Warehouse {
   void QuarantineSourceViews(size_t source_index, const Status& cause);
   // One resync attempt; leaves the view stale when the source still fails.
   Status TryResyncView(ViewEntry& entry, bool force);
-  // Opportunistic resync of every stale view (drain prologue).
-  void TryResyncStaleViews();
+  // Opportunistic resync of every stale view (drain prologue); marks each
+  // view it tried in `scope` for a full sweep.
+  void TryResyncStaleViews(SweepScope* scope);
   // Declares a storage quiescent point: no `const Object*` from the
   // delegate store or a corridor cache is live past this call, so a paged
   // engine may evict back down to its buffer-pool budget. Runs at the end

@@ -22,8 +22,14 @@ struct EvalTask {
   Status status;
 };
 
+// One view's share of step 4: its evaluated events and inserted members
+// (the scope's sources), the scope navigated from them, and the members the
+// sweep dooms.
 struct SweepTask {
   size_t view_index = 0;
+  std::vector<ViewEngine::ScreenedEvent> events;
+  std::vector<Oid> scope;
+  const OidSet* members = nullptr;  // null: every member
   std::vector<Oid> doomed;
   Status status;
 };
@@ -64,20 +70,24 @@ size_t Warehouse::RoutedHere(const UpdateBatch& batch) const {
   return routed;
 }
 
-Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
+Status Warehouse::ProcessPendingBatch(const BatchOptions& options,
+                                      SweepScope* deferred_scope) {
   UpdateBatch batch;
   batch.Add(std::exchange(pending_, {}));
-  return DrainBatch(std::move(batch), options);
+  return DrainBatch(std::move(batch), options, deferred_scope);
 }
 
-Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
+Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options,
+                             SweepScope* deferred_scope) {
   const int64_t queries_before = costs_.source_queries;
   // Recovery prologue: resynced views take part in this batch normally.
-  TryResyncStaleViews();
+  SweepScope scope;
+  TryResyncStaleViews(&scope);
 
   Status first_error;
   if (batch.empty()) {
     // Nothing queued; still close the group a prologue resync logged.
+    if (deferred_scope != nullptr) *deferred_scope = std::move(scope);
     if (options.log_commit) LogCommit();
     StorageQuiescent();
     return Status::Ok();
@@ -197,25 +207,72 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
     Status status = task.buffer->ReplayInto(entry.storage());
     if (!status.ok() && first_error.ok()) first_error = status;
   }
+
+  // An evaluation that asked the sources nothing was local for every event
+  // routed here (see cost_model.h); the sweep's queries come after.
+  if (costs_.source_queries == queries_before) {
+    costs_.events_local_only += static_cast<int64_t>(routed);
+  }
+
+  // ---- Phase 4: the verification sweep (see the header), over the members
+  // the batch can have made underivable. Each fresh view navigates its
+  // scope from its evaluated events in parallel, before Prune() drops the
+  // detached subtrees those events name. A sharded coordinator runs the
+  // batch with run_sweep off, takes the scope, and sweeps
+  // (RunVerificationSweep) only after every shard's foreign ops landed.
+  if (options.run_sweep || deferred_scope != nullptr) {
+    std::vector<SweepTask> tasks;
+    std::map<size_t, size_t> task_of_view;
+    for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
+      const ViewEntry& entry = *views_[view_index];
+      if (!touched[entry.source_index] || entry.stale ||
+          scope.count(entry.def.name()) > 0) {
+        continue;
+      }
+      task_of_view[view_index] = tasks.size();
+      tasks.push_back({});
+      tasks.back().view_index = view_index;
+    }
+    for (const EvalTask& eval : eval_tasks) {
+      auto it = task_of_view.find(eval.view_index);
+      if (it == task_of_view.end()) continue;
+      SweepTask& task = tasks[it->second];
+      task.events.insert(task.events.end(), eval.events.begin(),
+                         eval.events.end());
+      for (const ViewDelta& delta : eval.buffer->ops()) {
+        if (delta.op() == ViewDeltaOp::kVInsert) {
+          task.scope.push_back(delta.target());
+        }
+      }
+    }
+    for (SweepTask& task : tasks) {
+      pool->Submit([this, &task] {
+        task.status = views_[task.view_index]->engine->SweepScope(
+            task.events, &task.scope);
+      });
+    }
+    pool->Wait();
+    for (SweepTask& task : tasks) {
+      ViewEntry& entry = *views_[task.view_index];
+      if (IsSourceFailure(task.status)) {
+        Quarantine(entry, task.status);  // an unreliable scope; resync
+        continue;
+      }
+      if (!task.status.ok() && first_error.ok()) first_error = task.status;
+      scope[entry.def.name()] = OidSet(std::move(task.scope));
+    }
+  }
   for (auto& entry : views_) {
     if (touched[entry->source_index] && !entry->stale &&
         entry->cache != nullptr) {
       entry->cache->Prune();
     }
   }
-
-  // An evaluation that asked the sources nothing was local for every event
-  // routed here (see cost_model.h).
-  if (costs_.source_queries == queries_before) {
-    costs_.events_local_only += static_cast<int64_t>(routed);
-  }
-
-  // ---- Phase 4: the verification sweep (see the header). A sharded
-  // coordinator runs the batch with run_sweep off and sweeps
-  // (RunVerificationSweep) only after every shard's foreign ops landed.
   if (options.run_sweep) {
-    Status status = SweepViews(touched, pool);
+    Status status = SweepViews(&scope, pool);
     if (!status.ok() && first_error.ok()) first_error = status;
+  } else if (deferred_scope != nullptr) {
+    *deferred_scope = std::move(scope);
   }
 
   if (!first_error.ok()) last_status_ = first_error;
@@ -227,20 +284,24 @@ Status Warehouse::DrainBatch(UpdateBatch batch, const BatchOptions& options) {
   return first_error;
 }
 
-Status Warehouse::SweepViews(const std::vector<bool>& sources,
-                             ThreadPool* pool) {
+Status Warehouse::SweepViews(const SweepScope* scope, ThreadPool* pool) {
   std::vector<SweepTask> tasks;
   for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
     const ViewEntry& entry = *views_[view_index];
-    if (!sources[entry.source_index]) continue;
     if (entry.stale) continue;  // its resync recomputes
     SweepTask task;
     task.view_index = view_index;
+    if (scope != nullptr) {
+      auto it = scope->find(entry.def.name());
+      if (it == scope->end()) continue;
+      if (it->second.has_value()) task.members = &*it->second;
+    }
     tasks.push_back(std::move(task));
   }
   for (SweepTask& task : tasks) {
     pool->Submit([this, &task] {
-      task.status = views_[task.view_index]->engine->Sweep(&task.doomed);
+      task.status = views_[task.view_index]->engine->Sweep(task.members,
+                                                           &task.doomed);
     });
   }
   pool->Wait();
@@ -264,9 +325,8 @@ Status Warehouse::SweepViews(const std::vector<bool>& sources,
   return first_error;
 }
 
-Status Warehouse::RunVerificationSweep() {
-  Status status =
-      SweepViews(std::vector<bool>(sources_.size(), true), Pool(pool_threads_));
+Status Warehouse::RunVerificationSweep(const SweepScope* scope) {
+  Status status = SweepViews(scope, Pool(pool_threads_));
   if (!status.ok()) last_status_ = status;
   StorageQuiescent();
   return status;

@@ -330,8 +330,17 @@ Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
     ++d.report.events_replayed;
   }
   if (!pending_.empty()) {
-    Status status = ProcessPendingBatch();
+    // The corridor caches were rebuilt from the live source and never held
+    // the subtrees the tail's deletes detached, so no scope can be
+    // navigated from them: this drain sweeps every member.
+    BatchOptions options;
+    options.run_sweep = false;
+    options.log_commit = false;
+    Status status = ProcessPendingBatch(options);
+    Status swept = RunVerificationSweep();
+    if (status.ok()) status = swept;
     if (!status.ok() && first_error.ok()) first_error = status;
+    LogCommit();
   }
   deferred_ = saved_deferred;
 

@@ -840,9 +840,9 @@ TEST(ShardedTwinTest, FourShardsValuesMatchRecomputeEveryDrain) {
 // ------------------------------------ Algorithm 1 over a DAG base (§6)
 
 // A simple view over a 4-level, 12-wide DAG, maintained by Algorithm 1 from
-// level-2 events, inline or in deferred drains. On a DAG an object's root
-// paths multiply, so the insert and delete cases must find the one that
-// matches sel_path.cond_path among them, not among the first few.
+// level-2 events (or `level`'s), inline or in deferred drains. On a DAG an
+// object's root paths multiply, so the insert and delete cases must find the
+// one that matches sel_path.cond_path among them, not among the first few.
 struct DagLevelTwoRig {
   ObjectStore source;
   ObjectStore store;
@@ -851,7 +851,9 @@ struct DagLevelTwoRig {
   std::string definition;
   std::unique_ptr<UpdateGenerator> gen;
 
-  void Build(uint64_t seed, bool deferred) {
+  void Build(uint64_t seed, bool deferred,
+             ReportingLevel level = ReportingLevel::kWithValues,
+             Warehouse::CacheMode cache = Warehouse::CacheMode::kNone) {
     DagGenOptions dag_options;
     dag_options.levels = 4;
     dag_options.width = 12;
@@ -861,10 +863,8 @@ struct DagLevelTwoRig {
     root = dag->root;
     definition = DagViewDefinition("V", root, 2, 4, 50);
     warehouse = std::make_unique<Warehouse>(&store);
-    ASSERT_TRUE(
-        warehouse->ConnectSource(&source, root, ReportingLevel::kWithValues)
-            .ok());
-    ASSERT_TRUE(warehouse->DefineView(definition).ok());
+    ASSERT_TRUE(warehouse->ConnectSource(&source, root, level).ok());
+    ASSERT_TRUE(warehouse->DefineView(definition, cache).ok());
     warehouse->set_deferred(deferred);
     UpdateGenOptions gen_options;
     gen_options.mode = UpdateMode::kDagPreserving;
@@ -908,6 +908,31 @@ TEST(DagAlgorithm1Test, LevelTwoMatchesRecomputeEveryDrain) {
   }
 }
 
+// A full §5.2 corridor cache over the DAG, deferred drains at levels 1 and
+// 2. A delete can take an object off the corridor that another derivation
+// keeps in the source; the cache holds it until Prune(), so every later
+// event of the batch on it must apply, or an insert that re-attaches it
+// brings back a stale copy (without that, level 1 seed 84 keeps an extra
+// member after its second drain).
+TEST(DagAlgorithm1Test, FullCacheMatchesRecomputeEveryDrain) {
+  for (ReportingLevel level :
+       {ReportingLevel::kOidsOnly, ReportingLevel::kWithValues}) {
+    for (uint64_t seed : {84, 90, 151, 161, 191}) {
+      SCOPED_TRACE("level " + std::to_string(static_cast<int>(level)) +
+                   " seed " + std::to_string(seed));
+      DagLevelTwoRig rig;
+      ASSERT_NO_FATAL_FAILURE(rig.Build(seed, /*deferred=*/true, level,
+                                        Warehouse::CacheMode::kFull));
+      for (int drain = 1; drain <= 6; ++drain) {
+        ASSERT_TRUE(rig.gen->Run(60).ok());
+        ASSERT_NO_FATAL_FAILURE(rig.Drain());
+        ASSERT_NO_FATAL_FAILURE(
+            rig.ExpectMatchesRecompute("after drain " + std::to_string(drain)));
+      }
+    }
+  }
+}
+
 // Seed 55's sixth drain, shrunk to three events: the last insert hangs D4
 // (a d1 node) under D15 (a d2 node), which multiplies path(ROOT, D27) past
 // sixteen paths before the one d1.d2.d3 path that selects D14.
@@ -925,6 +950,126 @@ TEST(DagAlgorithm1Test, ThreeEventDrainFindsTheOneMatchingRootPath) {
   EXPECT_GT(PathsFromTo(rig.source, rig.root, Oid("D27"), 64).size(), 16u);
   rig.Drain();
   rig.ExpectMatchesRecompute("after the three-event drain");
+}
+
+// ------------------------------------ the drain's sweep scope is complete
+
+// A deferred drain sweeps only the members its events can have made
+// underivable (Algorithm1Engine::SweepScope). Twin check: after every
+// deferred drain, a full RunVerificationSweep() over every member changes no
+// content line. Covers tree and DAG bases at levels 1-3, deferred and
+// inline-then-deferred runs, cache none and full at K=1, no cache at K=4;
+// and checks the view against the §4.4 recompute after every drain.
+struct SweepTwinConfig {
+  bool dag = false;
+  ReportingLevel level = ReportingLevel::kWithValues;
+  Warehouse::CacheMode cache = Warehouse::CacheMode::kNone;
+  bool inline_first = false;  // drains 1-3 inline, 4-6 deferred
+  uint32_t shards = 1;
+};
+
+void RunSweepTwin(const SweepTwinConfig& config, uint64_t seed) {
+  SCOPED_TRACE(std::string(config.dag ? "dag" : "tree") + " level " +
+               std::to_string(static_cast<int>(config.level)) + " cache " +
+               std::to_string(static_cast<int>(config.cache)) +
+               (config.inline_first ? " inline-first" : " deferred") +
+               " K=" + std::to_string(config.shards) + " seed " +
+               std::to_string(seed));
+  ObjectStore source;
+  Oid root;
+  std::string definition;
+  UpdateGenOptions gen_options;
+  gen_options.seed = 1000 + seed;
+  if (config.dag) {
+    DagGenOptions dag_options;
+    dag_options.levels = 4;
+    dag_options.width = 12;
+    dag_options.seed = seed;
+    auto dag = GenerateDag(&source, dag_options);
+    ASSERT_TRUE(dag.ok());
+    root = dag->root;
+    definition = DagViewDefinition("V", root, 2, 4, 50);
+    gen_options.mode = UpdateMode::kDagPreserving;
+  } else {
+    TreeGenOptions tree_options;
+    tree_options.levels = 4;
+    tree_options.fanout = 4;
+    tree_options.seed = seed;
+    tree_options.oid_prefix = "sw_";
+    auto tree = GenerateTree(&source, tree_options);
+    ASSERT_TRUE(tree.ok());
+    root = tree->root;
+    definition = TreeViewDefinition("V", root, 2, 4, 50);
+    gen_options.oid_prefix = "sw_u";
+  }
+
+  ObjectStore store;
+  Warehouse plain(&store);
+  ShardedWarehouse sharded(config.shards);
+  if (config.shards == 1) {
+    ASSERT_TRUE(plain.ConnectSource(&source, root, config.level).ok());
+    ASSERT_TRUE(plain.DefineView(definition, config.cache).ok());
+  } else {
+    ASSERT_TRUE(sharded.ConnectSource(&source, root, config.level).ok());
+    ASSERT_TRUE(sharded.DefineView(definition).ok());
+  }
+  auto contents = [&] {
+    return config.shards == 1 ? ViewContentLines(*plain.view("V"))
+                              : sharded.ViewContents("V");
+  };
+
+  UpdateGenerator gen(&source, root, gen_options);
+  for (int drain = 1; drain <= 6; ++drain) {
+    const bool deferred = !config.inline_first || drain > 3;
+    plain.set_deferred(deferred);
+    sharded.set_deferred(deferred);
+    ASSERT_TRUE(gen.Run(60).ok());
+    if (config.shards == 1) {
+      ASSERT_TRUE(plain.ProcessPendingBatch().ok());
+    } else {
+      ASSERT_TRUE(sharded.ProcessPendingBatch(4).ok());
+    }
+    const auto drained = contents();
+    if (deferred) {
+      if (config.shards == 1) {
+        ASSERT_TRUE(plain.RunVerificationSweep().ok());
+      } else {
+        for (uint32_t i = 0; i < config.shards; ++i) {
+          ASSERT_TRUE(sharded.shard(i).RunVerificationSweep().ok());
+        }
+      }
+      ASSERT_EQ(contents(), drained)
+          << "the full sweep found more after drain " << drain;
+    }
+    ObjectStore recompute_store;
+    Warehouse recompute(&recompute_store);
+    ASSERT_TRUE(recompute.ConnectSource(&source, root, config.level).ok());
+    ASSERT_TRUE(recompute.DefineView(definition).ok());
+    ASSERT_EQ(drained, ViewContentLines(*recompute.view("V")))
+        << "after drain " << drain;
+  }
+}
+
+TEST(SweepScopeTwinTest, FullSweepFindsNothingTheScopedSweepMissed) {
+  using Mode = Warehouse::CacheMode;
+  for (bool dag : {false, true}) {
+    for (ReportingLevel level :
+         {ReportingLevel::kOidsOnly, ReportingLevel::kWithValues,
+          ReportingLevel::kWithRootPath}) {
+      for (bool inline_first : {false, true}) {
+        // Without the scope's delete rule this fails at seed 12 (trees),
+        // without its V_insert rule at 395 (DAG, level 2).
+        for (uint64_t seed : {12, 395}) {
+          for (Mode cache : {Mode::kNone, Mode::kFull}) {
+            ASSERT_NO_FATAL_FAILURE(
+                RunSweepTwin({dag, level, cache, inline_first, 1}, seed));
+          }
+          ASSERT_NO_FATAL_FAILURE(
+              RunSweepTwin({dag, level, Mode::kNone, inline_first, 4}, seed));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
